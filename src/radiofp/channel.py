@@ -37,11 +37,11 @@ class ChannelSpec:
         if taps:
             delays = [d for d, _ in taps]
             if delays[0] != 0:
-                raise ParameterError("multipath taps must include a delay-0 tap first")
+                raise ParameterError("multipath_taps must start with a delay-0 tap")
             if any(d < 0 for d in delays):
-                raise ParameterError("tap delays must be >= 0")
+                raise ParameterError("multipath_taps delays must be >= 0")
             if any(b <= a for a, b in zip(delays, delays[1:])):
-                raise ParameterError("tap delays must be strictly increasing")
+                raise ParameterError("multipath_taps delays must be strictly increasing")
 
 
 def apply_multipath(recording: IqRecording, taps) -> IqRecording:

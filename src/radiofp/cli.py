@@ -17,16 +17,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
+import dataclasses
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
+from .config import (
+    EXPERIMENT,
+    REQUIRED,
+    atomic_write,
+    build_schedule,
+    csv_text,
+    fields,
+    json_text,
+    load_json,
+    parse,
+)
 from .detect import DetectorParams, detect_bursts
 from .emitter import render_session
 from .errors import ValidationError, WorkbenchError
@@ -39,16 +46,7 @@ from .features import (
     fisher_select,
 )
 from .receiver import ReceiverConfig, acquire
-from .sigmf_io import (
-    DatasetSeeds,
-    _channel_from_doc,
-    _receiver_from_doc,
-    _seeds_from_doc,
-    build_dataset,
-    propagate,
-    read_recording,
-    schedule_from_doc,
-)
+from .sigmf_io import build_dataset, propagate, read_recording
 from .tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 from .verify import (
     calibrate_threshold,
@@ -63,75 +61,46 @@ from .verify import (
 FEATURE_CSV_PREFIX = ("session", "roi_index", "label", "start_sample", "length")
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+# The config sections that define a synthesized session.
+SESSION = ("sample_rate_hz", "samples_per_symbol", "seeds", "profiles", "schedule", "channel", "receiver")
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file is not valid JSON: {exc}") from None
+def _load_config(args, *required: str) -> dict:
+    """Parse the whole experiment config; --seed-override replaces its seeds."""
+    doc = load_json(args.config)
+    if args.seed_override is not None and isinstance(doc, dict):
+        seed = args.seed_override
+        doc["seeds"] = {"render": seed, "channel": seed + 1, "frontend": seed + 2}
+    return parse(doc, {**EXPERIMENT, **{name: (EXPERIMENT[name][0], REQUIRED) for name in required}})
 
 
-def _require_section(config: dict, name: str) -> dict:
-    if name not in config:
-        raise ValidationError(f"config missing field '{name}'")
-    return config[name]
+def _session_parts(config: dict):
+    schedule, profiles = build_schedule(config["schedule"], config["profiles"], "schedule")
+    return (schedule, profiles, config["channel"], config["receiver"], config["seeds"],
+            config["sample_rate_hz"], config["samples_per_symbol"])
 
 
-def _experiment_parts(config: dict, seed_override: int | None):
-    """Parse the common sections of an experiment config."""
-    schedule_doc = dict(_require_section(config, "schedule"))
-    schedule_doc.setdefault("format", "schedule-v1")
-    schedule_doc["profiles"] = _require_section(config, "profiles")
-    schedule, profiles = schedule_from_doc(schedule_doc)
-
-    channel = _channel_from_doc(_require_section(config, "channel"))
-    seeds = _seeds_from_doc(_require_section(config, "seeds"))
-    if seed_override is not None:
-        seeds = DatasetSeeds(seed_override, seed_override + 1, seed_override + 2)
-
-    sample_rate = config.get("sample_rate_hz")
-    if sample_rate is None:
-        raise ValidationError("config missing field 'sample_rate_hz'")
-    sps = config.get("samples_per_symbol")
-    if sps is None:
-        raise ValidationError("config missing field 'samples_per_symbol'")
-    return schedule, profiles, channel, seeds, float(sample_rate), int(sps)
+def _output(args, name: str) -> Path:
+    """Path of output file `name`, creating the --out directory."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
 
 
-def _detector_from_config(config: dict) -> DetectorParams:
-    doc = config.get("detector", {})
-    return DetectorParams(
-        window=int(doc.get("window", 64)),
-        open_threshold_db=float(doc.get("open_threshold_db", 10.0)),
-        close_threshold_db=float(doc.get("close_threshold_db", 6.0)),
-        min_length=int(doc.get("min_length", 1)),
-        merge_gap=int(doc.get("merge_gap", 0)),
-    )
-
-
-def _extraction_from_config(config: dict) -> ExtractionConfig:
-    doc = config.get("extraction", {})
-    return ExtractionConfig(wpd_depth=int(doc.get("wpd_depth", 4)))
+def _below_sample_rate(values, sample_rate: float, where: str) -> None:
+    if max(values) >= sample_rate:
+        raise ValidationError(f"{where} must be below sample_rate_hz {sample_rate}, got {max(values)}")
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    schedule, profiles, channel, seeds, sample_rate, sps = _experiment_parts(
-        config, args.seed_override
-    )
-    rx = _receiver_from_doc(_require_section(config, "receiver"))
-    result = build_dataset(
-        schedule, profiles, channel, rx, seeds, args.out, sample_rate, sps,
-        stem=config.get("stem", "session"),
-    )
+    config = _load_config(args, *SESSION)
+    schedule, profiles, channel, rx, seeds, sample_rate, sps = _session_parts(config)
+    _below_sample_rate([rx.filter_bw_hz], sample_rate, "receiver.filter_bw_hz")
+    with fields(""):
+        result = build_dataset(
+            schedule, profiles, channel, rx, seeds, args.out, sample_rate, sps,
+            stem=config["stem"],
+        )
     if args.verbose:
         print(f"rendered {len(result.ground_truth)} bursts into {result.data_file}", file=sys.stderr)
     print(result.manifest_file)
@@ -157,22 +126,21 @@ def _feature_rows_for_session(stem: Path, detector: DetectorParams, extraction: 
 
 
 def cmd_pipeline(args) -> int:
-    config = _load_config(args.config)
-    detector = _detector_from_config(config)
-    extraction = _extraction_from_config(config)
+    config = _load_config(args)
+    detector, extraction = config["detector"], config["extraction"]
 
     dataset_dir = Path(args.dataset)
     stems = sorted(p.with_suffix("") for p in dataset_dir.glob("*.sigmf-meta"))
     if not stems:
         raise ValidationError(f"no .sigmf-meta files found in '{dataset_dir}'")
 
-    failures: list[str] = []
+    failures: list[tuple[Path, Exception]] = []
 
     def worker(stem: Path):
         try:
             return _feature_rows_for_session(stem, detector, extraction)
         except (WorkbenchError, OSError) as exc:
-            failures.append(f"{stem}: {exc}")
+            failures.append((stem, exc))
             return []
 
     if args.threads > 1:
@@ -185,59 +153,72 @@ def cmd_pipeline(args) -> int:
         for stem, rows in zip(stems, results):
             print(f"{stem.name}: {len(rows)} ROI(s)", file=sys.stderr)
 
-    for failure in failures:
-        print(f"warning: {failure}", file=sys.stderr)
+    for stem, exc in failures:
+        print(f"warning: {stem}: {exc}", file=sys.stderr)
     if failures and not all_rows:
         print("error: every session failed", file=sys.stderr)
-        return 1
+        return 2 if all(isinstance(exc, ValidationError) for _, exc in failures) else 1
 
-    names = catalog_names(extraction)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(list(FEATURE_CSV_PREFIX) + list(names))
-    for session, idx, label, start, length, vec in all_rows:
-        writer.writerow([session, idx, label, start, length] + [repr(float(v)) for v in vec.values])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    features_path = out_dir / "features.csv"
-    _atomic_write_text(features_path, out.getvalue())
+    rows = ([session, idx, label, start, length] + [repr(float(v)) for v in vec.values]
+            for session, idx, label, start, length, vec in all_rows)
+    features_path = _output(args, "features.csv")
+    atomic_write(features_path, csv_text(FEATURE_CSV_PREFIX + catalog_names(extraction), rows))
     print(features_path)
     return 0
 
 
-def _read_feature_table(path: str) -> tuple[list[str], list[str], list[FeatureVector]]:
-    """Returns (feature_names, labels, vectors) from a pipeline CSV."""
+def _cell_error(path: str, line: int, header: list[str], row: list[str]) -> ValidationError:
+    """Name the first numeric cell of a feature-table row that does not parse."""
+    for col in [3] + list(range(len(FEATURE_CSV_PREFIX), len(header))):
+        try:
+            if math.isfinite(int(row[col]) if col == 3 else float(row[col])):
+                continue
+        except ValueError:
+            pass
+        break
+    return ValidationError(
+        f"{path}, row {line}, column '{header[col]}': {row[col]!r:.40} is not a finite number"
+    )
+
+
+def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[FeatureVector]]:
+    """(feature_names, labels, vectors) from a pipeline CSV, whose header must be
+    FEATURE_CSV_PREFIX followed by the full catalog of one wavelet depth."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[: len(FEATURE_CSV_PREFIX)] != list(FEATURE_CSV_PREFIX):
-            raise ValidationError(f"'{path}' is not a feature table (bad header)")
-        names = header[len(FEATURE_CSV_PREFIX):]
-        n_wpd = sum(1 for n in names if n.startswith("wpd_e"))
-        if n_wpd == 0 or n_wpd & (n_wpd - 1):
-            raise ValidationError(f"'{path}' is not a feature table (no wavelet-energy columns)")
-        version = catalog_version(ExtractionConfig(wpd_depth=int(math.log2(n_wpd))))
+        extraction = next((ExtractionConfig(depth) for depth in range(1, 7)
+                           if header == [*FEATURE_CSV_PREFIX, *catalog_names(ExtractionConfig(depth))]),
+                          None)
+        if extraction is None:
+            raise ValidationError(
+                f"'{path}' is not a feature table: the header must be "
+                f"{','.join(FEATURE_CSV_PREFIX)} followed by the feature catalog in order"
+            )
+        names, version = catalog_names(extraction), catalog_version(extraction)
         labels, vectors = [], []
-        for row in reader:
-            prefix = row[: len(FEATURE_CSV_PREFIX)]
-            values = np.array([float(v) for v in row[len(FEATURE_CSV_PREFIX):]])
-            labels.append(prefix[2])
-            vectors.append(FeatureVector(
-                names=tuple(names),
-                values=values,
-                roi_ref=(prefix[0], int(prefix[3])),
-                catalog_version=version,
-            ))
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}, row {line}: {len(row)} columns, expected {len(header)}")
+            try:
+                vectors.append(FeatureVector(
+                    names=names,
+                    values=[float(v) for v in row[len(FEATURE_CSV_PREFIX):]],
+                    roi_ref=(row[0], int(row[3])),
+                    catalog_version=version,
+                ))
+            except ValueError:  # unparsable cell, or a FeatureError for a non-finite one
+                raise _cell_error(path, line, header, row) from None
+            labels.append(row[2])
     if not vectors:
         raise ValidationError(f"feature table '{path}' has no rows")
     return names, labels, vectors
 
 
 def cmd_enroll(args) -> int:
-    config = _load_config(args.config)
-    enrollment = config.get("enrollment", {})
-    ridge = float(enrollment.get("ridge_lambda", 1e-3))
-    keep = enrollment.get("keep_features")
+    config = _load_config(args)
+    enrollment = dict(config["enrollment"])
+    keep = enrollment.pop("keep_features")
 
     names, labels, vectors = _read_feature_table(args.features)
     labeled = [(v, l) for v, l in zip(vectors, labels) if l]
@@ -246,67 +227,52 @@ def cmd_enroll(args) -> int:
     vecs = [v for v, _ in labeled]
     labs = [l for _, l in labeled]
 
-    k = int(keep) if keep is not None else len(vecs[0])
+    k = len(names) if keep is None else keep
+    if not 1 <= k <= len(names):
+        raise ValidationError(f"enrollment.keep_features must lie in [1, {len(names)}], got {k}")
     selection = fisher_select(vecs, labs, k)
 
     fingerprints = []
     for device in sorted(set(labs)):
         device_vecs = [v for v, l in zip(vecs, labs) if l == device]
-        fingerprints.append(enroll(device, device_vecs, selection, ridge))
+        with fields("enrollment"):
+            fingerprints.append(enroll(device, device_vecs, selection, **enrollment))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    store_path = out_dir / "fingerprints.json"
+    store_path = _output(args, "fingerprints.json")
     save_fingerprint_store(fingerprints, store_path, catalog_names=names)
     print(store_path)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _names, _labels, vectors = _read_feature_table(args.features)
-    store = load_fingerprint_store(args.store)
+    names, _labels, vectors = _read_feature_table(args.features)
+    store = load_fingerprint_store(args.store, names)
     if args.claim not in store:
         print(f"error: claimed id '{args.claim}' is not enrolled", file=sys.stderr)
         return 1
     fp = store[args.claim]
 
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"])
-    for vec in vectors:
-        decision = verify(vec, fp)
-        writer.writerow([
-            vec.roi_ref[0], vec.roi_ref[1], decision.claimed_id,
-            repr(decision.squared_distance), repr(decision.threshold_used),
-            int(decision.accepted),
-        ])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    decisions_path = out_dir / "decisions.csv"
-    _atomic_write_text(decisions_path, out.getvalue())
+    decisions = [verify(vec, fp) for vec in vectors]
+    rows = ([vec.roi_ref[0], vec.roi_ref[1], d.claimed_id, repr(d.squared_distance),
+             repr(d.threshold_used), int(d.accepted)] for vec, d in zip(vectors, decisions))
+    decisions_path = _output(args, "decisions.csv")
+    header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
+    atomic_write(decisions_path, csv_text(header, rows))
     print(decisions_path)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _names, labels, vectors = _read_feature_table(args.features)
-    store = load_fingerprint_store(args.store)
+    names, labels, vectors = _read_feature_table(args.features)
+    store = load_fingerprint_store(args.store, names)
     genuine, impostor = genuine_impostor_scores(vectors, labels, store)
     if genuine.size == 0 or impostor.size == 0:
         raise ValidationError("need both genuine and impostor scores; check labels vs store")
     report = evaluate(genuine, impostor)
     eer_threshold = calibrate_threshold(genuine, impostor, policy="eer")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    roc_out = io.StringIO()
-    writer = csv.writer(roc_out)
-    writer.writerow(["far", "frr", "threshold"])
-    for far, frr, thr in report.roc:
-        writer.writerow([repr(float(far)), repr(float(frr)), repr(float(thr))])
-    roc_path = out_dir / "roc.csv"
-    _atomic_write_text(roc_path, roc_out.getvalue())
+    roc = ([repr(float(far)), repr(float(frr)), repr(float(thr))] for far, frr, thr in report.roc)
+    atomic_write(_output(args, "roc.csv"), csv_text(["far", "frr", "threshold"], roc))
 
     metrics = {
         "eer": report.eer,
@@ -317,67 +283,61 @@ def cmd_evaluate(args) -> int:
         "far_at_frr": {str(k): v for k, v in report.far_at.items()},
         "frr_at_far": {str(k): v for k, v in report.frr_at.items()},
     }
-    metrics_path = out_dir / "metrics.json"
-    _atomic_write_text(metrics_path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    metrics_path = _output(args, "metrics.json")
+    atomic_write(metrics_path, json_text(metrics))
     print(metrics_path)
     return 0
 
 
 def cmd_tune(args) -> int:
-    config = _load_config(args.config)
-    schedule, profiles, channel, seeds, sample_rate, sps = _experiment_parts(
-        config, args.seed_override
-    )
-    detector = _detector_from_config(config)
-    tuning_doc = _require_section(config, "tuning")
-    for key in ("gain_db_values", "filter_bw_hz_values"):
-        if key not in tuning_doc or not tuning_doc[key]:
-            raise ValidationError(f"config missing field 'tuning.{key}'")
-    grid = TuningGrid(tuple(tuning_doc["gain_db_values"]), tuple(tuning_doc["filter_bw_hz_values"]))
-    strategy = tuning_doc.get("strategy", "exhaustive")
-    budget = tuning_doc.get("budget")
-    max_rounds = int(tuning_doc.get("max_rounds", 8))
-    rx_template = _receiver_from_doc(_require_section(config, "receiver"))
-    obj_doc = tuning_doc.get("objective", {})
-    obj_params = ObjectiveParams(
-        clip_weight=float(obj_doc.get("clip_weight", 0.5)),
-        no_roi_penalty=float(obj_doc.get("no_roi_penalty", 100.0)),
-        full_scale=rx_template.full_scale,
-    )
+    config = _load_config(args, *SESSION, "tuning")
+    schedule, profiles, channel, rx_template, seeds, sample_rate, sps = _session_parts(config)
+    tuning = dict(config["tuning"])
+    with fields("tuning"):
+        grid = TuningGrid(tuple(tuning.pop("gain_db_values")), tuple(tuning.pop("filter_bw_hz_values")))
+    _below_sample_rate(grid.filter_bw_hz_values, sample_rate, "tuning.filter_bw_hz_values")
+    obj_params = ObjectiveParams(**tuning.pop("objective"), full_scale=rx_template.full_scale)
 
     # The plant is synthesized once; each evaluation re-acquires it.
-    rendered, truth = render_session(schedule, profiles, sample_rate, sps, seeds.render)
-    received = propagate(rendered, truth, channel, seeds.channel)
+    with fields(""):
+        rendered, truth = render_session(schedule, profiles, sample_rate, sps, seeds.render)
+        received = propagate(rendered, truth, channel, seeds.channel)
 
     def plant(rx_config: ReceiverConfig):
         acquired = acquire(received, rx_config, seeds.frontend)
-        rois = detect_bursts(acquired, detector)
+        rois = detect_bursts(acquired, config["detector"])
         return acquired, rois, objective(acquired, rois, obj_params)
 
-    trace = tune(
-        plant, grid, strategy=strategy,
-        budget=int(budget) if budget is not None else None,
-        max_rounds=max_rounds, config_template=rx_template,
-    )
+    with fields("tuning"):
+        trace = tune(plant, grid, config_template=rx_template, **tuning)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.csv"
+    trace_path = _output(args, "trace.csv")
     write_trace_csv(trace, trace_path)
-    best = {
-        "gain_db": trace.best_config.gain_db,
-        "filter_bw_hz": trace.best_config.filter_bw_hz,
-        "adc_bits": trace.best_config.adc_bits,
-        "full_scale": trace.best_config.full_scale,
-        "frontend_noise_power": trace.best_config.frontend_noise_power,
-        "objective": trace.best_value,
-        "n_evaluations": trace.n_evaluations,
-    }
-    best_path = out_dir / "best_config.json"
-    _atomic_write_text(best_path, json.dumps(best, indent=2, sort_keys=True) + "\n")
+    best = {**dataclasses.asdict(trace.best_config),
+            "objective": trace.best_value, "n_evaluations": trace.n_evaluations}
+    best_path = _output(args, "best_config.json")
+    atomic_write(best_path, json_text(best))
     print(trace_path)
     print(best_path)
     return 0
+
+
+# Each command: (handler, help, the options it requires besides --out).
+COMMANDS = {
+    "synth": (cmd_synth, "synthesize a dataset from a config", ("config",)),
+    "pipeline": (cmd_pipeline, "detect + extract features for a dataset", ("config", "dataset")),
+    "enroll": (cmd_enroll, "enroll fingerprints from a feature table", ("config", "features")),
+    "verify": (cmd_verify, "verify probes against a claimed identity", ("features", "store", "claim")),
+    "evaluate": (cmd_evaluate, "EER/ROC metrics from a labeled table", ("features", "store")),
+    "tune": (cmd_tune, "run the adaptive controller on a scenario", ("config",)),
+}
+OPTION_HELP = {
+    "config": "experiment config (JSON)",
+    "dataset": "directory holding .sigmf-data/.sigmf-meta pairs",
+    "features": "feature CSV from the pipeline command",
+    "store": "fingerprint store (JSON)",
+    "claim": "claimed device id",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,36 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[common], help="synthesize a dataset from a config")
-    p.add_argument("--config", required=True, help="experiment config (JSON)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("pipeline", parents=[common], help="detect + extract features for a dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--dataset", required=True, help="directory holding .sigmf-data/.sigmf-meta pairs")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("enroll", parents=[common], help="enroll fingerprints from a feature table")
-    p.add_argument("--config", required=True)
-    p.add_argument("--features", required=True, help="feature CSV from the pipeline command")
-    p.set_defaults(func=cmd_enroll)
-
-    p = sub.add_parser("verify", parents=[common], help="verify probes against a claimed identity")
-    p.add_argument("--features", required=True)
-    p.add_argument("--store", required=True, help="fingerprint store (JSON)")
-    p.add_argument("--claim", required=True, help="claimed device id")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("evaluate", parents=[common], help="EER/ROC metrics from a labeled table")
-    p.add_argument("--features", required=True)
-    p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("tune", parents=[common], help="run the adaptive controller on a scenario")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_tune)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", required=True, help=OPTION_HELP[option])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -432,15 +367,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WorkbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 def console_main() -> None:

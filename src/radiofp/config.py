@@ -1,0 +1,318 @@
+"""Every document radiofp reads or writes: field tables, one parser, one writer.
+
+A field table maps each field of a document section to (converter, default),
+where the default is REQUIRED, or DEFAULT to leave an absent field to the
+dataclass or function the section feeds. parse() checks that a section is an
+object, rejects unknown fields (SigMF meta allows them: other tools add their
+own), converts types and fills defaults. Domain checks stay in the dataclasses:
+record() builds one and re-raises its ParameterError as a ValidationError
+prefixed with the section path. Those messages start with the field name, so
+an error reads "detector.window must be >= 4, got 2".
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+from .channel import ChannelSpec
+from .detect import DetectorParams
+from .emitter import EmitterProfile, ScheduledBurst, TransmissionSchedule
+from .errors import ParameterError, TuningError, UnsupportedFormatError, ValidationError
+from .features import ExtractionConfig
+from .receiver import ReceiverConfig
+
+REQUIRED = object()  # the field must be present
+DEFAULT = object()   # an absent field keeps the default of what the section feeds
+
+DATATYPE = "cf32_le"
+SIGMF_VERSION = "1.0.0"
+SCHEDULE_FORMAT = "schedule-v1"
+MANIFEST_FORMAT = "dataset-manifest-v1"
+FINGERPRINT_STORE_FORMAT = "fingerprint-store-v1"
+
+
+@dataclasses.dataclass(frozen=True)
+class DatasetSeeds:
+    """Every random draw in a dataset build is pinned by these three seeds."""
+
+    render: int
+    channel: int
+    frontend: int
+
+    def __post_init__(self) -> None:
+        for name, seed in dataclasses.asdict(self).items():
+            if seed < 0:
+                raise ParameterError(f"{name} must be >= 0, got {seed}")
+
+
+# --- parsing -------------------------------------------------------------------
+
+def _join(where: str, name) -> str:
+    return f"{where}.{name}" if where else str(name)
+
+
+def _expected(value, where: str, what: str) -> ValidationError:
+    return ValidationError(f"{where} must be {what}, got {value!r:.60}")
+
+
+@contextmanager
+def fields(where: str):
+    """Re-raise a domain error from the block as a ValidationError about `where`."""
+    try:
+        yield
+    except (ParameterError, TuningError) as exc:
+        raise ValidationError(_join(where, exc)) from None
+
+
+def parse(doc, table: dict, where: str = "", strict: bool = True) -> dict:
+    """Check, convert and default one section; returns its fields in table order."""
+    if not isinstance(doc, dict):
+        raise _expected(doc, where or "the document", "a JSON object")
+    unknown = sorted(doc.keys() - table.keys()) if strict else []
+    if unknown:
+        raise ValidationError(f"unknown field '{_join(where, unknown[0])}'")
+    out = {}
+    for name, (convert, default) in table.items():
+        if name in doc:
+            out[name] = convert(doc[name], _join(where, name))
+        elif default is REQUIRED:
+            raise ValidationError(f"missing field '{_join(where, name)}'")
+        elif default is not DEFAULT:
+            out[name] = default
+    return out
+
+
+def _typed(kinds, what: str, accept=lambda value: True, cast=lambda value: value):
+    def convert(value, where):
+        if isinstance(value, bool) or not isinstance(value, kinds) or not accept(value):
+            raise _expected(value, where, what)
+        return cast(value)
+    return convert
+
+
+integer = _typed(int, "an integer")
+text = _typed(str, "a string")
+number = _typed((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max, float)
+_list = _typed(list, "a list")
+
+
+def array(item):
+    return lambda value, where: [item(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
+
+
+def _fixed(value, where: str, what: str, *items) -> list:
+    if len(_list(value, where)) != len(items):
+        raise _expected(value, where, what)
+    return [item(v, f"{where}[{i}]") for i, (item, v) in enumerate(zip(items, value))]
+
+
+def pair(value, where: str) -> complex:
+    return complex(*_fixed(value, where, "[re, im]", number, number))
+
+
+def tap(value, where: str) -> tuple[int, complex]:
+    delay, re, im = _fixed(value, where, "[delay_samples, gain_re, gain_im]", integer, number, number)
+    return delay, complex(re, im)
+
+
+def matrix(value, where: str) -> list:
+    rows = array(array(number))(value, where)
+    if len({len(row) for row in rows}) > 1:
+        raise _expected(value, where, "a matrix (rows of equal length)")
+    return rows
+
+
+def nullable(convert):
+    return lambda value, where: None if value is None else convert(value, where)
+
+
+def format_of(expected: str):
+    def convert(value, where):
+        if value != expected:
+            raise UnsupportedFormatError(f"unsupported {where} {value!r:.60} (expected '{expected}')")
+        return value
+    return convert
+
+
+def section(table: dict, strict: bool = True):
+    return lambda value, where: parse(value, table, where, strict)
+
+
+def record(cls, table: dict):
+    """Converter that parses a section and builds `cls` from its fields."""
+    def convert(value, where):
+        parsed = parse(value, table, where)
+        with fields(where):
+            return cls(**parsed)
+    return convert
+
+
+_BY_ANNOTATION = {"int": integer, "float": number, "str": text, "complex": pair}
+
+
+def table_of(cls, all_required: bool = False, **converters) -> dict:
+    """A dataclass's field table: converters from its (string) annotations, defaults from the class."""
+    return {
+        f.name: (converters.get(f.name) or _BY_ANNOTATION[f.type],
+                 DEFAULT if f.default is not dataclasses.MISSING and not all_required else REQUIRED)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def build_schedule(parsed: dict, profiles, where: str):
+    """(TransmissionSchedule, profiles by id) from a parsed schedule section."""
+    by_id: dict[str, EmitterProfile] = {}
+    for profile in profiles:
+        if profile.emitter_id in by_id:
+            raise ValidationError(f"duplicate emitter_id '{profile.emitter_id}' in profiles")
+        by_id[profile.emitter_id] = profile
+    for i, entry in enumerate(parsed["entries"]):
+        if entry.emitter_id not in by_id:
+            field = _join(where, f"entries[{i}].emitter_id")
+            raise ValidationError(f"{field} '{entry.emitter_id}' has no profile")
+    with fields(where):
+        return TransmissionSchedule(tuple(parsed["entries"]), parsed["session_duration_s"]), by_id
+
+
+def schedule_document(value, where: str = ""):
+    """Converter for a schedule document, which carries its own profiles."""
+    parsed = parse(value, SCHEDULE_DOCUMENT, where)
+    return build_schedule(parsed, parsed["profiles"], where)
+
+
+def load_json(path):
+    """Parse a JSON file; a missing or malformed file is a ValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"file not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+
+
+# --- field tables ----------------------------------------------------------------
+
+def required(convert, *names: str) -> dict:
+    return dict.fromkeys(names, (convert, REQUIRED))
+
+
+PROFILE = table_of(EmitterProfile, all_required=True)
+ENTRY = {**required(text, "emitter_id"), **required(number, "start_time_s"),
+         **required(array(integer), "payload_bits")}
+SCHEDULE = {
+    "format": (format_of(SCHEDULE_FORMAT), SCHEDULE_FORMAT),
+    "session_duration_s": (number, REQUIRED),
+    "entries": (array(record(ScheduledBurst, ENTRY)), REQUIRED),
+}
+SCHEDULE_DOCUMENT = {**SCHEDULE, **required(format_of(SCHEDULE_FORMAT), "format"),
+                     **required(array(record(EmitterProfile, PROFILE)), "profiles")}
+CHANNEL = table_of(ChannelSpec, all_required=True, multipath_taps=array(tap),
+                   snr_db=lambda value, where: math.inf if value == "inf" else number(value, where))
+RECEIVER = table_of(ReceiverConfig, all_required=True)
+SEEDS = table_of(DatasetSeeds)
+ENROLLMENT = {"ridge_lambda": (number, DEFAULT), "keep_features": (nullable(integer), None)}
+TUNING = {
+    **required(array(number), "gain_db_values", "filter_bw_hz_values"),
+    "strategy": (text, DEFAULT), "budget": (nullable(integer), DEFAULT), "max_rounds": (integer, DEFAULT),
+    "objective": (section(dict.fromkeys(("clip_weight", "no_roi_penalty"), (number, DEFAULT))), {}),
+}
+
+# The experiment config. A section a command does not use may be absent (None).
+EXPERIMENT = {
+    "sample_rate_hz": (number, None),
+    "samples_per_symbol": (integer, None),
+    "stem": (text, "session"),
+    "seeds": (record(DatasetSeeds, SEEDS), None),
+    "profiles": (array(record(EmitterProfile, PROFILE)), None),
+    "schedule": (section(SCHEDULE), None),
+    "channel": (record(ChannelSpec, CHANNEL), None),
+    "receiver": (record(ReceiverConfig, RECEIVER), None),
+    "detector": (record(DetectorParams, table_of(DetectorParams)), DetectorParams()),
+    "extraction": (record(ExtractionConfig, table_of(ExtractionConfig)), ExtractionConfig()),
+    "enrollment": (section(ENROLLMENT), {"keep_features": None}),
+    "tuning": (section(TUNING), None),
+}
+MANIFEST = {
+    **required(format_of(MANIFEST_FORMAT), "format"),
+    **{name: (convert, REQUIRED) for name, (convert, _) in EXPERIMENT.items()
+       if name in ("sample_rate_hz", "samples_per_symbol", "seeds", "channel", "receiver")},
+    **required(schedule_document, "schedule"),
+    **required(array(section(required(text, "stem", "data_file", "meta_file"))), "sessions"),
+}
+
+# SigMF meta, parsed with strict=False throughout. GLOBAL, CAPTURE and
+# ANNOTATION list their fields in SessionMeta, CaptureInfo and AnnotationSpan
+# order, so sigmf_io converts between the two by position.
+GLOBAL = {
+    "core:sample_rate": (number, REQUIRED), "core:description": (text, ""),
+    "core:datatype": (format_of(DATATYPE), REQUIRED), "core:version": (text, SIGMF_VERSION),
+    "workbench:recording_id": (text, ""), "workbench:sample_count": (nullable(integer), None),
+}
+CAPTURE = {"core:sample_start": (integer, 0), "core:frequency": (number, 0.0), "core:datetime": (text, "")}
+ANNOTATION = {**required(integer, "core:sample_start", "core:sample_count"),
+              "core:label": (text, ""), "core:comment": (text, "")}
+META = {
+    "global": (section(GLOBAL, strict=False), REQUIRED),
+    "captures": (array(section(CAPTURE, strict=False)), []),
+    "annotations": (array(section(ANNOTATION, strict=False)), []),
+}
+# In DeviceFingerprint order, with its selection as the two fields after catalog_version.
+FINGERPRINT = {
+    **required(text, "device_id", "catalog_version"), **required(array(integer), "kept_indices"),
+    **required(array(number), "selection_scores", "mean"), **required(matrix, "covariance"),
+    **required(number, "ridge_lambda", "threshold"), **required(integer, "n_enrolled"),
+}
+STORE = {
+    **required(format_of(FINGERPRINT_STORE_FORMAT), "format"),
+    "catalog_names": (nullable(array(text)), None),
+    **required(array(section(FINGERPRINT)), "fingerprints"),
+}
+
+
+# --- writing ---------------------------------------------------------------------
+
+_UMASK = os.umask(0o022)  # read the process umask; mkstemp would create the file 0600
+os.umask(_UMASK)
+
+
+def json_text(doc) -> str:
+    """The byte-stable JSON form of every document radiofp writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def atomic_write(path, data: bytes | str) -> None:
+    """Replace `path` with `data` (str is UTF-8 encoded) via a unique temp file and a rename.
+
+    Readers never see a partial file; on failure the temp file is removed and
+    an existing target is left as it was.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

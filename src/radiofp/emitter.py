@@ -70,7 +70,7 @@ class EmitterProfile:
         if abs(complex(self.pa_a1)) == 0:
             raise ParameterError("pa_a1 must have non-zero magnitude")
         if self.ramp_up_samples < 0 or self.ramp_down_samples < 0:
-            raise ParameterError("ramp lengths must be >= 0")
+            raise ParameterError("ramp_up_samples and ramp_down_samples must be >= 0")
 
     def iq_mu_nu(self) -> tuple[complex, complex]:
         """The (mu, nu) pair of the IQ-imbalance map z' = mu*z + nu*conj(z)."""
@@ -103,15 +103,15 @@ class TransmissionSchedule:
         if not self.session_duration_s > 0:
             raise ParameterError("session_duration_s must be > 0")
         normalized = []
-        for entry in self.entries:
+        for i, entry in enumerate(self.entries):
             emitter_id, start, bits = entry
             bits = tuple(int(b) for b in bits)
             if not bits:
-                raise ParameterError(f"entry for '{emitter_id}' has empty payload_bits")
+                raise ParameterError(f"entries[{i}].payload_bits must be non-empty")
             if any(b not in (0, 1) for b in bits):
-                raise ParameterError(f"entry for '{emitter_id}' has non-binary payload bits")
+                raise ParameterError(f"entries[{i}].payload_bits must hold only 0 and 1")
             if start < 0:
-                raise ParameterError(f"entry for '{emitter_id}' has negative start_time_s")
+                raise ParameterError(f"entries[{i}].start_time_s must be >= 0, got {start}")
             normalized.append(ScheduledBurst(str(emitter_id), float(start), bits))
         object.__setattr__(self, "entries", tuple(normalized))
 
@@ -154,7 +154,7 @@ def apply_impairments(ideal, profile: EmitterProfile, sample_rate_hz: float, see
     n = x.size
     up, down = profile.ramp_up_samples, profile.ramp_down_samples
     if up + down > n:
-        raise ParameterError(f"ramps ({up}+{down}) exceed burst length {n}")
+        raise ParameterError(f"ramp_up_samples + ramp_down_samples ({up}+{down}) exceed burst length {n}")
 
     env = _raised_cosine_ramps(n, up, down)
     if env is not None:
@@ -214,7 +214,8 @@ def render_session(
         start = int(round(entry.start_time_s * sample_rate_hz))
         if start + burst.size > total:
             raise ParameterError(
-                f"burst for '{entry.emitter_id}' at t={entry.start_time_s}s overruns the session end"
+                f"schedule.entries[{k}] ('{entry.emitter_id}' at t={entry.start_time_s}s) "
+                f"overruns the session end"
             )
         rendered.append((start, k, entry.emitter_id, burst))
 

@@ -43,7 +43,7 @@ class DataFormatError(WorkbenchError, ValueError):
 
 
 class CorruptDataError(DataFormatError):
-    """Data file is damaged (size not a whole number of samples, bad JSON)."""
+    """Data file is damaged (size not a whole number of samples)."""
 
 
 class UnsupportedFormatError(DataFormatError):

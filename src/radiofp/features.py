@@ -361,13 +361,9 @@ def extract(
     feats.update(spectral_features(z, recording.sample_rate_hz))
 
     names = catalog_names(config)
-    values = np.array([feats[name] for name in names])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise FeatureError(f"non-finite value for feature '{names[int(bad[0])]}'")
-    return FeatureVector(
+    return FeatureVector(  # raises FeatureError for a non-finite value
         names=names,
-        values=values,
+        values=np.array([feats[name] for name in names]),
         roi_ref=(recording.id, roi.start_sample),
         catalog_version=catalog_version(config),
     )

@@ -7,6 +7,7 @@ JSON document with "global", "captures", and "annotations" sections using
 SigMF core field names. Ground-truth emitter labels ride in the
 annotations' "core:label" field.
 
+Every document is parsed through the field tables in radiofp.config.
 Session metadata is parsed permissively (unknown fields from other SigMF
 tools are ignored); schedule documents and manifests are parsed strictly
 (an unknown field is an error naming the field). All writes are atomic
@@ -20,23 +21,35 @@ which the byte-identical dataset can be regenerated.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss
+from .config import (
+    ANNOTATION,
+    CAPTURE,
+    DATATYPE,
+    ENTRY,
+    GLOBAL,
+    MANIFEST,
+    MANIFEST_FORMAT,
+    META,
+    PROFILE,
+    SCHEDULE_FORMAT,
+    SIGMF_VERSION,
+    DatasetSeeds,
+    atomic_write,
+    json_text,
+    load_json,
+    parse,
+    schedule_document,
+)
 from .dsp import IqRecording
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
-from .errors import (
-    ConsistencyError,
-    CorruptDataError,
-    UnsupportedFormatError,
-    ValidationError,
-)
+from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire
 
 __all__ = [
@@ -54,23 +67,6 @@ __all__ = [
     "regenerate_from_manifest",
     "read_manifest",
 ]
-
-DATATYPE = "cf32_le"
-SIGMF_VERSION = "1.0.0"
-SCHEDULE_FORMAT = "schedule-v1"
-MANIFEST_FORMAT = "dataset-manifest-v1"
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path: Path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -165,40 +161,23 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
             f"meta sample_rate_hz {meta.sample_rate_hz} != recording {recording.sample_rate_hz}"
         )
     _check_annotation_bounds(meta, len(recording))
-    meta = replace(meta, sample_count=len(recording))
+    meta = replace(meta, sample_count=len(recording), recording_id=meta.recording_id or recording.id)
 
     interleaved = np.empty(2 * len(recording), dtype="<f4")
     interleaved[0::2] = recording.samples.real
     interleaved[1::2] = recording.samples.imag
 
-    global_section = {
-        "core:datatype": meta.datatype,
-        "core:sample_rate": meta.sample_rate_hz,
-        "core:version": meta.version,
-        "core:description": meta.description,
-        "workbench:sample_count": meta.sample_count,
-        "workbench:recording_id": meta.recording_id or recording.id,
-    }
-    captures = []
-    for cap in (meta.captures or (CaptureInfo(0, recording.center_freq_hz),)):
-        entry = {"core:sample_start": cap.sample_start, "core:frequency": cap.center_freq_hz}
-        if cap.datetime_str:
-            entry["core:datetime"] = cap.datetime_str
-        captures.append(entry)
-    annotations = [
-        {
-            "core:sample_start": ann.sample_start,
-            "core:sample_count": ann.sample_count,
-            "core:label": ann.label,
-            "core:comment": ann.comment,
-        }
-        for ann in meta.annotations
+    global_section = dict(zip(GLOBAL, astuple(meta)))
+    captures = [  # an empty core:datetime is left out
+        {key: value for key, value in zip(CAPTURE, astuple(cap)) if value != ""}
+        for cap in (meta.captures or (CaptureInfo(0, recording.center_freq_hz),))
     ]
+    annotations = [dict(zip(ANNOTATION, astuple(ann))) for ann in meta.annotations]
     doc = {"global": global_section, "captures": captures, "annotations": annotations}
 
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
-    _atomic_write_bytes(dpath, interleaved.tobytes())
-    _atomic_write_json(mpath, doc)
+    atomic_write(dpath, interleaved.tobytes())
+    atomic_write(mpath, json_text(doc))
     return dpath, mpath
 
 
@@ -212,115 +191,36 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
     raw = dpath.read_bytes()
     if len(raw) % 8 != 0:
-        raise CorruptDataError(
-            f"{dpath} holds {len(raw)} bytes, not a whole number of cf32 samples"
-        )
-    try:
-        doc = json.loads(mpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptDataError(f"{mpath} is not valid JSON: {exc}") from None
-
-    global_section = doc.get("global", {})
-    datatype = global_section.get("core:datatype")
-    if datatype != DATATYPE:
-        raise UnsupportedFormatError(f"unsupported datatype {datatype!r} (expected '{DATATYPE}')")
-    sample_rate = global_section.get("core:sample_rate")
-    if sample_rate is None:
-        raise ValidationError("meta is missing field 'core:sample_rate'")
+        raise CorruptDataError(f"{dpath} holds {len(raw)} bytes, not a whole number of cf32 samples")
+    doc = parse(load_json(mpath), META, strict=False)
 
     interleaved = np.frombuffer(raw, dtype="<f4")
     samples = interleaved[0::2].astype(np.float64) + 1j * interleaved[1::2].astype(np.float64)
 
-    claimed = global_section.get("workbench:sample_count")
-    if claimed is not None and int(claimed) != samples.size:
-        raise ConsistencyError(
-            f"meta claims {claimed} samples but data holds {samples.size}"
-        )
+    claimed = doc["global"]["workbench:sample_count"]
+    if claimed is not None and claimed != samples.size:
+        raise ConsistencyError(f"meta claims {claimed} samples but data holds {samples.size}")
 
-    captures = tuple(
-        CaptureInfo(
-            int(c.get("core:sample_start", 0)),
-            float(c.get("core:frequency", 0.0)),
-            str(c.get("core:datetime", "")),
-        )
-        for c in doc.get("captures", [])
-    )
-    annotations = tuple(
-        AnnotationSpan(
-            int(a["core:sample_start"]),
-            int(a["core:sample_count"]),
-            str(a.get("core:label", "")),
-            str(a.get("core:comment", "")),
-        )
-        for a in doc.get("annotations", [])
-    )
-    meta = SessionMeta(
-        sample_rate_hz=float(sample_rate),
-        description=str(global_section.get("core:description", "")),
-        version=str(global_section.get("core:version", SIGMF_VERSION)),
-        recording_id=str(global_section.get("workbench:recording_id", "")),
-        sample_count=samples.size,
-        captures=captures,
-        annotations=annotations,
-    )
+    captures = tuple(CaptureInfo(*c.values()) for c in doc["captures"])
+    annotations = tuple(AnnotationSpan(*a.values()) for a in doc["annotations"])
+    meta = SessionMeta(*list(doc["global"].values())[:-1], samples.size, captures, annotations)
     _check_annotation_bounds(meta, samples.size)
 
     center = captures[0].center_freq_hz if captures else 0.0
-    recording = IqRecording(samples, float(sample_rate), center, meta.recording_id)
+    recording = IqRecording(samples, meta.sample_rate_hz, center, meta.recording_id)
     return recording, meta
 
 
 # --- schedule documents -----------------------------------------------------
 
-_PROFILE_FIELDS = (
-    "emitter_id", "cfo_hz", "iq_gain_imbalance", "iq_phase_imbalance_rad",
-    "phase_noise_linewidth_hz", "pa_a1", "pa_a3", "ramp_up_samples", "ramp_down_samples",
-)
-_ENTRY_FIELDS = ("emitter_id", "start_time_s", "payload_bits")
-
-
-def _reject_unknown(section: Mapping, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(section.keys()) - set(allowed))
-    if unknown:
-        raise ValidationError(f"unknown field '{unknown[0]}' in {where}")
-
-
 def _profile_to_doc(profile: EmitterProfile) -> dict:
-    return {
-        "emitter_id": profile.emitter_id,
-        "cfo_hz": profile.cfo_hz,
-        "iq_gain_imbalance": profile.iq_gain_imbalance,
-        "iq_phase_imbalance_rad": profile.iq_phase_imbalance_rad,
-        "phase_noise_linewidth_hz": profile.phase_noise_linewidth_hz,
-        "pa_a1": [complex(profile.pa_a1).real, complex(profile.pa_a1).imag],
-        "pa_a3": [complex(profile.pa_a3).real, complex(profile.pa_a3).imag],
-        "ramp_up_samples": profile.ramp_up_samples,
-        "ramp_down_samples": profile.ramp_down_samples,
-    }
-
-
-def _profile_from_doc(doc: Mapping) -> EmitterProfile:
-    _reject_unknown(doc, _PROFILE_FIELDS, "profile")
-    missing = sorted(set(_PROFILE_FIELDS) - set(doc.keys()))
-    if missing:
-        raise ValidationError(f"profile missing field '{missing[0]}'")
-    return EmitterProfile(
-        emitter_id=str(doc["emitter_id"]),
-        cfo_hz=float(doc["cfo_hz"]),
-        iq_gain_imbalance=float(doc["iq_gain_imbalance"]),
-        iq_phase_imbalance_rad=float(doc["iq_phase_imbalance_rad"]),
-        phase_noise_linewidth_hz=float(doc["phase_noise_linewidth_hz"]),
-        pa_a1=complex(doc["pa_a1"][0], doc["pa_a1"][1]),
-        pa_a3=complex(doc["pa_a3"][0], doc["pa_a3"][1]),
-        ramp_up_samples=int(doc["ramp_up_samples"]),
-        ramp_down_samples=int(doc["ramp_down_samples"]),
-    )
+    doc = {name: getattr(profile, name) for name in PROFILE}
+    for name in ("pa_a1", "pa_a3"):
+        doc[name] = [complex(doc[name]).real, complex(doc[name]).imag]
+    return doc
 
 
 def schedule_to_doc(schedule: TransmissionSchedule, profiles: Mapping[str, EmitterProfile]) -> dict:
-    ids = [p.emitter_id for p in profiles.values()]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate emitter_id among profiles")
     for key, profile in profiles.items():
         if key != profile.emitter_id:
             raise ValidationError(f"profile map key '{key}' != emitter_id '{profile.emitter_id}'")
@@ -332,65 +232,21 @@ def schedule_to_doc(schedule: TransmissionSchedule, profiles: Mapping[str, Emitt
         "format": SCHEDULE_FORMAT,
         "session_duration_s": schedule.session_duration_s,
         "profiles": [_profile_to_doc(profiles[i]) for i in sorted(profiles)],
-        "entries": [
-            {
-                "emitter_id": e.emitter_id,
-                "start_time_s": e.start_time_s,
-                "payload_bits": list(e.payload_bits),
-            }
-            for e in schedule.entries
-        ],
+        "entries": [dict(zip(ENTRY, entry)) for entry in schedule.entries],
     }
-
-
-def schedule_from_doc(doc: Mapping) -> tuple[TransmissionSchedule, dict[str, EmitterProfile]]:
-    _reject_unknown(doc, ("format", "session_duration_s", "profiles", "entries"), "schedule document")
-    if doc.get("format") != SCHEDULE_FORMAT:
-        raise UnsupportedFormatError(f"unsupported schedule format {doc.get('format')!r}")
-    for key in ("session_duration_s", "profiles", "entries"):
-        if key not in doc:
-            raise ValidationError(f"schedule document missing field '{key}'")
-    profiles: dict[str, EmitterProfile] = {}
-    for pdoc in doc["profiles"]:
-        profile = _profile_from_doc(pdoc)
-        if profile.emitter_id in profiles:
-            raise ValidationError(f"duplicate emitter_id '{profile.emitter_id}'")
-        profiles[profile.emitter_id] = profile
-    entries = []
-    for edoc in doc["entries"]:
-        _reject_unknown(edoc, _ENTRY_FIELDS, "schedule entry")
-        missing = sorted(set(_ENTRY_FIELDS) - set(edoc.keys()))
-        if missing:
-            raise ValidationError(f"schedule entry missing field '{missing[0]}'")
-        if edoc["emitter_id"] not in profiles:
-            raise ValidationError(f"schedule references unknown emitter_id '{edoc['emitter_id']}'")
-        entries.append((str(edoc["emitter_id"]), float(edoc["start_time_s"]), tuple(edoc["payload_bits"])))
-    schedule = TransmissionSchedule(tuple(entries), float(doc["session_duration_s"]))
-    return schedule, profiles
 
 
 def write_schedule(schedule: TransmissionSchedule, profiles: Mapping[str, EmitterProfile], path) -> Path:
     path = Path(path)
-    _atomic_write_json(path, schedule_to_doc(schedule, profiles))
+    atomic_write(path, json_text(schedule_to_doc(schedule, profiles)))
     return path
 
 
 def read_schedule(path) -> tuple[TransmissionSchedule, dict[str, EmitterProfile]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return schedule_from_doc(doc)
+    return schedule_document(load_json(path))
 
 
 # --- dataset building --------------------------------------------------------
-
-@dataclass(frozen=True)
-class DatasetSeeds:
-    """Every random draw in a dataset build is pinned by these three seeds."""
-
-    render: int
-    channel: int
-    frontend: int
-
 
 @dataclass(frozen=True)
 class DatasetBuildResult:
@@ -406,46 +262,6 @@ def _channel_to_doc(spec: ChannelSpec) -> dict:
         "multipath_taps": [[d, g.real, g.imag] for d, g in spec.multipath_taps],
         "path_loss_db": spec.path_loss_db,
     }
-
-
-def _channel_from_doc(doc: Mapping) -> ChannelSpec:
-    _reject_unknown(doc, ("snr_db", "multipath_taps", "path_loss_db"), "channel")
-    for key in ("snr_db", "multipath_taps", "path_loss_db"):
-        if key not in doc:
-            raise ValidationError(f"channel missing field '{key}'")
-    snr = doc["snr_db"]
-    snr_db = float("inf") if snr == "inf" else float(snr)
-    taps = tuple((int(t[0]), complex(t[1], t[2])) for t in doc["multipath_taps"])
-    return ChannelSpec(snr_db=snr_db, multipath_taps=taps, path_loss_db=float(doc["path_loss_db"]))
-
-
-_RECEIVER_FIELDS = ("filter_bw_hz", "gain_db", "adc_bits", "full_scale", "frontend_noise_power")
-
-
-def _receiver_to_doc(config: ReceiverConfig) -> dict:
-    return {name: getattr(config, name) for name in _RECEIVER_FIELDS}
-
-
-def _receiver_from_doc(doc: Mapping) -> ReceiverConfig:
-    _reject_unknown(doc, _RECEIVER_FIELDS, "receiver")
-    missing = sorted(set(_RECEIVER_FIELDS) - set(doc.keys()))
-    if missing:
-        raise ValidationError(f"receiver missing field '{missing[0]}'")
-    return ReceiverConfig(
-        filter_bw_hz=float(doc["filter_bw_hz"]),
-        gain_db=float(doc["gain_db"]),
-        adc_bits=int(doc["adc_bits"]),
-        full_scale=float(doc["full_scale"]),
-        frontend_noise_power=float(doc["frontend_noise_power"]),
-    )
-
-
-def _seeds_from_doc(doc: Mapping) -> DatasetSeeds:
-    _reject_unknown(doc, ("render", "channel", "frontend"), "seeds")
-    for key in ("render", "channel", "frontend"):
-        if key not in doc:
-            raise ValidationError(f"seeds missing field '{key}'")
-    return DatasetSeeds(int(doc["render"]), int(doc["channel"]), int(doc["frontend"]))
 
 
 def propagate(
@@ -505,9 +321,9 @@ def build_dataset(
         "format": MANIFEST_FORMAT,
         "sample_rate_hz": sample_rate_hz,
         "samples_per_symbol": samples_per_symbol,
-        "seeds": {"render": seeds.render, "channel": seeds.channel, "frontend": seeds.frontend},
+        "seeds": asdict(seeds),
         "channel": _channel_to_doc(channel),
-        "receiver": _receiver_to_doc(rx),
+        "receiver": asdict(rx),
         "schedule": schedule_to_doc(schedule, profiles),
         "sessions": [
             {"stem": stem, "data_file": f"{stem}.sigmf-data", "meta_file": f"{stem}.sigmf-meta"}
@@ -519,7 +335,7 @@ def build_dataset(
         dpath, mpath = write_recording(acquired, meta, out_dir / stem)
         written.extend([dpath, mpath])
         manifest_file = out_dir / "manifest.json"
-        _atomic_write_json(manifest_file, manifest)
+        atomic_write(manifest_file, json_text(manifest))
         written.append(manifest_file)
     except Exception:
         for path in written:
@@ -529,32 +345,17 @@ def build_dataset(
 
 
 def read_manifest(manifest_path) -> dict:
-    """Load and strictly validate a dataset manifest."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    allowed = ("format", "sample_rate_hz", "samples_per_symbol", "seeds", "channel",
-               "receiver", "schedule", "sessions")
-    _reject_unknown(doc, allowed, "manifest")
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise UnsupportedFormatError(f"unsupported manifest format {doc.get('format')!r}")
-    missing = sorted(set(allowed) - set(doc.keys()))
-    if missing:
-        raise ValidationError(f"manifest missing field '{missing[0]}'")
-    _seeds_from_doc(doc["seeds"])  # raises with the field name if incomplete
-    return doc
+    """Load and strictly validate a dataset manifest; returns its parsed fields."""
+    return parse(load_json(manifest_path), MANIFEST)
 
 
 def regenerate_from_manifest(manifest_path, out_dir) -> DatasetBuildResult:
     """Rebuild a dataset from its manifest; output is byte-identical."""
     doc = read_manifest(manifest_path)
-    schedule, profiles = schedule_from_doc(doc["schedule"])
-    channel = _channel_from_doc(doc["channel"])
-    rx = _receiver_from_doc(doc["receiver"])
-    seeds = _seeds_from_doc(doc["seeds"])
     if len(doc["sessions"]) != 1:
         raise ValidationError("manifest must describe exactly one session")
-    stem = doc["sessions"][0]["stem"]
+    schedule, profiles = doc["schedule"]
     return build_dataset(
-        schedule, profiles, channel, rx, seeds, out_dir,
-        float(doc["sample_rate_hz"]), int(doc["samples_per_symbol"]), stem=stem,
+        schedule, profiles, doc["channel"], doc["receiver"], doc["seeds"], out_dir,
+        doc["sample_rate_hz"], doc["samples_per_symbol"], stem=doc["sessions"][0]["stem"],
     )

@@ -12,13 +12,12 @@ risk, reproducible traces). Strategies are deterministic.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import atomic_write, csv_text
 from .detect import RegionOfInterest
 from .dsp import IqRecording, estimate_snr_db
 from .errors import ParameterError, TuningError
@@ -47,12 +46,11 @@ class TuningGrid:
     def __post_init__(self) -> None:
         gains = tuple(float(g) for g in self.gain_db_values)
         bws = tuple(float(b) for b in self.filter_bw_hz_values)
-        if not gains or not bws:
-            raise ParameterError("grid axes must be non-empty")
-        if any(b <= a for a, b in zip(gains, gains[1:])):
-            raise ParameterError("gain_db_values must be strictly ascending")
-        if any(b <= a for a, b in zip(bws, bws[1:])):
-            raise ParameterError("filter_bw_hz_values must be strictly ascending")
+        for name, axis in (("gain_db_values", gains), ("filter_bw_hz_values", bws)):
+            if not axis:
+                raise ParameterError(f"{name} must be non-empty")
+            if any(b <= a for a, b in zip(axis, axis[1:])):
+                raise ParameterError(f"{name} must be strictly ascending")
         object.__setattr__(self, "gain_db_values", gains)
         object.__setattr__(self, "filter_bw_hz_values", bws)
 
@@ -235,7 +233,7 @@ def tune(
                 if not moved or session.exhausted():
                     break
     else:
-        raise ParameterError(f"unknown strategy '{strategy}'")
+        raise ParameterError(f"strategy must be 'exhaustive' or 'coordinate_descent', got {strategy!r}")
 
     if not session.steps:
         raise TuningError("no evaluation completed within the budget")
@@ -252,18 +250,9 @@ def replan_on_drift(previous: TuningTrace, new_objective_at_best: float, drift_t
 
 def write_trace_csv(trace: TuningTrace, path) -> None:
     """Export a tuning trace for offline plotting (atomic write)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for i, step in enumerate(trace.steps):
-            writer.writerow([
-                i,
-                repr(step.config.gain_db),
-                repr(step.config.filter_bw_hz),
-                repr(step.objective_value),
-                repr(step.snr_est_db),
-                repr(step.clip_ratio),
-                step.n_rois,
-            ])
-    os.replace(tmp, path)
+    rows = (
+        [i, repr(step.config.gain_db), repr(step.config.filter_bw_hz), repr(step.objective_value),
+         repr(step.snr_est_db), repr(step.clip_ratio), step.n_rois]
+        for i, step in enumerate(trace.steps)
+    )
+    atomic_write(path, csv_text(TRACE_CSV_COLUMNS, rows))

@@ -16,21 +16,23 @@ full round-trip precision so load(save(fp)) is exact.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    CatalogMismatchError,
-    EnrollmentError,
-    ParameterError,
-    UnsupportedFormatError,
-    ValidationError,
+from .config import (
+    FINGERPRINT,
+    FINGERPRINT_STORE_FORMAT,
+    STORE,
+    atomic_write,
+    fields,
+    json_text,
+    load_json,
+    parse,
 )
+from .errors import CatalogMismatchError, EnrollmentError, ParameterError, ValidationError
 from .features import FeatureSelection, FeatureVector
 
 __all__ = [
@@ -46,8 +48,6 @@ __all__ = [
     "save_fingerprint_store",
     "load_fingerprint_store",
 ]
-
-FINGERPRINT_STORE_FORMAT = "fingerprint-store-v1"
 
 _FAR_FRR_ANCHORS = (0.001, 0.01, 0.05, 0.1)
 
@@ -77,6 +77,10 @@ class DeviceFingerprint:
             raise ParameterError("ridge_lambda must be >= 0")
         if not self.threshold > 0:
             raise ParameterError("threshold must be > 0")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ParameterError("covariance must be positive definite") from None
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -134,24 +138,14 @@ def enroll(
     cov = cov + ridge_lambda * np.diag(diag)
     cov = (cov + cov.T) / 2.0
 
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+    try:  # positive definiteness is the only check these fields can fail
+        return DeviceFingerprint(device_id, version, selection, mean, cov, float(ridge_lambda),
+                                 threshold=3.0 * d, n_enrolled=len(vectors))
+    except ParameterError:
         raise EnrollmentError(
             f"covariance for '{device_id}' is not positive definite; "
             f"increase ridge_lambda (got {ridge_lambda})"
         ) from None
-
-    return DeviceFingerprint(
-        device_id=device_id,
-        catalog_version=version,
-        selection=selection,
-        mean=mean,
-        covariance=cov,
-        ridge_lambda=float(ridge_lambda),
-        threshold=3.0 * d,
-        n_enrolled=len(vectors),
-    )
 
 
 def mahalanobis_squared(x: np.ndarray, fingerprint: DeviceFingerprint) -> float:
@@ -283,38 +277,11 @@ def evaluate(genuine_d2, impostor_d2) -> EvaluationReport:
 
 
 def _fingerprint_to_doc(fp: DeviceFingerprint) -> dict:
-    return {
-        "device_id": fp.device_id,
-        "catalog_version": fp.catalog_version,
-        "kept_indices": list(fp.selection.kept_indices),
-        "selection_scores": fp.selection.scores.tolist(),
-        "mean": fp.mean.tolist(),
-        "covariance": fp.covariance.tolist(),  # row-major nested lists
-        "ridge_lambda": fp.ridge_lambda,
-        "threshold": fp.threshold,
-        "n_enrolled": fp.n_enrolled,
-    }
-
-
-def _fingerprint_from_doc(doc: dict) -> DeviceFingerprint:
-    required = {
-        "device_id", "catalog_version", "kept_indices", "selection_scores",
-        "mean", "covariance", "ridge_lambda", "threshold", "n_enrolled",
-    }
-    missing = required - doc.keys()
-    if missing:
-        raise ValidationError(f"fingerprint document missing field '{sorted(missing)[0]}'")
-    selection = FeatureSelection(tuple(doc["kept_indices"]), np.asarray(doc["selection_scores"]))
-    return DeviceFingerprint(
-        device_id=doc["device_id"],
-        catalog_version=doc["catalog_version"],
-        selection=selection,
-        mean=np.asarray(doc["mean"], dtype=np.float64),
-        covariance=np.asarray(doc["covariance"], dtype=np.float64),
-        ridge_lambda=float(doc["ridge_lambda"]),
-        threshold=float(doc["threshold"]),
-        n_enrolled=int(doc["n_enrolled"]),
-    )
+    return dict(zip(FINGERPRINT, (
+        fp.device_id, fp.catalog_version, list(fp.selection.kept_indices),
+        fp.selection.scores.tolist(), fp.mean.tolist(), fp.covariance.tolist(),  # row-major
+        fp.ridge_lambda, fp.threshold, fp.n_enrolled,
+    )))
 
 
 def save_fingerprint_store(
@@ -335,23 +302,20 @@ def save_fingerprint_store(
         "catalog_names": list(catalog_names) if catalog_names is not None else None,
         "fingerprints": [_fingerprint_to_doc(fp) for fp in fingerprints],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json_text(doc))
 
 
-def load_fingerprint_store(path) -> dict[str, DeviceFingerprint]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FINGERPRINT_STORE_FORMAT:
-        raise UnsupportedFormatError(
-            f"unsupported fingerprint store format {doc.get('format')!r}"
-        )
+def load_fingerprint_store(path, catalog_names: Sequence[str] | None = None) -> dict[str, DeviceFingerprint]:
+    """Load a store; with catalog_names given, the catalog the store records must equal it."""
+    doc = parse(load_json(path), STORE)
+    if catalog_names is not None and doc["catalog_names"] not in (None, list(catalog_names)):
+        raise ValidationError(f"{path}: catalog_names do not match the feature table header")
     store: dict[str, DeviceFingerprint] = {}
-    for fp_doc in doc["fingerprints"]:
-        fp = _fingerprint_from_doc(fp_doc)
+    for i, f in enumerate(doc["fingerprints"]):
+        with fields(f"fingerprints[{i}]"):
+            device_id, version, kept, scores, mean, cov, *rest = f.values()
+            selection = FeatureSelection(tuple(kept), np.asarray(scores))
+            fp = DeviceFingerprint(device_id, version, selection, np.asarray(mean), np.asarray(cov), *rest)
         if fp.device_id in store:
             raise ValidationError(f"duplicate device_id '{fp.device_id}' in store")
         store[fp.device_id] = fp

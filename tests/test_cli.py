@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from radiofp.cli import main
+from radiofp.cli import FEATURE_CSV_PREFIX, main
+from radiofp.features import ExtractionConfig, catalog_names
 
 FS = 1.0e5
 
@@ -244,3 +252,267 @@ class TestTune:
         config = base_config()
         assert main(["tune", "--config", write_config(tmp_path, config),
                      "--out", str(tmp_path / "t")]) == 2
+
+
+# --- malformed input: exit 2 naming the field, never a traceback ----------------
+
+def setting(*path, value=None, delete=False):
+    """A config edit that sets (or deletes) the field at `path`."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if delete:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return edit
+
+
+def edit_json(name, edit):
+    def apply(root):
+        path = root / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+def edit_csv(edit):
+    def apply(root):
+        header, rows = read_csv_rows(root / "features.csv")
+        edit(header, rows)
+        with open(root / "features.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+    return apply
+
+
+def truncate_store(root):
+    path = root / "fingerprints.json"
+    path.write_text(path.read_text()[:100])
+
+
+def negate_covariance(doc):
+    cov = doc["fingerprints"][0]["covariance"]
+    doc["fingerprints"][0]["covariance"] = [[-v for v in row] for row in cov]
+
+
+def set_cell(header, rows):
+    rows[1][header.index("cfo_est_hz")] = "abc"
+
+
+def swap_columns(header, rows):
+    a, b = header.index("amp_mean"), header.index("cfo_est_hz")
+    for row in [header] + rows:
+        row[a], row[b] = row[b], row[a]
+
+
+def drop_sample_count(doc):
+    del doc["annotations"][0]["core:sample_count"]
+
+
+def command_argv(command, root):
+    config, out = str(root / "config.json"), str(root / "out")
+    features, store = str(root / "features.csv"), str(root / "fingerprints.json")
+    return {
+        "synth": ["synth", "--config", config, "--out", out],
+        "pipeline": ["pipeline", "--config", config, "--dataset", str(root / "data"), "--out", out],
+        "enroll": ["enroll", "--config", config, "--features", features, "--out", out],
+        "evaluate": ["evaluate", "--features", features, "--store", store, "--out", out],
+        "verify": ["verify", "--features", features, "--store", store, "--claim", "alpha",
+                   "--out", out],
+        "tune": ["tune", "--config", config, "--out", out],
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """config.json, data/, features.csv and fingerprints.json from one good run."""
+    root = tmp_path_factory.mktemp("workspace")
+    config = base_config(n_bursts=40)
+    config["tuning"] = {"gain_db_values": [0.0], "filter_bw_hz_values": [0.4 * FS]}
+    write_config(root, config)
+    for command in ("synth", "pipeline", "enroll"):
+        argv = command_argv(command, root)
+        argv[argv.index("--out") + 1] = str(root / "data" if command == "synth" else root)
+        assert main(argv) == 0
+    return root
+
+
+# Every probe: (command, config edit, file edit, text stderr must contain).
+PROBES = {
+    "tap-without-gain": ("synth", setting("channel", "multipath_taps", value=[[0]]), None,
+                         "channel.multipath_taps[0]"),
+    "sps-not-a-number": ("synth", setting("samples_per_symbol", value="x"), None,
+                         "samples_per_symbol"),
+    "window-not-a-number": ("pipeline", setting("detector", "window", value="abc"), None,
+                            "detector.window"),
+    "profiles-as-object": ("synth", lambda c: c.update(profiles={"alpha": c["profiles"][0]}),
+                           None, "profiles"),
+    "negative-seed": ("synth", setting("seeds", "render", value=-1), None, "seeds.render"),
+    "truncated-store": ("verify", None, truncate_store, "fingerprints.json"),
+    "covariance-not-pd": ("evaluate", None, edit_json("fingerprints.json", negate_covariance),
+                          "fingerprints[0].covariance"),
+    "csv-cell-not-a-number": ("evaluate", None, edit_csv(set_cell), "row 3, column 'cfo_est_hz'"),
+    "annotation-without-count": ("pipeline", None,
+                                 edit_json("data/session.sigmf-meta", drop_sample_count),
+                                 "annotations[0].core:sample_count"),
+    "window-below-4": ("pipeline", setting("detector", "window", value=2), None,
+                       "detector.window"),
+    "wpd-depth-9": ("pipeline", setting("extraction", "wpd_depth", value=9), None,
+                    "extraction.wpd_depth"),
+    "keep-33-features": ("enroll", setting("enrollment", "keep_features", value=33), None,
+                         "enrollment.keep_features"),
+    "adc-bits-1": ("synth", setting("receiver", "adc_bits", value=1), None, "receiver.adc_bits"),
+    "unknown-strategy": ("tune", setting("tuning", "strategy", value="anneal"), None,
+                         "tuning.strategy"),
+    "zero-budget": ("tune", setting("tuning", "budget", value=0), None, "tuning.budget"),
+    "filter-at-sample-rate": ("synth", setting("receiver", "filter_bw_hz", value=FS), None,
+                              "receiver.filter_bw_hz"),
+    "burst-overruns-session": ("synth", setting("schedule", "session_duration_s", value=0.2),
+                               None, "schedule.entries[20]"),
+    "unknown-detector-field": ("pipeline", setting("detector", "bogus", value=1), None,
+                               "detector.bogus"),
+    "unknown-enrollment-field": ("enroll", setting("enrollment", "bogus", value=1), None,
+                                 "enrollment.bogus"),
+    "unknown-tuning-field": ("tune", setting("tuning", "bogus", value=1), None, "tuning.bogus"),
+    "unknown-top-level-field": ("synth", setting("bogus", value=1), None, "'bogus'"),
+    "permuted-feature-table": ("evaluate", None, edit_csv(swap_columns), "features.csv"),
+}
+
+
+@pytest.mark.parametrize("command, edit_config, edit_files, expected",
+                         list(PROBES.values()), ids=list(PROBES))
+def test_bad_input_exits_2_naming_the_field(workspace, tmp_path, capsys,
+                                            command, edit_config, edit_files, expected):
+    shutil.copytree(workspace, tmp_path, dirs_exist_ok=True)
+    if edit_config:
+        edit_json("config.json", edit_config)(tmp_path)
+    if edit_files:
+        edit_files(tmp_path)
+    code = main(command_argv(command, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert expected in err
+
+
+def test_unreadable_data_file_exits_1(workspace, tmp_path, capsys):
+    shutil.copytree(workspace, tmp_path, dirs_exist_ok=True)
+    data = tmp_path / "data" / "session.sigmf-data"
+    data.write_bytes(data.read_bytes()[:7])
+    assert main(command_argv("pipeline", tmp_path)) == 1
+    assert "session.sigmf-data" in capsys.readouterr().err
+
+
+# --- property: one field at a time of a small README-style config ----------------
+
+def small_config():
+    return {
+        "sample_rate_hz": FS,
+        "samples_per_symbol": 16,
+        "seeds": {"render": 11, "channel": 22, "frontend": 33},
+        "profiles": [{"emitter_id": "alpha", "cfo_hz": 400.0, "iq_gain_imbalance": 1.0,
+                      "iq_phase_imbalance_rad": 0.0, "phase_noise_linewidth_hz": 5.0,
+                      "pa_a1": [1.0, 0.0], "pa_a3": [-0.03, 0.0],
+                      "ramp_up_samples": 40, "ramp_down_samples": 40}],
+        "schedule": {"session_duration_s": 0.02,
+                     "entries": [{"emitter_id": "alpha", "start_time_s": 0.005,
+                                  "payload_bits": [1] * 16}]},
+        "channel": {"snr_db": 25.0, "multipath_taps": [[0, 1.0, 0.0]], "path_loss_db": 3.0},
+        "receiver": {"filter_bw_hz": 40000.0, "gain_db": 0.0, "adc_bits": 12,
+                     "full_scale": 1.0, "frontend_noise_power": 1e-08},
+        "detector": {"window": 64, "open_threshold_db": 10.0, "close_threshold_db": 6.0,
+                     "min_length": 64, "merge_gap": 64},
+        "extraction": {"wpd_depth": 4},
+        "enrollment": {"ridge_lambda": 0.001, "keep_features": 10},
+        "tuning": {"gain_db_values": [0.0, 10.0], "filter_bw_hz_values": [20000.0, 40000.0],
+                   "strategy": "coordinate_descent", "budget": 2, "max_rounds": 2,
+                   "objective": {"clip_weight": 0.5, "no_roi_penalty": 100.0}},
+    }
+
+
+def small_feature_table():
+    names = catalog_names(ExtractionConfig(4))
+    rng = np.random.default_rng(7)
+    rows = [[f"s{d}", r, f"dev-{d}", 100 * r, 256] + list(rng.normal(d, 1.0, len(names)))
+            for d in range(2) for r in range(40)]
+    out = io.StringIO()
+    csv.writer(out).writerows([list(FEATURE_CSV_PREFIX + names)] + rows)
+    return out.getvalue()
+
+
+FEATURE_TABLE = small_feature_table()
+
+# (field path, a value of the wrong type, an out-of-domain value or None, required?)
+FIELDS = [
+    (("sample_rate_hz",), "fast", 0.0, True),
+    (("samples_per_symbol",), "x", 1, True),
+    (("seeds", "render"), "r", -1, True),
+    (("profiles", 0, "cfo_hz"), "x", None, True),
+    (("profiles", 0, "iq_gain_imbalance"), [1.0], 0.0, True),
+    (("profiles", 0, "pa_a1"), [1.0], [0.0, 0.0], True),
+    (("profiles", 0, "ramp_up_samples"), 1.5, -1, True),
+    (("schedule", "session_duration_s"), "long", 0.0, True),
+    (("schedule", "entries", 0, "payload_bits"), "1101", [2], True),
+    (("schedule", "entries", 0, "start_time_s"), None, -1.0, True),
+    (("channel", "multipath_taps"), [[0]], [[1, 1.0, 0.0]], True),
+    (("channel", "path_loss_db"), True, -3.0, True),
+    (("receiver", "filter_bw_hz"), "wide", FS, True),
+    (("receiver", "adc_bits"), 12.5, 1, True),
+    (("detector", "window"), "abc", 2, False),
+    (("extraction", "wpd_depth"), "4", 9, False),
+    (("enrollment", "ridge_lambda"), "small", -1.0, False),
+    (("enrollment", "keep_features"), "all", 0, False),
+    (("tuning", "strategy"), 3, "anneal", False),
+    (("tuning", "budget"), "many", 0, False),
+    (("tuning", "gain_db_values"), {}, [10.0, 0.0], True),
+]
+
+
+def dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def run_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_small_config_runs_clean(tmp_path):
+    (tmp_path / "features.csv").write_text(FEATURE_TABLE)
+    write_config(tmp_path, small_config())
+    for command in ("synth", "enroll", "tune"):
+        assert run_main(command_argv(command, tmp_path)) == (0, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS),
+       kind=st.sampled_from(["wrong type", "out of domain", "missing", "unknown", "truncated"]),
+       cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_one_bad_field_exits_2_naming_it(field, kind, cut):
+    """main() never raises; it exits 2 and names the field (or the file, if truncated)."""
+    path, wrong_type, out_of_domain, required = field
+    assume(kind != "out of domain" or out_of_domain is not None)
+    assume(kind != "missing" or required)
+    config = small_config()
+    if kind == "truncated":
+        text = json.dumps(config)
+        text, expected, command = text[:int(cut * len(text))], "config.json", "synth"
+    else:
+        if kind == "unknown":
+            setting(*path[:-1], "bogus", value=1)(config)
+            expected = dotted(path[:-1] + ("bogus",))
+        else:
+            value = {"wrong type": wrong_type, "out of domain": out_of_domain}.get(kind)
+            setting(*path, value=value, delete=kind == "missing")(config)
+            expected = dotted(path)
+        text = json.dumps(config)
+        command = {"enrollment": "enroll", "tuning": "tune"}.get(path[0], "synth")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "config.json").write_text(text)
+        (root / "features.csv").write_text(FEATURE_TABLE)
+        code, err = run_main(command_argv(command, root))
+    assert code == 2, err
+    assert expected in err, err
