@@ -45,7 +45,7 @@ from .features import (
     extract,
     fisher_select,
 )
-from .receiver import ReceiverConfig, acquire
+from .receiver import ReceiverConfig, acquire, add_frontend_noise
 from .sigmf_io import build_dataset, propagate, read_recording
 from .tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 from .verify import (
@@ -298,13 +298,19 @@ def cmd_tune(args) -> int:
     _below_sample_rate(grid.filter_bw_hz_values, sample_rate, "tuning.filter_bw_hz_values")
     obj_params = ObjectiveParams(**tuning.pop("objective"), full_scale=rx_template.full_scale)
 
-    # The plant is synthesized once; each evaluation re-acquires it.
+    # The plant is synthesized once, front-end noise included: that noise comes
+    # before the gain stage, so one draw serves every grid point, and each
+    # evaluation re-acquires the noisy capture with the noise power set to 0.
     with fields(""):
         rendered, truth = render_session(schedule, profiles, sample_rate, sps, seeds.render)
         received = propagate(rendered, truth, channel, seeds.channel)
+    noisy = received.replace_samples(add_frontend_noise(
+        received.samples.copy(), rx_template.frontend_noise_power, seeds.frontend))
+    del rendered, truth, received  # only the noisy capture stays alive during the loop
 
     def plant(rx_config: ReceiverConfig):
-        acquired = acquire(received, rx_config, seeds.frontend)
+        quiet = dataclasses.replace(rx_config, frontend_noise_power=0.0)
+        acquired = acquire(noisy, quiet, seeds.frontend)
         rois = detect_bursts(acquired, config["detector"])
         return acquired, rois, objective(acquired, rois, obj_params)
 
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace all config seeds with values derived from this one")
-    common.add_argument("--threads", type=int, default=1, help="worker threads where supported")
+    common.add_argument("--threads", type=int, default=1, help="parallel sessions (pipeline only)")
     common.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -100,8 +100,12 @@ def _typed(kinds, what: str, accept=lambda value: True, cast=lambda value: value
 
 
 integer = _typed(int, "an integer")
+count = _typed(int, "an integer >= 0", lambda v: v >= 0)
+positive_count = _typed(int, "an integer > 0", lambda v: v > 0)
 text = _typed(str, "a string")
 number = _typed((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max, float)
+non_negative = _typed((int, float), "a finite number >= 0", lambda v: 0 <= v <= sys.float_info.max, float)
+positive = _typed((int, float), "a finite number > 0", lambda v: 0 < v <= sys.float_info.max, float)
 _list = _typed(list, "a list")
 
 
@@ -254,12 +258,12 @@ MANIFEST = {
 # ANNOTATION list their fields in SessionMeta, CaptureInfo and AnnotationSpan
 # order, so sigmf_io converts between the two by position.
 GLOBAL = {
-    "core:sample_rate": (number, REQUIRED), "core:description": (text, ""),
+    "core:sample_rate": (positive, REQUIRED), "core:description": (text, ""),
     "core:datatype": (format_of(DATATYPE), REQUIRED), "core:version": (text, SIGMF_VERSION),
-    "workbench:recording_id": (text, ""), "workbench:sample_count": (nullable(integer), None),
+    "workbench:recording_id": (text, ""), "workbench:sample_count": (nullable(count), None),
 }
-CAPTURE = {"core:sample_start": (integer, 0), "core:frequency": (number, 0.0), "core:datetime": (text, "")}
-ANNOTATION = {**required(integer, "core:sample_start", "core:sample_count"),
+CAPTURE = {"core:sample_start": (count, 0), "core:frequency": (non_negative, 0.0), "core:datetime": (text, "")}
+ANNOTATION = {"core:sample_start": (count, REQUIRED), "core:sample_count": (positive_count, REQUIRED),
               "core:label": (text, ""), "core:comment": (text, "")}
 META = {
     "global": (section(GLOBAL, strict=False), REQUIRED),

@@ -20,6 +20,7 @@ from .errors import DegenerateInputError, ParameterError, SizeError
 # objective finite when the signal region holds nothing but noise.
 SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
+SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 
 
 def as_complex_array(samples) -> np.ndarray:
@@ -173,19 +174,27 @@ def instantaneous(recording: IqRecording) -> tuple[np.ndarray, np.ndarray, np.nd
     return amplitude, phase, frequency_hz
 
 
+def snr_db_from_powers(p_sig: float, p_noise: float) -> float:
+    """SNR of a region of mean power p_sig over a noise floor of mean power p_noise.
+
+    10*log10(max(p_sig - p_noise, p_noise * 1e-6) / p_noise); the floor
+    bounds the result at SNR_FLOOR_DB.
+    """
+    if p_noise <= 0.0:
+        raise DegenerateInputError("noise region has zero power")
+    excess = max(p_sig - p_noise, p_noise * _SNR_FLOOR_RATIO)
+    return float(10.0 * np.log10(excess / p_noise))
+
+
 def estimate_snr_db(signal_region, noise_region) -> float:
     """SNR estimate from a signal region and a pure-noise region.
 
-    10*log10(max(P_sig - P_noise, P_noise * 1e-6) / P_noise) with P the mean
-    |z|^2 of each region; the floor bounds the result at -60 dB.
+    snr_db_from_powers of the mean |z|^2 of each region; both regions need
+    at least SNR_MIN_SAMPLES samples.
     """
     sig = as_complex_array(signal_region)
     noise = as_complex_array(noise_region)
-    if sig.size < 8 or noise.size < 8:
-        raise SizeError(f"both regions need >= 8 samples, got {sig.size} and {noise.size}")
-    p_noise = float(np.mean(np.abs(noise) ** 2))
-    if p_noise <= 0.0:
-        raise DegenerateInputError("noise region has zero power")
-    p_sig = float(np.mean(np.abs(sig) ** 2))
-    excess = max(p_sig - p_noise, p_noise * _SNR_FLOOR_RATIO)
-    return float(10.0 * np.log10(excess / p_noise))
+    if sig.size < SNR_MIN_SAMPLES or noise.size < SNR_MIN_SAMPLES:
+        raise SizeError(
+            f"both regions need >= {SNR_MIN_SAMPLES} samples, got {sig.size} and {noise.size}")
+    return snr_db_from_powers(mean_power(sig), mean_power(noise))

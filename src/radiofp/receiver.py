@@ -23,7 +23,8 @@ from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
 
-__all__ = ["ReceiverConfig", "acquire", "clipping_ratio", "quantization_step", "NUM_FILTER_TAPS"]
+__all__ = ["ReceiverConfig", "acquire", "add_frontend_noise", "clipping_ratio", "quantization_step",
+           "NUM_FILTER_TAPS"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,20 @@ def _quantize(values: np.ndarray, step: float, full_scale: float) -> np.ndarray:
     return np.clip(step * np.round(values / step), -full_scale, full_scale)
 
 
+def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:
+    """Add the seeded complex white front-end noise of mean power `power` to x, in place.
+
+    This is acquire's first stage. It depends on neither gain nor bandwidth,
+    so acquiring a noisy copy with frontend_noise_power=0 gives the same
+    bits as acquiring the clean input with the noise power set.
+    """
+    if power > 0:
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(power / 2.0)
+        x += scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    return x
+
+
 def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> IqRecording:
     """Run the receiver chain over a recording; deterministic given the seed."""
     fs = input_recording.sample_rate_hz
@@ -63,11 +78,7 @@ def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> 
             f"filter_bw_hz={config.filter_bw_hz} is at or above the sample rate {fs}"
         )
     x = np.array(input_recording.samples, dtype=np.complex128, copy=True)
-
-    if config.frontend_noise_power > 0:
-        rng = np.random.default_rng(seed)
-        scale = np.sqrt(config.frontend_noise_power / 2.0)
-        x += scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    add_frontend_noise(x, config.frontend_noise_power, seed)
 
     x *= 10.0 ** (config.gain_db / 20.0)
 

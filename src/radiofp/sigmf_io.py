@@ -104,8 +104,6 @@ class SessionMeta:
     def __post_init__(self) -> None:
         if self.datatype != DATATYPE:
             raise UnsupportedFormatError(f"datatype must be '{DATATYPE}', got '{self.datatype}'")
-        if not self.sample_rate_hz > 0:
-            raise ValidationError("sample_rate_hz must be > 0")
         anns = tuple(self.annotations)
         starts = [a.sample_start for a in anns]
         if any(b < a for a, b in zip(starts, starts[1:])):

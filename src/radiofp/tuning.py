@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import atomic_write, csv_text
 from .detect import RegionOfInterest
-from .dsp import IqRecording, estimate_snr_db
-from .errors import ParameterError, TuningError
+from .dsp import SNR_MIN_SAMPLES, IqRecording, mean_power, snr_db_from_powers
+from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
 __all__ = [
@@ -101,15 +101,22 @@ def acquisition_metrics(
 
     The SNR reference is the part of the recording not covered by any ROI;
     nan means no usable measurement (no ROI, a too-small complement, or a
-    complement the ADC quantized to pure silence).
+    complement the ADC quantized to pure silence). Each ROI's SNR equals
+    estimate_snr_db(roi samples, complement), with the complement's power
+    reduced once for all ROIs.
     """
     clip = clipping_ratio(recording, full_scale)
     if not rois:
         return float("nan"), clip
     noise = _noise_complement(recording, rois)
-    if noise.size < 8 or not np.any(np.abs(noise) > 0):
+    if noise.size < SNR_MIN_SAMPLES or not np.any(noise):
         return float("nan"), clip
-    snrs = [estimate_snr_db(roi.slice_of(recording), noise) for roi in rois]
+    p_noise = mean_power(noise)
+    regions = [roi.slice_of(recording) for roi in rois]
+    shortest = min(region.size for region in regions)
+    if shortest < SNR_MIN_SAMPLES:
+        raise SizeError(f"every ROI needs >= {SNR_MIN_SAMPLES} samples, got {shortest}")
+    snrs = [snr_db_from_powers(mean_power(region), p_noise) for region in regions]
     return float(np.mean(snrs)), clip
 
 

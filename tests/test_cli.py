@@ -12,7 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiofp.cli import FEATURE_CSV_PREFIX, main
+from radiofp.config import EXPERIMENT, build_schedule, parse
+from radiofp.detect import detect_bursts
+from radiofp.emitter import render_session
 from radiofp.features import ExtractionConfig, catalog_names
+from radiofp.receiver import acquire
+from radiofp.sigmf_io import propagate
+from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 
 FS = 1.0e5
 
@@ -243,6 +249,33 @@ class TestTune:
         objectives = [float(r[3]) for r in rows]
         assert best["objective"] == max(objectives)
 
+    def test_trace_matches_noise_drawn_per_evaluation(self, tmp_path):
+        """Drawing the front-end noise once per tune gives the trace of drawing it per evaluation."""
+        gains, bws = [-10.0, 0.0, 10.0], [0.2 * FS, 0.4 * FS]
+        config = self.tune_config(gains, bws)
+        config["receiver"]["frontend_noise_power"] = 1e-3
+        out = tmp_path / "tune"
+        assert main(["tune", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+
+        parsed = parse(config, EXPERIMENT)
+        schedule, profiles = build_schedule(parsed["schedule"], parsed["profiles"], "schedule")
+        seeds = parsed["seeds"]
+        rendered, truth = render_session(schedule, profiles, FS, 16, seeds.render)
+        received = propagate(rendered, truth, parsed["channel"], seeds.channel)
+        params = ObjectiveParams(**config["tuning"]["objective"], full_scale=1.0)
+
+        def plant(rx_config):
+            acquired = acquire(received, rx_config, seeds.frontend)
+            rois = detect_bursts(acquired, parsed["detector"])
+            return acquired, rois, objective(acquired, rois, params)
+
+        trace = tune(plant, TuningGrid(tuple(gains), tuple(bws)), config_template=parsed["receiver"])
+        write_trace_csv(trace, tmp_path / "expected.csv")
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert all(step.n_rois > 0 for step in trace.steps)
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["frontend_noise_power"] == 1e-3
+
     def test_empty_grid_exits_2(self, tmp_path):
         config = self.tune_config([], [0.4 * FS])
         assert main(["tune", "--config", write_config(tmp_path, config),
@@ -377,6 +410,12 @@ PROBES = {
     "unknown-tuning-field": ("tune", setting("tuning", "bogus", value=1), None, "tuning.bogus"),
     "unknown-top-level-field": ("synth", setting("bogus", value=1), None, "'bogus'"),
     "permuted-feature-table": ("evaluate", None, edit_csv(swap_columns), "features.csv"),
+    "negative-capture-frequency": ("pipeline", None, edit_json(
+        "data/session.sigmf-meta", setting("captures", 0, "core:frequency", value=-5)),
+        "captures[0].core:frequency"),
+    "zero-sample-rate": ("pipeline", None, edit_json(
+        "data/session.sigmf-meta", setting("global", "core:sample_rate", value=0)),
+        "global.core:sample_rate"),
 }
 
 
@@ -516,3 +555,58 @@ def test_one_bad_field_exits_2_naming_it(field, kind, cut):
         code, err = run_main(command_argv(command, root))
     assert code == 2, err
     assert expected in err, err
+
+
+# --- property: one field at a time of a synthesized session's SigMF meta ----------
+
+# (field path, a value of the wrong type, an out-of-domain value or None, required?).
+# core:datatype is left out: an unsupported datatype is a runtime failure (exit 1).
+META_FIELDS = [
+    (("global",), [], None, True),
+    (("global", "core:sample_rate"), "fast", 0.0, True),
+    (("global", "core:description"), 5, None, False),
+    (("global", "core:version"), 1.0, None, False),
+    (("global", "workbench:recording_id"), [], None, False),
+    (("global", "workbench:sample_count"), 1.5, -1, False),
+    (("captures",), {}, None, False),
+    (("captures", 0, "core:sample_start"), "0", -1, False),
+    (("captures", 0, "core:frequency"), "x", -5.0, False),
+    (("captures", 0, "core:datetime"), 0, None, False),
+    (("annotations",), "x", None, False),
+    (("annotations", 0, "core:sample_start"), 1.5, -1, True),
+    (("annotations", 0, "core:sample_count"), "n", 0, True),
+    (("annotations", 0, "core:label"), 7, None, False),
+    (("annotations", 0, "core:comment"), None, None, False),
+]
+
+
+@pytest.fixture(scope="module")
+def small_session(tmp_path_factory):
+    """(config text, data bytes, meta document) of the small config's synthesized session."""
+    root = tmp_path_factory.mktemp("small")
+    write_config(root, small_config())
+    assert run_main(["synth", "--config", str(root / "config.json"), "--out", str(root / "data")])[0] == 0
+    return ((root / "config.json").read_text(), (root / "data" / "session.sigmf-data").read_bytes(),
+            json.loads((root / "data" / "session.sigmf-meta").read_text()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(META_FIELDS), kind=st.sampled_from(["wrong type", "out of domain", "missing"]))
+def test_one_bad_meta_field_exits_2_naming_it(small_session, field, kind):
+    """pipeline never raises on a bad meta field; it exits 2 and names the field."""
+    path, wrong_type, out_of_domain, required = field
+    assume(kind != "out of domain" or out_of_domain is not None)
+    assume(kind != "missing" or required)
+    config_text, data, meta = small_session
+    meta = json.loads(json.dumps(meta))
+    value = {"wrong type": wrong_type, "out of domain": out_of_domain}.get(kind)
+    setting(*path, value=value, delete=kind == "missing")(meta)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "config.json").write_text(config_text)
+        (root / "data").mkdir()
+        (root / "data" / "session.sigmf-data").write_bytes(data)
+        (root / "data" / "session.sigmf-meta").write_text(json.dumps(meta))
+        code, err = run_main(command_argv("pipeline", root))
+    assert code == 2, err
+    assert dotted(path) in err, err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from radiofp.errors import ParameterError
 from radiofp.receiver import (
     ReceiverConfig,
     acquire,
+    add_frontend_noise,
     clipping_ratio,
     quantization_step,
 )
@@ -120,6 +123,16 @@ class TestAcquire:
         a = acquire(rec(x), config, seed=9).samples
         b = acquire(rec(x), config, seed=9).samples
         np.testing.assert_array_equal(a, b)
+
+    def test_noise_added_up_front_gives_same_bits(self):
+        rng = np.random.default_rng(8)
+        x = 0.2 * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+        config = transparent_config(gain_db=7.5, adc_bits=10, filter_bw_hz=0.3 * FS,
+                                    frontend_noise_power=1e-3)
+        noisy = add_frontend_noise(x.copy(), config.frontend_noise_power, 4)
+        quiet = replace(config, frontend_noise_power=0.0)
+        np.testing.assert_array_equal(acquire(rec(noisy), quiet, seed=4).samples,
+                                      acquire(rec(x), config, seed=4).samples)
 
     def test_bandwidth_above_sample_rate_rejected(self):
         with pytest.raises(ParameterError):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from radiofp.detect import RegionOfInterest
-from radiofp.dsp import IqRecording
-from radiofp.errors import ParameterError, TuningError
+from radiofp.dsp import IqRecording, estimate_snr_db
+from radiofp.errors import ParameterError, SizeError, TuningError
 from radiofp.receiver import ReceiverConfig
 from radiofp.tuning import (
     ObjectiveParams,
     TuningGrid,
+    acquisition_metrics,
     objective,
     replan_on_drift,
     tune,
@@ -90,6 +91,41 @@ class TestObjective:
         params = ObjectiveParams(clip_weight=0.5, full_scale=full_scale)
         assert objective(rec, rois, params) == pytest.approx(snr - 0.5 * 100.0 * clip, abs=1e-9)
         assert objective(rec, rois, params) == pytest.approx(25.0 - 12.5, abs=1e-9)
+
+
+class TestAcquisitionMetrics:
+    def recording_with_rois(self, lengths):
+        rng = np.random.default_rng(4)
+        x = 0.05 * (rng.standard_normal(6000) + 1j * rng.standard_normal(6000))
+        rois = []
+        for k, length in enumerate(lengths):
+            start = 500 + 1200 * k
+            x[start:start + length] += (k + 1) * 0.2 * np.exp(0.3j * np.arange(length))
+            rois.append(RegionOfInterest(start, length, peak_metric=10.0, noise_floor=1e-3))
+        return IqRecording(x, FS), rois
+
+    def test_equals_mean_of_per_roi_estimates(self):
+        rec, rois = self.recording_with_rois([300, 700, 64, 1000])
+        mask = np.ones(len(rec), dtype=bool)
+        for roi in rois:
+            mask[roi.start_sample:roi.end_sample] = False
+        complement = rec.samples[mask]
+        expected = float(np.mean([estimate_snr_db(roi.slice_of(rec), complement) for roi in rois]))
+        snr, clip = acquisition_metrics(rec, rois, full_scale=1.0)
+        assert snr == expected
+        assert clip == 0.0
+
+    def test_short_roi_raises_size_error(self):
+        rec, rois = self.recording_with_rois([300, 5, 700])
+        with pytest.raises(SizeError):
+            acquisition_metrics(rec, rois, full_scale=1.0)
+
+    def test_silent_complement_is_nan(self):
+        x = np.zeros(1000, dtype=complex)
+        x[100:400] = 0.5
+        rec = IqRecording(x, FS)
+        snr, _clip = acquisition_metrics(rec, [RegionOfInterest(100, 300, 10.0, 1e-3)], 1.0)
+        assert np.isnan(snr)
 
 
 class TestTuningGrid:
