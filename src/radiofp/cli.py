@@ -346,6 +346,12 @@ OPTION_HELP = {
 }
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:  # isdecimal() also rejects a sign
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radiofp",
@@ -356,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed-override", type=int, default=None,
                         help="replace all config seeds with values derived from this one")
-    common.add_argument("--threads", type=int, default=1, help="parallel sessions (pipeline only)")
     common.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -365,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             p.add_argument(f"--{option}", required=True, help=OPTION_HELP[option])
         p.set_defaults(func=func)
+    sub.choices["pipeline"].add_argument("--threads", type=_positive_int, default=1,
+                                         help="sessions processed in parallel")
     return parser
 
 

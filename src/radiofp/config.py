@@ -274,7 +274,7 @@ META = {
 FINGERPRINT = {
     **required(text, "device_id", "catalog_version"), **required(array(integer), "kept_indices"),
     **required(array(number), "selection_scores", "mean"), **required(matrix, "covariance"),
-    **required(number, "ridge_lambda", "threshold"), **required(integer, "n_enrolled"),
+    **required(number, "ridge_lambda", "threshold"), **required(positive_count, "n_enrolled"),
 }
 STORE = {
     **required(format_of(FINGERPRINT_STORE_FORMAT), "format"),

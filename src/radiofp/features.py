@@ -34,7 +34,7 @@ version string, which enrollment and verification check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -139,6 +139,7 @@ class FeatureSelection:
 
     kept_indices: tuple[int, ...]
     scores: np.ndarray
+    index: np.ndarray = field(init=False, repr=False)  # kept_indices as an array, for apply()
 
     def __post_init__(self) -> None:
         kept = tuple(int(i) for i in self.kept_indices)
@@ -149,12 +150,15 @@ class FeatureSelection:
             raise ParameterError("kept_indices must be strictly ascending")
         if kept[0] < 0 or kept[-1] >= scores.size:
             raise ParameterError("kept_indices out of catalog range")
+        index = np.array(kept, dtype=np.intp)
         scores.setflags(write=False)
+        index.setflags(write=False)
         object.__setattr__(self, "kept_indices", kept)
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "index", index)
 
     def apply(self, vector: FeatureVector) -> np.ndarray:
-        return vector.values[list(self.kept_indices)]
+        return vector.values[self.index]
 
 
 class Moments(NamedTuple):

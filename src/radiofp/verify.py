@@ -16,11 +16,11 @@ full round-trip precision so load(save(fp)) is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .config import (
     FINGERPRINT,
@@ -54,7 +54,14 @@ _FAR_FRR_ANCHORS = (0.001, 0.01, 0.05, 0.1)
 
 @dataclass(frozen=True, eq=False)
 class DeviceFingerprint:
-    """Enrolled per-device reference model."""
+    """Enrolled per-device reference model.
+
+    Construction factors the covariance as L L^T and keeps the whitening
+    matrix W = L^(-1) (not persisted), so a score is the squared norm of
+    W (x - mean) and no probe refactors the covariance. L is computed from the
+    unit-diagonal correlation matrix, which keeps W accurate when feature
+    scales differ by many orders of magnitude.
+    """
 
     device_id: str
     catalog_version: str
@@ -64,6 +71,7 @@ class DeviceFingerprint:
     ridge_lambda: float
     threshold: float
     n_enrolled: int
+    whitening: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=np.float64, copy=True)
@@ -71,20 +79,29 @@ class DeviceFingerprint:
         d = len(self.selection.kept_indices)
         if mean.shape != (d,) or cov.shape != (d, d):
             raise ParameterError("mean/covariance dimensions must match the selection size")
+        for name, value in (("mean", mean), ("covariance", cov)):
+            if not np.all(np.isfinite(value)):
+                raise ParameterError(f"{name} must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
             raise ParameterError("covariance must be symmetric")
         if self.ridge_lambda < 0:
             raise ParameterError("ridge_lambda must be >= 0")
         if not self.threshold > 0:
             raise ParameterError("threshold must be > 0")
+        variances = np.diag(cov)
         try:
-            np.linalg.cholesky(cov)
+            if not np.all(variances > 0):
+                raise np.linalg.LinAlgError
+            # Factor the unit-diagonal correlation matrix and fold the scale back
+            # in: inverting the factor of a badly scaled covariance directly loses
+            # about two digits against a triangular solve.
+            scale = 1.0 / np.sqrt(variances)
+            whitening = np.linalg.inv(np.linalg.cholesky(cov * np.outer(scale, scale))) * scale
         except np.linalg.LinAlgError:
             raise ParameterError("covariance must be positive definite") from None
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        for name, value in (("mean", mean), ("covariance", cov), ("whitening", whitening)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -148,20 +165,31 @@ def enroll(
         ) from None
 
 
+def _check_catalogs(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> None:
+    for vector in vectors:
+        if vector.catalog_version != fingerprint.catalog_version:
+            raise CatalogMismatchError(
+                f"probe catalog '{vector.catalog_version}' does not match "
+                f"fingerprint catalog '{fingerprint.catalog_version}'"
+            )
+
+
+def _not_finite(fingerprint: DeviceFingerprint) -> ParameterError:
+    return ParameterError(f"squared distance to '{fingerprint.device_id}' is not finite")
+
+
 def mahalanobis_squared(x: np.ndarray, fingerprint: DeviceFingerprint) -> float:
-    """(x - mu)^T Sigma^(-1) (x - mu) via Cholesky solve (no explicit inverse)."""
-    delta = np.asarray(x, dtype=np.float64) - fingerprint.mean
-    factor = cho_factor(fingerprint.covariance, lower=True)
-    return float(delta @ cho_solve(factor, delta))
+    """(x - mu)^T Sigma^(-1) (x - mu) as |W (x - mu)|^2 with the cached W = L^(-1)."""
+    y = fingerprint.whitening @ (np.asarray(x, dtype=np.float64) - fingerprint.mean)
+    d2 = float(y @ y)
+    if not math.isfinite(d2):
+        raise _not_finite(fingerprint)
+    return d2
 
 
 def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> VerificationDecision:
     """Score a probe against the claimed identity's reference model."""
-    if vector.catalog_version != fingerprint.catalog_version:
-        raise CatalogMismatchError(
-            f"probe catalog '{vector.catalog_version}' does not match "
-            f"fingerprint catalog '{fingerprint.catalog_version}'"
-        )
+    _check_catalogs((vector,), fingerprint)
     d2 = mahalanobis_squared(fingerprint.selection.apply(vector), fingerprint)
     return VerificationDecision(
         claimed_id=fingerprint.device_id,
@@ -172,8 +200,17 @@ def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> Verificatio
 
 
 def score_vectors(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> np.ndarray:
-    """Squared distances of many probes against one fingerprint."""
-    return np.array([verify(v, fingerprint).squared_distance for v in vectors])
+    """Squared distances of many probes against one fingerprint: the column
+    norms |W (X - mu)^T|^2 of one whitened matrix product."""
+    _check_catalogs(vectors, fingerprint)
+    if not vectors:
+        return np.empty(0)
+    X = np.stack([v.values for v in vectors])[:, fingerprint.selection.index]
+    Y = fingerprint.whitening @ (X - fingerprint.mean).T
+    d2 = np.einsum("ij,ij->j", Y, Y)
+    if not np.all(np.isfinite(d2)):
+        raise _not_finite(fingerprint)
+    return d2
 
 
 def _far_frr_curves(genuine: np.ndarray, impostor: np.ndarray, thresholds: np.ndarray):

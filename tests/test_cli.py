@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from radiofp.features import ExtractionConfig, catalog_names
 from radiofp.receiver import acquire
 from radiofp.sigmf_io import propagate
 from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
+from radiofp.verify import load_fingerprint_store, save_fingerprint_store
 
 FS = 1.0e5
 
@@ -149,6 +152,16 @@ class TestPipeline:
         assert main(["pipeline", "--config", config_path, "--dataset", str(data_dir),
                      "--out", str(out2), "--threads", "4"]) == 0
         assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["pipeline", "--dataset", "data", "--threads", "0"],
+                                      ["pipeline", "--dataset", "data", "--threads", "-3"],
+                                      ["tune", "--threads", "4"]],
+                             ids=["pipeline-0", "pipeline-negative", "tune"])
+    def test_bad_threads_exits_2_naming_it(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", "config.json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_empty_dataset_dir_exits_2(self, tmp_path):
         config_path = write_config(tmp_path, base_config())
@@ -610,3 +623,122 @@ def test_one_bad_meta_field_exits_2_naming_it(small_session, field, kind):
         code, err = run_main(command_argv("pipeline", root))
     assert code == 2, err
     assert dotted(path) in err, err
+
+
+# --- property: one field at a time of a saved fingerprint store ------------------
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """The store `enroll` writes for the small feature table."""
+    root = tmp_path_factory.mktemp("store")
+    (root / "features.csv").write_text(FEATURE_TABLE)
+    write_config(root, small_config())
+    argv = command_argv("enroll", root)
+    argv[argv.index("--out") + 1] = str(root)
+    assert run_main(argv) == (0, "")
+    return root / "fingerprints.json"
+
+
+def reversed_list(value):
+    return value[::-1]
+
+
+def asymmetric(cov):
+    return [[v + (i < j) for j, v in enumerate(row)] for i, row in enumerate(cov)]
+
+
+def not_spd(cov):
+    return [[-v for v in row] for row in cov]
+
+
+# (field path below fingerprints[k] or at the top level, a value of the wrong type,
+# an out-of-domain value or a function of the old value or None, numeric?, required?)
+STORE_FIELDS = [
+    (("catalog_names",), "names", reversed_list, False, False),
+    (("fingerprints",), {}, None, False, True),
+    (("device_id",), 5, None, False, True),
+    (("catalog_version",), [], None, False, True),
+    (("kept_indices",), "0,1", reversed_list, False, True),
+    (("selection_scores",), "s", None, True, True),
+    (("mean",), [["m"]], lambda mean: mean[:-1], True, True),
+    (("covariance",), [[1.0, "c"]], asymmetric, True, True),
+    (("ridge_lambda",), "r", -1.0, True, True),
+    (("threshold",), "t", 0.0, True, True),
+    (("n_enrolled",), 1.5, 0, False, True),
+]
+TOP_LEVEL = {"catalog_names", "fingerprints"}
+
+
+def mutated_store(text, path, kind, value):
+    """The store text with the field at `path` changed by one kind of mutation."""
+    doc = json.loads(text)
+    if kind == "unknown":
+        setting(*path[:-1], "bogus", value=1)(doc)
+        return json.dumps(doc), dotted(path[:-1] + ("bogus",))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    old = node[path[-1]]
+    if kind == "non-finite" and isinstance(old, list):
+        target = old
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = value
+        new = old
+    elif kind == "not SPD":
+        new = not_spd(old)
+    else:
+        new = value(old) if callable(value) else value  # a non-finite scalar lands here too
+    setting(*path, value=new, delete=kind == "missing")(doc)
+    return json.dumps(doc), dotted(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(STORE_FIELDS), device=st.sampled_from([0, 1]),
+       kind=st.sampled_from(["wrong type", "out of domain", "non-finite", "missing", "unknown",
+                             "not SPD", "truncated"]),
+       bad=st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_one_bad_store_field_exits_2_naming_it(small_store, field, device, kind, bad, cut):
+    """evaluate and verify never raise on a bad store; they exit 2 and name the field."""
+    store_text = small_store.read_text()
+    name, wrong_type, out_of_domain, numeric, required = field
+    assume(kind != "out of domain" or out_of_domain is not None)
+    assume(kind != "missing" or required)
+    assume(kind != "non-finite" or numeric)
+    assume(kind != "not SPD" or name == ("covariance",))
+    path = name if name[0] in TOP_LEVEL else ("fingerprints", device) + name
+    if kind == "truncated":
+        text, expected = store_text[:int(cut * len(store_text))], "fingerprints.json"
+    else:
+        value = {"wrong type": wrong_type, "out of domain": out_of_domain, "non-finite": bad}.get(kind)
+        text, expected = mutated_store(store_text, path, kind, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "features.csv").write_text(FEATURE_TABLE)
+        (root / "fingerprints.json").write_text(text)
+        for command in ("evaluate", "verify"):
+            argv = command_argv(command, root)
+            if command == "verify":
+                argv[argv.index("--claim") + 1] = "dev-0"
+            code, err = run_main(argv)
+            assert code == 2, err
+            assert expected in err, err
+            assert "Traceback" not in err
+
+
+def test_store_round_trip_is_byte_identical(small_store, tmp_path):
+    """save(load(save(store))) gives the same bytes: the cached whitening factor is not persisted."""
+    store = load_fingerprint_store(small_store)
+    save_fingerprint_store(list(store.values()), tmp_path / "again.json",
+                           catalog_names=json.loads(small_store.read_text())["catalog_names"])
+    assert (tmp_path / "again.json").read_bytes() == small_store.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__import__("radiofp").__file__).parent.parent)
+    code = ("import sys, radiofp.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"

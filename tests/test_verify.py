@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiofp.errors import (
     CatalogMismatchError,
@@ -17,6 +19,7 @@ from radiofp.verify import (
     load_fingerprint_store,
     mahalanobis_squared,
     save_fingerprint_store,
+    score_vectors,
     verify,
 )
 
@@ -313,3 +316,78 @@ class TestStore:
         reloaded = load_fingerprint_store(path)["dev"]
         probe = vec([1.3, 0.7])
         assert verify(probe, fp).squared_distance == verify(probe, reloaded).squared_distance
+
+
+# --- scoring with the cached whitening factor ---------------------------------------
+
+def random_fingerprint(seed, dim, max_condition=1e4):
+    """A fingerprint whose covariance is SPD with condition number <= max_condition."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigenvalues = np.exp(rng.uniform(0.0, np.log(max_condition), dim)) * rng.uniform(1e-3, 1e3)
+    cov = (q * eigenvalues) @ q.T
+    cov = (cov + cov.T) / 2.0
+    mean = rng.normal(0.0, 10.0, dim)
+    return DeviceFingerprint("dev", CATALOG, full_selection(dim), mean, cov, 0.0, 3.0 * dim, dim + 1)
+
+
+fingerprints = st.builds(random_fingerprint, st.integers(0, 2**32 - 1), st.integers(1, 12))
+bad_values = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+class TestWhitenedScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(fp=fingerprints, seed=st.integers(0, 2**32 - 1))
+    def test_matches_solve_on_well_conditioned_covariances(self, fp, seed):
+        x = fp.mean + np.random.default_rng(seed).normal(0.0, 3.0, fp.dim)
+        delta = x - fp.mean
+        expected = delta @ np.linalg.solve(fp.covariance, delta)
+        assert mahalanobis_squared(x, fp) == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 6), which=st.sampled_from(["mean", "covariance"]),
+           position=st.integers(0, 35), value=bad_values)
+    def test_non_finite_model_rejected_at_construction(self, dim, which, position, value):
+        mean, cov = np.zeros(dim), np.eye(dim)
+        target = mean if which == "mean" else cov
+        target.flat[position % target.size] = value
+        with pytest.raises(ParameterError, match=f"{which} must be finite"):
+            DeviceFingerprint("dev", CATALOG, full_selection(dim), mean, cov, 0.0, 1.0, 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fp=fingerprints, position=st.integers(0, 11), value=bad_values)
+    def test_non_finite_probe_rejected(self, fp, position, value):
+        x = fp.mean.copy()
+        x[position % fp.dim] = value
+        with np.errstate(all="ignore"), pytest.raises(ParameterError, match="not finite"):
+            mahalanobis_squared(x, fp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fp=fingerprints, threshold=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_with_threshold_scores_identically(self, fp, threshold, seed):
+        x = fp.mean + np.random.default_rng(seed).normal(0.0, 1.0, fp.dim)
+        moved = fp.with_threshold(threshold)
+        assert moved.threshold == threshold
+        assert mahalanobis_squared(x, moved) == mahalanobis_squared(x, fp)
+
+    def test_whitening_is_read_only_and_not_persisted(self, tmp_path):
+        fp = random_fingerprint(3, 4)
+        assert not fp.whitening.flags.writeable
+        save_fingerprint_store([fp], tmp_path / "store.json")
+        assert "whitening" not in (tmp_path / "store.json").read_text()
+
+    def test_score_vectors_matches_verify(self):
+        rng = np.random.default_rng(21)
+        fp = random_fingerprint(4, 5)
+        names = tuple(f"f{i}" for i in range(8))
+        selection = FeatureSelection((0, 2, 3, 5, 7), np.zeros(8))
+        fp = DeviceFingerprint("dev", CATALOG, selection, fp.mean, fp.covariance, 0.0, 1.0, 10)
+        probes = [FeatureVector(names, rng.normal(0.0, 10.0, 8), ("r", i), CATALOG) for i in range(50)]
+        expected = [verify(v, fp).squared_distance for v in probes]
+        np.testing.assert_allclose(score_vectors(probes, fp), expected, rtol=1e-12, atol=0.0)
+        assert score_vectors([], fp).shape == (0,)
+
+    def test_score_vectors_checks_catalog(self):
+        fp = random_fingerprint(5, 2)
+        with pytest.raises(CatalogMismatchError):
+            score_vectors([vec([0.0, 0.0]), vec([0.0, 0.0], version="other")], fp)
