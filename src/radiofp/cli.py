@@ -33,6 +33,7 @@ from .config import (
     json_text,
     load_json,
     parse,
+    positive_count,
 )
 from .detect import DetectorParams, detect_bursts
 from .emitter import render_session
@@ -347,9 +348,11 @@ OPTION_HELP = {
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:  # isdecimal() also rejects a sign
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    """argparse type checked by the same converter as a config's counts."""
+    try:
+        return positive_count(int(text) if text.removeprefix("-").isdecimal() else text, "value")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -165,31 +165,28 @@ def enroll(
         ) from None
 
 
-def _check_catalogs(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> None:
-    for vector in vectors:
-        if vector.catalog_version != fingerprint.catalog_version:
-            raise CatalogMismatchError(
-                f"probe catalog '{vector.catalog_version}' does not match "
-                f"fingerprint catalog '{fingerprint.catalog_version}'"
-            )
-
-
-def _not_finite(fingerprint: DeviceFingerprint) -> ParameterError:
-    return ParameterError(f"squared distance to '{fingerprint.device_id}' is not finite")
-
-
 def mahalanobis_squared(x: np.ndarray, fingerprint: DeviceFingerprint) -> float:
-    """(x - mu)^T Sigma^(-1) (x - mu) as |W (x - mu)|^2 with the cached W = L^(-1)."""
+    """(x - mu)^T Sigma^(-1) (x - mu) as |W (x - mu)|^2 with the cached W = L^(-1).
+
+    A non-finite probe raises; a finite probe whose d^2 overflows scores inf, a reject.
+    """
     y = fingerprint.whitening @ (np.asarray(x, dtype=np.float64) - fingerprint.mean)
     d2 = float(y @ y)
     if not math.isfinite(d2):
-        raise _not_finite(fingerprint)
+        # W is triangular with a non-zero diagonal, so a non-finite feature always gets here.
+        if not np.all(np.isfinite(x)):
+            raise ParameterError(f"probe scored against '{fingerprint.device_id}' is not finite")
+        d2 = math.inf  # an overflow is inf, or nan from inf - inf
     return d2
 
 
 def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> VerificationDecision:
     """Score a probe against the claimed identity's reference model."""
-    _check_catalogs((vector,), fingerprint)
+    if vector.catalog_version != fingerprint.catalog_version:
+        raise CatalogMismatchError(
+            f"probe catalog '{vector.catalog_version}' does not match "
+            f"fingerprint catalog '{fingerprint.catalog_version}'"
+        )
     d2 = mahalanobis_squared(fingerprint.selection.apply(vector), fingerprint)
     return VerificationDecision(
         claimed_id=fingerprint.device_id,
@@ -200,17 +197,8 @@ def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> Verificatio
 
 
 def score_vectors(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> np.ndarray:
-    """Squared distances of many probes against one fingerprint: the column
-    norms |W (X - mu)^T|^2 of one whitened matrix product."""
-    _check_catalogs(vectors, fingerprint)
-    if not vectors:
-        return np.empty(0)
-    X = np.stack([v.values for v in vectors])[:, fingerprint.selection.index]
-    Y = fingerprint.whitening @ (X - fingerprint.mean).T
-    d2 = np.einsum("ij,ij->j", Y, Y)
-    if not np.all(np.isfinite(d2)):
-        raise _not_finite(fingerprint)
-    return d2
+    """Squared distances of many probes against one fingerprint."""
+    return np.array([verify(v, fingerprint).squared_distance for v in vectors])
 
 
 def _far_frr_curves(genuine: np.ndarray, impostor: np.ndarray, thresholds: np.ndarray):

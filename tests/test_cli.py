@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -736,10 +737,27 @@ def test_store_round_trip_is_byte_identical(small_store, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == small_store.read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
+    """A finite feature row so far away that d^2 overflows scores inf and is rejected."""
+    header, *rows = csv.reader(io.StringIO(FEATURE_TABLE))
+    rows[0][len(FEATURE_CSV_PREFIX):] = ["1e200"] * (len(header) - len(FEATURE_CSV_PREFIX))
+    with open(tmp_path / "features.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    shutil.copy(small_store, tmp_path / "fingerprints.json")
+    argv = command_argv("verify", tmp_path)
+    argv[argv.index("--claim") + 1] = "dev-0"
+    assert run_main(argv) == (0, "")
+    _, decisions = read_csv_rows(tmp_path / "out" / "decisions.csv")
+    assert len(decisions) == len(rows)
+    assert (decisions[0][3], decisions[0][5]) == ("inf", "0")
+    assert run_main(command_argv("evaluate", tmp_path)) == (0, "")
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(__import__("radiofp").__file__).parent.parent)
     code = ("import sys, radiofp.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={"PYTHONPATH": src}, check=True)
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,18 +379,34 @@ class TestWhitenedScoring:
         save_fingerprint_store([fp], tmp_path / "store.json")
         assert "whitening" not in (tmp_path / "store.json").read_text()
 
-    def test_score_vectors_matches_verify(self):
-        rng = np.random.default_rng(21)
-        fp = random_fingerprint(4, 5)
-        names = tuple(f"f{i}" for i in range(8))
-        selection = FeatureSelection((0, 2, 3, 5, 7), np.zeros(8))
-        fp = DeviceFingerprint("dev", CATALOG, selection, fp.mean, fp.covariance, 0.0, 1.0, 10)
-        probes = [FeatureVector(names, rng.normal(0.0, 10.0, 8), ("r", i), CATALOG) for i in range(50)]
-        expected = [verify(v, fp).squared_distance for v in probes]
-        np.testing.assert_allclose(score_vectors(probes, fp), expected, rtol=1e-12, atol=0.0)
-        assert score_vectors([], fp).shape == (0,)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_finite_probe_is_rejected(self):
+        fp = random_fingerprint(6, 3)
+        far = vec([1e200, 0.0, 0.0])
+        assert mahalanobis_squared(far.values, fp) == np.inf
+        decision = verify(far, fp)
+        assert decision.squared_distance == np.inf and not decision.accepted
+        near = vec(fp.mean)
+        np.testing.assert_array_equal(score_vectors([far, near], fp), [np.inf, 0.0])
 
-    def test_score_vectors_checks_catalog(self):
-        fp = random_fingerprint(5, 2)
-        with pytest.raises(CatalogMismatchError):
-            score_vectors([vec([0.0, 0.0]), vec([0.0, 0.0], version="other")], fp)
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_nan_from_overflow_scores_inf(self):
+        # x - mu overflows to inf and the zero above W's diagonal turns it into nan:
+        # a finite probe that far away must still read as too far, not raise.
+        fp = DeviceFingerprint("dev", CATALOG, full_selection(2), np.array([0.0, -1e308]),
+                               np.array([[1.0, 0.5], [0.5, 1.0]]), 0.0, 1.0, 10)
+        assert mahalanobis_squared(np.array([0.0, 1e308]), fp) == np.inf
+
+    def test_badly_scaled_covariance_matches_cholesky_solve(self):
+        """A real enrolled model (the fingerprint-session workload, seed 7, dev-02): feature
+        scales 4.5e-6 to 1.2e3, condition 2.6e17. The stored reference d^2 are
+        scipy.linalg.cho_solve values; the plain inv(cholesky(cov)) is up to 6.4e-12 off
+        them on these probes, the whitening from the correlation matrix stays within 1e-12."""
+        doc = json.loads((Path(__file__).parent / "badly_scaled_covariance.json").read_text())
+        dim = len(doc["mean"])
+        fp = DeviceFingerprint("dev", CATALOG, full_selection(dim), np.array(doc["mean"]),
+                               np.array(doc["covariance"]), 1e-3, 3.0 * dim, 60)
+        probes = np.array(doc["probes"])
+        expected = np.array(doc["cho_solve_d2"])
+        got = [mahalanobis_squared(x, fp) for x in probes]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
