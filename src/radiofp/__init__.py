@@ -15,7 +15,6 @@ from .dsp import (
     estimate_snr_db,
     fft_forward,
     fft_inverse,
-    fir_filter,
     instantaneous,
 )
 from .emitter import (

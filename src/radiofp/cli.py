@@ -20,8 +20,9 @@ import csv
 import dataclasses
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .config import (
     EXPERIMENT,
@@ -33,7 +34,6 @@ from .config import (
     json_text,
     load_json,
     parse,
-    positive_count,
 )
 from .detect import DetectorParams, detect_bursts
 from .emitter import render_session
@@ -42,7 +42,7 @@ from .features import (
     ExtractionConfig,
     FeatureVector,
     catalog_names,
-    catalog_version,
+    catalog_version_of,
     extract,
     fisher_select,
 )
@@ -60,6 +60,7 @@ from .verify import (
 )
 
 FEATURE_CSV_PREFIX = ("session", "roi_index", "label", "start_sample", "length")
+INTEGER_COLUMNS = (1, 3, 4)  # roi_index, start_sample and length
 
 
 # The config sections that define a synthesized session.
@@ -111,16 +112,15 @@ def cmd_synth(args) -> int:
 def _feature_rows_for_session(stem: Path, detector: DetectorParams, extraction: ExtractionConfig):
     recording, meta = read_recording(stem)
     rois = detect_bursts(recording, detector)
+    # A ROI takes the label of the first annotation it overlaps most (bursts may overlap);
+    # index 0 is "no annotation", with a zero overlap that only a positive one beats.
+    labels = ["", *(ann.label for ann in meta.annotations)]
+    starts = np.array([ann.sample_start for ann in meta.annotations], dtype=np.int64)
+    ends = starts + np.array([ann.sample_count for ann in meta.annotations], dtype=np.int64)
     rows = []
     for i, roi in enumerate(rois):
-        label = ""
-        best_overlap = 0
-        for ann in meta.annotations:
-            lo = max(roi.start_sample, ann.sample_start)
-            hi = min(roi.end_sample, ann.sample_start + ann.sample_count)
-            if hi - lo > best_overlap:
-                best_overlap = hi - lo
-                label = ann.label
+        overlap = np.minimum(ends, roi.end_sample) - np.maximum(starts, roi.start_sample)
+        label = labels[int(np.argmax(np.append(0, overlap)))]
         vec = extract(roi, recording, extraction)
         rows.append((stem.name, i, label, roi.start_sample, roi.length, vec))
     return rows
@@ -136,23 +136,16 @@ def cmd_pipeline(args) -> int:
         raise ValidationError(f"no .sigmf-meta files found in '{dataset_dir}'")
 
     failures: list[tuple[Path, Exception]] = []
-
-    def worker(stem: Path):
+    all_rows = []
+    for stem in stems:
         try:
-            return _feature_rows_for_session(stem, detector, extraction)
+            rows = _feature_rows_for_session(stem, detector, extraction)
         except (WorkbenchError, OSError) as exc:
             failures.append((stem, exc))
-            return []
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(worker, stems))
-    else:
-        results = [worker(stem) for stem in stems]
-    all_rows = [row for rows in results for row in rows]
-    if args.verbose:
-        for stem, rows in zip(stems, results):
+            continue
+        if args.verbose:
             print(f"{stem.name}: {len(rows)} ROI(s)", file=sys.stderr)
+        all_rows += rows
 
     for stem, exc in failures:
         print(f"warning: {stem}: {exc}", file=sys.stderr)
@@ -169,17 +162,17 @@ def cmd_pipeline(args) -> int:
 
 
 def _cell_error(path: str, line: int, header: list[str], row: list[str]) -> ValidationError:
-    """Name the first numeric cell of a feature-table row that does not parse."""
-    for col in [3] + list(range(len(FEATURE_CSV_PREFIX), len(header))):
+    """Name the first cell of a feature-table row that does not parse."""
+    for col in [*INTEGER_COLUMNS, *range(len(FEATURE_CSV_PREFIX), len(header))]:
+        integer = col in INTEGER_COLUMNS
         try:
-            if math.isfinite(int(row[col]) if col == 3 else float(row[col])):
+            if math.isfinite(int(row[col]) if integer else float(row[col])):
                 continue
         except ValueError:
             pass
         break
-    return ValidationError(
-        f"{path}, row {line}, column '{header[col]}': {row[col]!r:.40} is not a finite number"
-    )
+    return ValidationError(f"{path}, row {line}, column '{header[col]}': {row[col]!r:.40} "
+                           f"is not {'an integer' if integer else 'a finite number'}")
 
 
 def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[FeatureVector]]:
@@ -187,25 +180,24 @@ def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[Fea
     FEATURE_CSV_PREFIX followed by the full catalog of one wavelet depth."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        extraction = next((ExtractionConfig(depth) for depth in range(1, 7)
-                           if header == [*FEATURE_CSV_PREFIX, *catalog_names(ExtractionConfig(depth))]),
-                          None)
-        if extraction is None:
+        header = next(reader, [])
+        prefix, names = tuple(header[:len(FEATURE_CSV_PREFIX)]), tuple(header[len(FEATURE_CSV_PREFIX):])
+        version = catalog_version_of(names) if prefix == FEATURE_CSV_PREFIX else None
+        if version is None:
             raise ValidationError(
                 f"'{path}' is not a feature table: the header must be "
                 f"{','.join(FEATURE_CSV_PREFIX)} followed by the feature catalog in order"
             )
-        names, version = catalog_names(extraction), catalog_version(extraction)
         labels, vectors = [], []
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValidationError(f"{path}, row {line}: {len(row)} columns, expected {len(header)}")
             try:
+                _roi_index, start, _length = (int(row[col]) for col in INTEGER_COLUMNS)
                 vectors.append(FeatureVector(
                     names=names,
                     values=[float(v) for v in row[len(FEATURE_CSV_PREFIX):]],
-                    roi_ref=(row[0], int(row[3])),
+                    roi_ref=(row[0], start),
                     catalog_version=version,
                 ))
             except ValueError:  # unparsable cell, or a FeatureError for a non-finite one
@@ -347,14 +339,6 @@ OPTION_HELP = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type checked by the same converter as a config's counts."""
-    try:
-        return positive_count(int(text) if text.removeprefix("-").isdecimal() else text, "value")
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radiofp",
@@ -373,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             p.add_argument(f"--{option}", required=True, help=OPTION_HELP[option])
         p.set_defaults(func=func)
-    sub.choices["pipeline"].add_argument("--threads", type=_positive_int, default=1,
-                                         help="sessions processed in parallel")
     return parser
 
 

@@ -68,9 +68,6 @@ class IqRecording:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
     def replace_samples(self, samples) -> "IqRecording":
         """New recording with the same metadata and different samples."""
         return IqRecording(samples, self.sample_rate_hz, self.center_freq_hz, self.id)
@@ -148,13 +145,6 @@ def fir_apply(samples, taps: FirTaps) -> np.ndarray:
     full = np.convolve(x, h, mode="full")
     trim = (h.size - 1) // 2
     return full[trim:trim + x.size]
-
-
-def fir_filter(recording: IqRecording, taps: FirTaps) -> IqRecording:
-    """Filter a recording, preserving length, sample rate and center frequency."""
-    if len(recording) == 0:
-        return recording
-    return recording.replace_samples(fir_apply(recording.samples, taps))
 
 
 def instantaneous(recording: IqRecording) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

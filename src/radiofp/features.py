@@ -56,6 +56,7 @@ __all__ = [
     "Moments",
     "catalog_names",
     "catalog_version",
+    "catalog_version_of",
     "moments",
     "instantaneous_stats",
     "transient_features",
@@ -103,6 +104,12 @@ def catalog_names(config: ExtractionConfig = ExtractionConfig()) -> tuple[str, .
 
 def catalog_version(config: ExtractionConfig = ExtractionConfig()) -> str:
     return f"fc1-d{config.wpd_depth}"
+
+
+def catalog_version_of(names: Sequence[str]) -> str | None:
+    """The version of the catalog that is exactly `names` (in order), or None."""
+    return next((catalog_version(config) for config in map(ExtractionConfig, range(1, 7))
+                 if catalog_names(config) == tuple(names)), None)
 
 
 @dataclass(frozen=True, eq=False)

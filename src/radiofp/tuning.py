@@ -12,6 +12,7 @@ risk, reproducible traces). Strategies are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -143,35 +144,8 @@ def _step_key(step: TuningStep) -> tuple[float, float, float]:
     return (step.objective_value, -step.config.gain_db, -step.config.filter_bw_hz)
 
 
-class _Session:
-    """Bookkeeping for one tuning run: memoized plant calls under a budget."""
-
-    def __init__(self, acquire_fn: PlantFn, template: ReceiverConfig | None, budget: int):
-        self.acquire_fn = acquire_fn
-        self.template = template
-        self.budget = budget
-        self.cache: dict[tuple[float, float], TuningStep] = {}
-        self.steps: list[TuningStep] = []
-
-    def exhausted(self) -> bool:
-        return len(self.steps) >= self.budget
-
-    def evaluate(self, gain_db: float, filter_bw_hz: float) -> TuningStep | None:
-        key = (gain_db, filter_bw_hz)
-        if key in self.cache:
-            return self.cache[key]
-        if self.exhausted():
-            return None
-        if self.template is not None:
-            config = replace(self.template, gain_db=gain_db, filter_bw_hz=filter_bw_hz)
-        else:
-            config = ReceiverConfig(gain_db=gain_db, filter_bw_hz=filter_bw_hz)
-        recording, rois, value = self.acquire_fn(config)
-        snr_est, clip = acquisition_metrics(recording, rois, config.full_scale)
-        step = TuningStep(config, float(value), snr_est, clip, len(rois))
-        self.cache[key] = step
-        self.steps.append(step)
-        return step
+class _OutOfBudget(Exception):
+    """A new grid point would exceed the evaluation budget."""
 
 
 def tune(
@@ -200,52 +174,45 @@ def tune(
         raise TuningError(f"budget must allow at least one evaluation, got {budget}")
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
-
-    session = _Session(acquire_fn, config_template, budget)
-
-    if strategy == "exhaustive":
-        for gain in grid.gain_db_values:
-            for bw in grid.filter_bw_hz_values:
-                if session.evaluate(gain, bw) is None:
-                    break
-            if session.exhausted():
-                break
-    elif strategy == "coordinate_descent":
-        gains, bws = grid.gain_db_values, grid.filter_bw_hz_values
-        gi, bi = len(gains) // 2, len(bws) // 2
-        current = session.evaluate(gains[gi], bws[bi])
-        if current is not None:
-            for _round in range(max_rounds):
-                moved = False
-                for axis in ("gain", "bw"):
-                    values = gains if axis == "gain" else bws
-                    best_idx, best_step = None, current
-                    for idx, value in enumerate(values):
-                        g = value if axis == "gain" else gains[gi]
-                        b = bws[bi] if axis == "gain" else value
-                        step = session.evaluate(g, b)
-                        if step is None:
-                            break
-                        if _step_key(step) > _step_key(best_step):
-                            best_idx, best_step = idx, step
-                    if best_idx is not None:
-                        if axis == "gain":
-                            gi = best_idx
-                        else:
-                            bi = best_idx
-                        current = best_step
-                        moved = True
-                    if session.exhausted():
-                        break
-                if not moved or session.exhausted():
-                    break
-    else:
+    if strategy not in ("exhaustive", "coordinate_descent"):
         raise ParameterError(f"strategy must be 'exhaustive' or 'coordinate_descent', got {strategy!r}")
+    axes = (grid.gain_db_values, grid.filter_bw_hz_values)
+    template = config_template or ReceiverConfig(filter_bw_hz=axes[1][0])
+    steps: dict[tuple[int, int], TuningStep] = {}  # by grid position, in evaluation order
 
-    if not session.steps:
-        raise TuningError("no evaluation completed within the budget")
-    best = max(session.steps, key=_step_key)
-    return TuningTrace(tuple(session.steps), best.config, best.objective_value)
+    def evaluate(point: tuple[int, int]) -> TuningStep:
+        if point not in steps:
+            if len(steps) >= budget:
+                raise _OutOfBudget
+            config = replace(template, gain_db=axes[0][point[0]], filter_bw_hz=axes[1][point[1]])
+            recording, rois, value = acquire_fn(config)
+            snr_est, clip = acquisition_metrics(recording, rois, config.full_scale)
+            steps[point] = TuningStep(config, float(value), snr_est, clip, len(rois))
+        return steps[point]
+
+    try:
+        if strategy == "exhaustive":
+            for point in itertools.product(*(range(len(axis)) for axis in axes)):
+                evaluate(point)
+        else:
+            pos = tuple(len(axis) // 2 for axis in axes)
+            current = evaluate(pos)
+            for _round in range(max_rounds):
+                start = pos
+                for a, axis in enumerate(axes):
+                    # A list, not a generator: the line stays put while pos moves along it.
+                    line = [pos[:a] + (i,) + pos[a + 1:] for i in range(len(axis))]
+                    for point in line:
+                        step = evaluate(point)
+                        if _step_key(step) > _step_key(current):
+                            pos, current = point, step
+                if pos == start:
+                    break
+    except _OutOfBudget:
+        pass
+
+    best = max(steps.values(), key=_step_key)
+    return TuningTrace(tuple(steps.values()), best.config, best.objective_value)
 
 
 def replan_on_drift(previous: TuningTrace, new_objective_at_best: float, drift_threshold: float) -> bool:

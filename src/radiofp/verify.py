@@ -33,7 +33,7 @@ from .config import (
     parse,
 )
 from .errors import CatalogMismatchError, EnrollmentError, ParameterError, ValidationError
-from .features import FeatureSelection, FeatureVector
+from .features import FeatureSelection, FeatureVector, catalog_version_of
 
 __all__ = [
     "DeviceFingerprint",
@@ -331,14 +331,18 @@ def save_fingerprint_store(
 
 
 def load_fingerprint_store(path, catalog_names: Sequence[str] | None = None) -> dict[str, DeviceFingerprint]:
-    """Load a store; with catalog_names given, the catalog the store records must equal it."""
+    """Load a store; with catalog_names given, the catalog the store records must equal
+    it, and every fingerprint's catalog_version must be that catalog's version."""
     doc = parse(load_json(path), STORE)
     if catalog_names is not None and doc["catalog_names"] not in (None, list(catalog_names)):
         raise ValidationError(f"{path}: catalog_names do not match the feature table header")
+    expected = None if catalog_names is None else catalog_version_of(catalog_names)
     store: dict[str, DeviceFingerprint] = {}
     for i, f in enumerate(doc["fingerprints"]):
         with fields(f"fingerprints[{i}]"):
             device_id, version, kept, scores, mean, cov, *rest = f.values()
+            if expected not in (None, version):
+                raise ParameterError(f"catalog_version must be the feature table's {expected!r}, got {version!r}")
             selection = FeatureSelection(tuple(kept), np.asarray(scores))
             fp = DeviceFingerprint(device_id, version, selection, np.asarray(mean), np.asarray(cov), *rest)
         if fp.device_id in store:

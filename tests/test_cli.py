@@ -145,14 +145,36 @@ class TestPipeline:
                          "--out", str(out)]) == 0
         assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
 
-    def test_threads_do_not_change_output(self, synth_dataset, tmp_path):
+    def test_labels_follow_the_loop_rule_with_overlapping_annotations(self, synth_dataset, tmp_path):
+        """A ROI takes the label of the first annotation it overlaps most, as the
+        per-annotation loop below states it; the added annotations overlap the real ones."""
         config_path, data_dir = synth_dataset
-        out1, out2 = tmp_path / "f1", tmp_path / "f2"
+        meta_path = data_dir / "session.sigmf-meta"
+        meta = json.loads(meta_path.read_text())
+        rng = np.random.default_rng(3)
+        extra = []
+        for ann in meta["annotations"]:
+            start, count = ann["core:sample_start"], ann["core:sample_count"]
+            extra.append({**ann, "core:label": "twin"})  # the same span, listed second: loses the tie
+            extra.append({**ann, "core:label": "shifted",
+                          "core:sample_start": max(0, start + int(rng.integers(-count // 2, count // 2))),
+                          "core:sample_count": int(rng.integers(count // 2, 2 * count))})
+        anns = sorted(meta["annotations"] + extra, key=lambda a: a["core:sample_start"])
+        meta_path.write_text(json.dumps({**meta, "annotations": anns}))
+        out = tmp_path / "feat"
         assert main(["pipeline", "--config", config_path, "--dataset", str(data_dir),
-                     "--out", str(out1)]) == 0
-        assert main(["pipeline", "--config", config_path, "--dataset", str(data_dir),
-                     "--out", str(out2), "--threads", "4"]) == 0
-        assert (out1 / "features.csv").read_bytes() == (out2 / "features.csv").read_bytes()
+                     "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "features.csv")
+        for row in rows:
+            start, end = int(row[3]), int(row[3]) + int(row[4])
+            expected, best = "", 0
+            for ann in anns:
+                overlap = (min(end, ann["core:sample_start"] + ann["core:sample_count"])
+                           - max(start, ann["core:sample_start"]))
+                if overlap > best:
+                    expected, best = ann["core:label"], overlap
+            assert row[2] == expected
+        assert {"shifted", "alpha", "beta"} <= {row[2] for row in rows}
 
     @pytest.mark.parametrize("argv", [["pipeline", "--dataset", "data", "--threads", "0"],
                                       ["pipeline", "--dataset", "data", "--threads", "-3"],
@@ -343,8 +365,10 @@ def negate_covariance(doc):
     doc["fingerprints"][0]["covariance"] = [[-v for v in row] for row in cov]
 
 
-def set_cell(header, rows):
-    rows[1][header.index("cfo_est_hz")] = "abc"
+def set_cell(column, value):
+    def edit(header, rows):
+        rows[1][header.index(column)] = value
+    return edit
 
 
 def swap_columns(header, rows):
@@ -399,7 +423,10 @@ PROBES = {
     "truncated-store": ("verify", None, truncate_store, "fingerprints.json"),
     "covariance-not-pd": ("evaluate", None, edit_json("fingerprints.json", negate_covariance),
                           "fingerprints[0].covariance"),
-    "csv-cell-not-a-number": ("evaluate", None, edit_csv(set_cell), "row 3, column 'cfo_est_hz'"),
+    "csv-cell-not-a-number": ("evaluate", None, edit_csv(set_cell("cfo_est_hz", "abc")),
+                              "row 3, column 'cfo_est_hz'"),
+    "csv-roi-index-not-a-number": ("verify", None, edit_csv(set_cell("roi_index", "not-a-number")),
+                                   "row 3, column 'roi_index'"),
     "annotation-without-count": ("pipeline", None,
                                  edit_json("data/session.sigmf-meta", drop_sample_count),
                                  "annotations[0].core:sample_count"),
@@ -658,7 +685,7 @@ STORE_FIELDS = [
     (("catalog_names",), "names", reversed_list, False, False),
     (("fingerprints",), {}, None, False, True),
     (("device_id",), 5, None, False, True),
-    (("catalog_version",), [], None, False, True),
+    (("catalog_version",), [], "fc1-d3", False, True),
     (("kept_indices",), "0,1", reversed_list, False, True),
     (("selection_scores",), "s", None, True, True),
     (("mean",), [["m"]], lambda mean: mean[:-1], True, True),
@@ -726,6 +753,53 @@ def test_one_bad_store_field_exits_2_naming_it(small_store, field, device, kind,
             code, err = run_main(argv)
             assert code == 2, err
             assert expected in err, err
+            assert "Traceback" not in err
+
+
+# --- property: one cell, row or header change at a time of a feature table --------
+
+TABLE_HEADER, *TABLE_ROWS = list(csv.reader(io.StringIO(FEATURE_TABLE)))
+INTEGER_COLUMNS = [TABLE_HEADER.index(name) for name in ("roi_index", "start_sample", "length")]
+NUMERIC_COLUMNS = INTEGER_COLUMNS + list(range(len(FEATURE_CSV_PREFIX), len(TABLE_HEADER)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["not a number", "non-finite", "float in integer column",
+                             "short row", "long row", "header"]),
+       row=st.integers(0, len(TABLE_ROWS) - 1),
+       col=st.sampled_from(NUMERIC_COLUMNS), int_col=st.sampled_from(INTEGER_COLUMNS),
+       header_col=st.integers(0, len(TABLE_HEADER) - 1),
+       text=st.sampled_from(["abc", "", "1e", "--1"]),
+       bad=st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]))
+def test_one_bad_feature_table_change_exits_2_naming_it(small_store, kind, row, col, int_col,
+                                                        header_col, text, bad):
+    """enroll, evaluate and verify never raise on a bad table; they exit 2 naming the
+    row and column, the row for a wrong-length row, or the file for a bad header."""
+    header, rows = list(TABLE_HEADER), [list(r) for r in TABLE_ROWS]
+    if kind == "header":
+        header[header_col] += "x"
+        expected = "features.csv"
+    elif kind in ("short row", "long row"):
+        rows[row] = rows[row][:-1] if kind == "short row" else rows[row] + ["1"]
+        expected = f"row {row + 2}: "
+    else:
+        col = int_col if kind == "float in integer column" else col
+        rows[row][col] = {"not a number": text, "non-finite": bad}.get(kind, "1.5")
+        expected = f"row {row + 2}, column '{header[col]}'"
+    table = io.StringIO()
+    csv.writer(table).writerows([header] + rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "features.csv").write_text(table.getvalue())
+        (root / "config.json").write_text(json.dumps(small_config()))
+        shutil.copy(small_store, root / "fingerprints.json")
+        for command in ("enroll", "evaluate", "verify"):
+            argv = command_argv(command, root)
+            if command == "verify":
+                argv[argv.index("--claim") + 1] = "dev-0"
+            code, err = run_main(argv)
+            assert code == 2, (command, err)
+            assert expected in err, (command, err)
             assert "Traceback" not in err
 
 
