@@ -60,7 +60,7 @@ from .verify import (
 )
 
 FEATURE_CSV_PREFIX = ("session", "roi_index", "label", "start_sample", "length")
-INTEGER_COLUMNS = (1, 3, 4)  # roi_index, start_sample and length
+INTEGER_COLUMNS = {1: 0, 3: 0, 4: 1}  # the least roi_index, start_sample and length
 
 
 # The config sections that define a synthesized session.
@@ -162,17 +162,17 @@ def cmd_pipeline(args) -> int:
 
 
 def _cell_error(path: str, line: int, header: list[str], row: list[str]) -> ValidationError:
-    """Name the first cell of a feature-table row that does not parse."""
+    """Name the first cell of a feature-table row that does not parse or is out of range."""
     for col in [*INTEGER_COLUMNS, *range(len(FEATURE_CSV_PREFIX), len(header))]:
         integer = col in INTEGER_COLUMNS
         try:
-            if math.isfinite(int(row[col]) if integer else float(row[col])):
+            if (int(row[col]) >= INTEGER_COLUMNS[col]) if integer else math.isfinite(float(row[col])):
                 continue
         except ValueError:
             pass
         break
-    return ValidationError(f"{path}, row {line}, column '{header[col]}': {row[col]!r:.40} "
-                           f"is not {'an integer' if integer else 'a finite number'}")
+    expected = f"an integer >= {INTEGER_COLUMNS[col]}" if integer else "a finite number"
+    return ValidationError(f"{path}, row {line}, column '{header[col]}': {row[col]!r:.40} is not {expected}")
 
 
 def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[FeatureVector]]:
@@ -193,14 +193,15 @@ def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[Fea
             if len(row) != len(header):
                 raise ValidationError(f"{path}, row {line}: {len(row)} columns, expected {len(header)}")
             try:
-                _roi_index, start, _length = (int(row[col]) for col in INTEGER_COLUMNS)
+                if any(int(row[col]) < least for col, least in INTEGER_COLUMNS.items()):
+                    raise ValueError("integer cell out of range")
                 vectors.append(FeatureVector(
                     names=names,
                     values=[float(v) for v in row[len(FEATURE_CSV_PREFIX):]],
-                    roi_ref=(row[0], start),
+                    roi_ref=(row[0], int(row[3])),  # session, start_sample
                     catalog_version=version,
                 ))
-            except ValueError:  # unparsable cell, or a FeatureError for a non-finite one
+            except ValueError:  # a bad or out-of-range cell; FeatureError for a non-finite one
                 raise _cell_error(path, line, header, row) from None
             labels.append(row[2])
     if not vectors:

@@ -33,6 +33,7 @@ version string, which enrollment and verification check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -178,14 +179,13 @@ class Moments(NamedTuple):
 def _normalized_moments(x: np.ndarray) -> Moments:
     """Population moments with the zero-variance convention skew = kurt = 0."""
     mean = float(np.mean(x))
-    centered = x - mean
-    variance = float(np.mean(centered ** 2))
+    c = x - mean
+    variance = float(np.mean(c * c))
     if variance <= 0.0:
         return Moments(mean, 0.0, 0.0, 0.0)
-    sigma = math.sqrt(variance)
-    skewness = float(np.mean(centered ** 3)) / sigma ** 3
-    excess_kurtosis = float(np.mean(centered ** 4)) / sigma ** 4 - 3.0
-    return Moments(mean, variance, skewness, excess_kurtosis)
+    z = c / math.sqrt(variance)  # standardized first, so sigma^3 and sigma^4 cannot underflow
+    z2 = z * z
+    return Moments(mean, variance, float(np.mean(z2 * z)), float(np.mean(z2 * z2)) - 3.0)
 
 
 def moments(x) -> Moments:
@@ -213,7 +213,7 @@ def instantaneous_stats(roi_samples, sample_rate_hz: float) -> dict[str, float]:
     if z.size < 16:
         raise SizeError(f"need at least 16 samples, got {z.size}")
     interior = _interior(z)
-    if not np.any(np.abs(interior) > 0):
+    if not np.any(interior):
         raise DegenerateInputError("ROI interior is all zero")
 
     amplitude, phase, frequency = instantaneous(IqRecording(interior, sample_rate_hz))
@@ -221,11 +221,13 @@ def instantaneous_stats(roi_samples, sample_rate_hz: float) -> dict[str, float]:
     amp = _normalized_moments(amplitude)
     rss_db = 10.0 * math.log10(float(np.mean(amplitude ** 2)))
 
-    idx = np.arange(phase.size, dtype=np.float64)
-    slope, intercept = np.polyfit(idx, phase, 1)
-    cfo_est_hz = float(slope) * sample_rate_hz / (2.0 * np.pi)
-    resid = phase - (slope * idx + intercept)
-    resid_m = _normalized_moments(resid)
+    # Least-squares line on centered sample times t (sum t = 0): slope = <t, phase> / <t, t>,
+    # with <t, t> = n(n^2 - 1)/12, and the line passes through the mean phase.
+    n = phase.size
+    t = np.arange(n) - 0.5 * (n - 1)
+    slope = float(np.dot(t, phase)) / (n * (n * n - 1) / 12.0)
+    cfo_est_hz = slope * sample_rate_hz / (2.0 * np.pi)
+    resid_m = _normalized_moments(phase - float(np.mean(phase)) - slope * t)
 
     freq_var = float(np.mean((frequency - np.mean(frequency)) ** 2))
 
@@ -250,7 +252,7 @@ def transient_features(roi_samples) -> dict[str, float]:
     if z.size < 16:
         raise SizeError(f"need at least 16 samples, got {z.size}")
     amplitude = np.abs(z)
-    steady = float(np.median(np.abs(_interior(z))))
+    steady = float(np.median(_interior(amplitude)))
     sentinel = float(z.size)
     if steady <= 0.0:
         return {"rise_time_samples": sentinel, "fall_time_samples": sentinel}
@@ -268,6 +270,19 @@ def transient_features(roi_samples) -> dict[str, float]:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _haar_packet_matrix(depth: int) -> np.ndarray:
+    """Row k maps a block of 2^depth samples to leaf k: the identity pushed through the tree."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    nodes = [np.eye(2 ** depth)]
+    for _level in range(depth):
+        nodes = [half for node in nodes
+                 for half in ((node[0::2] + node[1::2]) * inv_sqrt2, (node[0::2] - node[1::2]) * inv_sqrt2)]
+    matrix = np.vstack(nodes)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def wpd_energies(roi_samples, depth: int, normalized: bool = True) -> np.ndarray:
     """Leaf energies of the full Haar wavelet-packet tree.
 
@@ -276,36 +291,26 @@ def wpd_energies(roi_samples, depth: int, normalized: bool = True) -> np.ndarray
     zero-padded by one sample before splitting. Leaves are returned in
     natural (filter-bank) order. With normalized=False the raw energies are
     returned, whose sum equals the input energy (Parseval).
+
+    Leaf coefficient j depends only on input block j of 2^depth samples, so the
+    tree is one product: the zero-padded input as rows of 2^depth, times the
+    transposed packet matrix.
     """
     if not 1 <= depth <= 6:
         raise ParameterError(f"depth must lie in [1, 6], got {depth}")
     x = as_complex_array(roi_samples)
-    if x.size < 2 ** depth:
+    width = 2 ** depth
+    if x.size < width:
         raise ParameterError(f"need at least 2^{depth} samples, got {x.size}")
 
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    nodes = [x]
-    for _level in range(depth):
-        next_nodes = []
-        for node in nodes:
-            if node.size % 2:
-                node = np.append(node, 0.0)
-            even, odd = node[0::2], node[1::2]
-            next_nodes.append((even + odd) * inv_sqrt2)
-            next_nodes.append((even - odd) * inv_sqrt2)
-        nodes = next_nodes
-
-    energies = np.array([float(np.sum(np.abs(c) ** 2)) for c in nodes])
+    blocks = np.concatenate((x, np.zeros(-x.size % width))).reshape(-1, width)
+    energies = np.sum(np.abs(blocks @ _haar_packet_matrix(depth).T) ** 2, axis=0)
     if not normalized:
         return energies
     total = energies.sum()
     if total <= 0.0:
         raise DegenerateInputError("cannot normalize leaf energies of an all-zero signal")
     return energies / total
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
 
 
 def spectral_features(roi_samples, sample_rate_hz: float) -> dict[str, float]:
@@ -321,10 +326,10 @@ def spectral_features(roi_samples, sample_rate_hz: float) -> dict[str, float]:
     z = as_complex_array(roi_samples)
     if z.size < 64:
         raise SizeError(f"need at least 64 samples, got {z.size}")
-    if not np.any(np.abs(z) > 0):
+    if not np.any(z):
         raise DegenerateInputError("ROI is all zero")
 
-    nfft = _next_pow2(z.size)
+    nfft = 1 << (z.size - 1).bit_length()  # the next power of two
     spectrum = np.fft.fftshift(np.fft.fft(z * np.hanning(z.size), nfft))
     power = np.abs(spectrum) ** 2
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
@@ -339,16 +344,10 @@ def spectral_features(roi_samples, sample_rate_hz: float) -> dict[str, float]:
 
     seg = z.size // _FLATNESS_SEGMENTS
     seg_len = 1 << (seg.bit_length() - 1)  # largest power of two <= seg
-    acc = np.zeros(seg_len)
-    for k in range(_FLATNESS_SEGMENTS):
-        block = z[k * seg:k * seg + seg_len]
-        acc += np.abs(np.fft.fft(block)) ** 2
-    acc /= _FLATNESS_SEGMENTS
+    segments = z[:_FLATNESS_SEGMENTS * seg].reshape(_FLATNESS_SEGMENTS, seg)[:, :seg_len]
+    acc = np.mean(np.abs(np.fft.fft(segments, axis=1)) ** 2, axis=0)
     nonzero = acc[acc > 0]
-    if nonzero.size == 0:
-        flatness = 0.0
-    else:
-        flatness = float(np.exp(np.mean(np.log(nonzero))) / np.mean(nonzero))
+    flatness = float(np.exp(np.mean(np.log(nonzero))) / np.mean(nonzero)) if nonzero.size else 0.0
 
     return {
         "spectral_centroid_hz": centroid,

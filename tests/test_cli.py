@@ -427,6 +427,10 @@ PROBES = {
                               "row 3, column 'cfo_est_hz'"),
     "csv-roi-index-not-a-number": ("verify", None, edit_csv(set_cell("roi_index", "not-a-number")),
                                    "row 3, column 'roi_index'"),
+    "csv-negative-start-sample": ("verify", None, edit_csv(set_cell("start_sample", "-100")),
+                                  "row 3, column 'start_sample'"),
+    "csv-zero-length": ("evaluate", None, edit_csv(set_cell("length", "0")),
+                        "row 3, column 'length': '0' is not an integer >= 1"),
     "annotation-without-count": ("pipeline", None,
                                  edit_json("data/session.sigmf-meta", drop_sample_count),
                                  "annotations[0].core:sample_count"),
@@ -765,7 +769,7 @@ NUMERIC_COLUMNS = INTEGER_COLUMNS + list(range(len(FEATURE_CSV_PREFIX), len(TABL
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["not a number", "non-finite", "float in integer column",
-                             "short row", "long row", "header"]),
+                             "negative integer", "short row", "long row", "header"]),
        row=st.integers(0, len(TABLE_ROWS) - 1),
        col=st.sampled_from(NUMERIC_COLUMNS), int_col=st.sampled_from(INTEGER_COLUMNS),
        header_col=st.integers(0, len(TABLE_HEADER) - 1),
@@ -774,7 +778,8 @@ NUMERIC_COLUMNS = INTEGER_COLUMNS + list(range(len(FEATURE_CSV_PREFIX), len(TABL
 def test_one_bad_feature_table_change_exits_2_naming_it(small_store, kind, row, col, int_col,
                                                         header_col, text, bad):
     """enroll, evaluate and verify never raise on a bad table; they exit 2 naming the
-    row and column, the row for a wrong-length row, or the file for a bad header."""
+    row and column, the row for a wrong-length row, or the file for a bad header.
+    A negative integer cell is out of range."""
     header, rows = list(TABLE_HEADER), [list(r) for r in TABLE_ROWS]
     if kind == "header":
         header[header_col] += "x"
@@ -783,8 +788,9 @@ def test_one_bad_feature_table_change_exits_2_naming_it(small_store, kind, row, 
         rows[row] = rows[row][:-1] if kind == "short row" else rows[row] + ["1"]
         expected = f"row {row + 2}: "
     else:
-        col = int_col if kind == "float in integer column" else col
-        rows[row][col] = {"not a number": text, "non-finite": bad}.get(kind, "1.5")
+        col = int_col if kind in ("float in integer column", "negative integer") else col
+        rows[row][col] = {"not a number": text, "non-finite": bad,
+                          "negative integer": "-100"}.get(kind, "1.5")
         expected = f"row {row + 2}, column '{header[col]}'"
     table = io.StringIO()
     csv.writer(table).writerows([header] + rows)

@@ -1,9 +1,18 @@
+import csv
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radiofp.channel import add_awgn
+from radiofp.cli import main
 from radiofp.detect import RegionOfInterest
-from radiofp.dsp import IqRecording
+from radiofp.dsp import IqRecording, instantaneous
 from radiofp.emitter import EmitterProfile, apply_impairments
 from radiofp.errors import (
     DegenerateInputError,
@@ -14,6 +23,7 @@ from radiofp.errors import (
 from radiofp.features import (
     ExtractionConfig,
     FeatureVector,
+    Moments,
     catalog_names,
     catalog_version,
     extract,
@@ -24,12 +34,29 @@ from radiofp.features import (
     transient_features,
     wpd_energies,
 )
+from radiofp.features import _normalized_moments
 
 FS = 1.0e5
 
 
 def tone(freq_hz, n, fs=FS, amplitude=1.0):
     return amplitude * np.exp(2j * np.pi * freq_hz * np.arange(n) / fs)
+
+
+def noisy_tone(seed, n, cfo_hz=0.0, noise=0.1):
+    rng = np.random.default_rng(seed)
+    return tone(cfo_hz, n) + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+# The README's tolerance ("Feature catalog") of the extractor against its per-loop form:
+# 1e-12 relative, or 1e-12 absolute in the feature's own unit for the ones that can sit near 0.
+NEAR_ZERO = ("amp_skew", "amp_kurt", "phase_resid_skew", "phase_resid_kurt", "cfo_est_hz")
+
+
+def outside_tolerance(names, got, want):
+    """Mask of the values of `got` farther from `want` than the README's tolerance."""
+    floor = np.array([1.0 if name in NEAR_ZERO else 0.0 for name in names])
+    return np.abs(got - want) > 1e-12 * np.maximum(np.abs(want), floor)
 
 
 def make_vector(values, names=None):
@@ -72,6 +99,12 @@ class TestMoments:
     def test_too_short_raises(self):
         with pytest.raises(SizeError):
             moments([1.0, 2.0, 3.0])
+
+    def test_tiny_scale_keeps_skew_and_kurtosis(self):
+        """sigma^3 of this sequence underflows to 0; the standardized moments do not."""
+        tiny, unit = moments([3e-131, 0.0, 0.0, 0.0]), moments([3.0, 0.0, 0.0, 0.0])
+        assert tiny.skewness == pytest.approx(unit.skewness, rel=1e-12)
+        assert tiny.excess_kurtosis == pytest.approx(unit.excess_kurtosis, rel=1e-12)
 
 
 class TestInstantaneousStats:
@@ -319,3 +352,110 @@ class TestFisherSelect:
         vecs, labels = self.vectors_for(X, ["a", "a", "b", "b"])
         with pytest.raises(ParameterError):
             fisher_select(vecs, labels, k=3)
+
+
+class TestGoldenFeatures:
+    def test_golden_session_within_readme_tolerance(self, tmp_path):
+        """golden_features.json holds a seeded 4-emitter, 28-burst session config and the
+        features.csv `synth` + `pipeline` wrote for it with the per-loop extractor (`**`
+        moments, np.polyfit slope, level-by-level Haar tree, one FFT per flatness segment)."""
+        doc = json.loads((Path(__file__).parent / "golden_features.json").read_text())
+        config, data, out = tmp_path / "config.json", tmp_path / "data", tmp_path / "out"
+        config.write_text(json.dumps(doc["config"]))
+        assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+        assert main(["pipeline", "--config", str(config), "--dataset", str(data), "--out", str(out)]) == 0
+        with open(out / "features.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == doc["columns"]
+        assert [row[:5] for row in rows] == [[str(v) for v in row[:5]] for row in doc["rows"]]
+        names = header[5:]
+        got = np.array([[float(v) for v in row[5:]] for row in rows])
+        want = np.array([row[5:] for row in doc["rows"]])
+        bad = outside_tolerance(names, got, want)
+        assert not bad.any(), [(i, names[j], got[i, j], want[i, j]) for i, j in np.argwhere(bad)]
+
+
+# --- properties: each array-first rewrite against the per-loop form it replaced ------
+
+def power_moments(x):
+    """Population moments with centered ** 3 and ** 4."""
+    mean = float(np.mean(x))
+    centered = x - mean
+    variance = float(np.mean(centered ** 2))
+    sigma = math.sqrt(variance)
+    return Moments(mean, variance, float(np.mean(centered ** 3)) / sigma ** 3,
+                   float(np.mean(centered ** 4)) / sigma ** 4 - 3.0)
+
+
+def tree_energies(x, depth):
+    """Leaf energies from the level-by-level Haar packet tree, odd nodes padded by one zero."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    nodes = [x]
+    for _level in range(depth):
+        next_nodes = []
+        for node in nodes:
+            if node.size % 2:
+                node = np.append(node, 0.0)
+            even, odd = node[0::2], node[1::2]
+            next_nodes += [(even + odd) * inv_sqrt2, (even - odd) * inv_sqrt2]
+        nodes = next_nodes
+    return np.array([float(np.sum(np.abs(c) ** 2)) for c in nodes])
+
+
+def loop_flatness(z, segments=8):
+    """Spectral flatness from one FFT per segment, accumulated in a loop."""
+    seg = z.size // segments
+    seg_len = 1 << (seg.bit_length() - 1)
+    acc = np.zeros(seg_len)
+    for k in range(segments):
+        acc += np.abs(np.fft.fft(z[k * seg:k * seg + seg_len])) ** 2
+    acc /= segments
+    nonzero = acc[acc > 0]
+    return float(np.exp(np.mean(np.log(nonzero))) / np.mean(nonzero)) if nonzero.size else 0.0
+
+
+class TestRewritesMatchLoopForms:
+    @settings(max_examples=100, deadline=None)
+    @given(x=arrays(np.float64, st.integers(4, 400),
+                    elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    def test_multiply_moments_match_power_moments(self, x):
+        centered = x - np.mean(x)
+        assume(math.sqrt(np.mean(centered ** 2)) ** 4 > 0)  # else the ** form divides by 0
+        want, got = power_moments(x), _normalized_moments(x)
+        assert (got.mean, got.variance) == (want.mean, want.variance)
+        for g, w in [(got.skewness, want.skewness), (got.excess_kurtosis, want.excess_kurtosis)]:
+            assert abs(g - w) <= 1e-12 * max(abs(w), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(16, 4000), cfo_hz=st.floats(-500.0, 500.0),
+           noise=st.floats(0.02, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_slope_matches_polyfit(self, n, cfo_hz, noise, seed):
+        z = noisy_tone(seed, n, cfo_hz, noise)
+        _amplitude, phase, _frequency = instantaneous(IqRecording(z[round(0.1 * n):round(0.9 * n)], FS))
+        idx = np.arange(phase.size, dtype=np.float64)
+        slope, intercept = np.polyfit(idx, phase, 1)
+        resid = power_moments(phase - (slope * idx + intercept))
+        names = ("cfo_est_hz", "phase_resid_var", "phase_resid_skew", "phase_resid_kurt")
+        stats = instantaneous_stats(z, FS)
+        got = np.array([stats[name] for name in names])
+        want = np.array([slope * FS / (2.0 * np.pi), *resid[1:]])
+        assert not outside_tolerance(names, got, want).any(), (got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(depth=st.integers(1, 6), blocks=st.integers(1, 40), tail=st.integers(0, 63),
+           seed=st.integers(0, 2**32 - 1))
+    def test_packet_matrix_matches_level_by_level_tree(self, depth, blocks, tail, seed):
+        n = blocks * 2 ** depth + tail % 2 ** depth  # tails of every length, the odd ones included
+        x = noisy_tone(seed, n, cfo_hz=3000.0, noise=1.0)
+        raw = tree_energies(x, depth)
+        floor = 1e-14 * raw.sum()  # for a leaf that holds next to nothing
+        np.testing.assert_allclose(wpd_energies(x, depth, normalized=False), raw, rtol=1e-14, atol=floor)
+        np.testing.assert_allclose(wpd_energies(x, depth), raw / raw.sum(), rtol=1e-14, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(64, 5000), cfo_hz=st.floats(-4e4, 4e4), noise=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_flatness_matches_segment_loop(self, n, cfo_hz, noise, seed):
+        z = noisy_tone(seed, n, cfo_hz, noise)
+        flatness = spectral_features(z, FS)["spectral_flatness"]
+        assert flatness == pytest.approx(loop_flatness(z), rel=1e-12, abs=0.0)
