@@ -3,6 +3,9 @@
 Integer-tap multipath (upfade/downfade/nulling via tap interference), scalar
 path loss, and AWGN at a target SNR. The channel is static per recording;
 noise is deterministic given the seed.
+
+The recording-level functions each return a new recording; sigmf_io.propagate
+runs the same steps in place on the one buffer multipath() allocates.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqRecording
+from .dsp import IqRecording, add_white_noise, seal
 from .errors import ParameterError
 
-__all__ = ["ChannelSpec", "apply_multipath", "apply_path_loss", "add_awgn"]
+__all__ = ["ChannelSpec", "apply_multipath", "apply_path_loss", "add_awgn", "multipath", "loss_factor",
+           "noise_scale"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,29 @@ class ChannelSpec:
                 raise ParameterError("multipath_taps delays must be strictly increasing")
 
 
+def multipath(x: np.ndarray, taps) -> np.ndarray:
+    """sum_k gain_k * x[n - delay_k] over checked, non-empty taps, in a new writable array.
+
+    One scratch buffer holds each tap's product in turn.
+    """
+    y = np.zeros_like(x)
+    scratch = np.empty_like(x)
+    for delay, gain in taps:
+        if delay < x.size:
+            y[delay:] += np.multiply(gain, x[:x.size - delay], out=scratch[delay:])
+    return y
+
+
+def loss_factor(loss_db: float) -> float:
+    return 10.0 ** (-loss_db / 20.0)
+
+
+def noise_scale(snr_db: float, signal_power_ref: float) -> float:
+    """Per-component noise standard deviation for a target SNR against a reference power."""
+    sigma2 = signal_power_ref / 10.0 ** (snr_db / 10.0)
+    return np.sqrt(sigma2 / 2.0)
+
+
 def apply_multipath(recording: IqRecording, taps) -> IqRecording:
     """y[n] = sum_k gain_k * x[n - delay_k], length preserving.
 
@@ -53,12 +80,7 @@ def apply_multipath(recording: IqRecording, taps) -> IqRecording:
     if not taps:
         return recording
     ChannelSpec(multipath_taps=taps)  # reuse the invariant checks
-    x = recording.samples
-    y = np.zeros_like(x)
-    for delay, gain in taps:
-        if delay < x.size:
-            y[delay:] += gain * x[:x.size - delay]
-    return recording.replace_samples(y)
+    return recording.replace_samples(seal(multipath(recording.samples, taps)))
 
 
 def apply_path_loss(recording: IqRecording, loss_db: float) -> IqRecording:
@@ -67,7 +89,7 @@ def apply_path_loss(recording: IqRecording, loss_db: float) -> IqRecording:
         raise ParameterError(f"loss_db must be >= 0, got {loss_db}")
     if loss_db == 0:
         return recording
-    return recording.replace_samples(recording.samples * 10.0 ** (-loss_db / 20.0))
+    return recording.replace_samples(seal(recording.samples * loss_factor(loss_db)))
 
 
 def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, seed: int) -> IqRecording:
@@ -82,9 +104,5 @@ def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, see
         raise ParameterError(f"signal_power_ref must be > 0, got {signal_power_ref}")
     if math.isinf(snr_db) and snr_db > 0:
         return recording
-    rng = np.random.default_rng(seed)
-    sigma2 = signal_power_ref / 10.0 ** (snr_db / 10.0)
-    scale = np.sqrt(sigma2 / 2.0)
-    n = len(recording)
-    noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return recording.replace_samples(recording.samples + noise)
+    noisy = add_white_noise(recording.samples.copy(), noise_scale(snr_db, signal_power_ref), seed)
+    return recording.replace_samples(seal(noisy))

@@ -29,6 +29,7 @@ from .config import (
     REQUIRED,
     atomic_write,
     build_schedule,
+    check_session_size,
     csv_text,
     fields,
     json_text,
@@ -36,6 +37,7 @@ from .config import (
     parse,
 )
 from .detect import DetectorParams, detect_bursts
+from .dsp import seal
 from .emitter import render_session
 from .errors import ValidationError, WorkbenchError
 from .features import (
@@ -77,6 +79,7 @@ def _load_config(args, *required: str) -> dict:
 
 
 def _session_parts(config: dict):
+    check_session_size(config["schedule"]["session_duration_s"], config["sample_rate_hz"])
     schedule, profiles = build_schedule(config["schedule"], config["profiles"], "schedule")
     return (schedule, profiles, config["channel"], config["receiver"], config["seeds"],
             config["sample_rate_hz"], config["samples_per_symbol"])
@@ -246,7 +249,8 @@ def cmd_verify(args) -> int:
         return 1
     fp = store[args.claim]
 
-    decisions = [verify(vec, fp) for vec in vectors]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
+        decisions = [verify(vec, fp) for vec in vectors]
     rows = ([vec.roi_ref[0], vec.roi_ref[1], d.claimed_id, repr(d.squared_distance),
              repr(d.threshold_used), int(d.accepted)] for vec, d in zip(vectors, decisions))
     decisions_path = _output(args, "decisions.csv")
@@ -254,6 +258,13 @@ def cmd_verify(args) -> int:
     atomic_write(decisions_path, csv_text(header, rows))
     print(decisions_path)
     return 0
+
+
+def _repr_rows(*columns: np.ndarray):
+    """Rows of repr(float) cells from equal-length columns; tolist() per 4,096-row block is fast
+    and keeps few Python floats alive."""
+    for start in range(0, columns[0].size, 4096):
+        yield from zip(*(map(repr, column[start:start + 4096].tolist()) for column in columns))
 
 
 def cmd_evaluate(args) -> int:
@@ -265,7 +276,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(genuine, impostor)
     eer_threshold = calibrate_threshold(genuine, impostor, policy="eer")
 
-    roc = ([repr(float(far)), repr(float(frr)), repr(float(thr))] for far, frr, thr in report.roc)
+    roc = _repr_rows(report.far, report.frr, report.thresholds)
     atomic_write(_output(args, "roc.csv"), csv_text(["far", "frr", "threshold"], roc))
 
     metrics = {
@@ -295,12 +306,14 @@ def cmd_tune(args) -> int:
     # The plant is synthesized once, front-end noise included: that noise comes
     # before the gain stage, so one draw serves every grid point, and each
     # evaluation re-acquires the noisy capture with the noise power set to 0.
+    # Each stage's input is dropped once consumed, so only that capture stays alive in the loop.
     with fields(""):
         rendered, truth = render_session(schedule, profiles, sample_rate, sps, seeds.render)
         received = propagate(rendered, truth, channel, seeds.channel)
-    noisy = received.replace_samples(add_frontend_noise(
-        received.samples.copy(), rx_template.frontend_noise_power, seeds.frontend))
-    del rendered, truth, received  # only the noisy capture stays alive during the loop
+    del rendered, truth
+    noisy = received.replace_samples(seal(add_frontend_noise(
+        received.samples.copy(), rx_template.frontend_noise_power, seeds.frontend)))
+    del received
 
     def plant(rx_config: ReceiverConfig):
         quiet = dataclasses.replace(rx_config, frontend_noise_power=0.0)

@@ -38,6 +38,9 @@ SIGMF_VERSION = "1.0.0"
 SCHEDULE_FORMAT = "schedule-v1"
 MANIFEST_FORMAT = "dataset-manifest-v1"
 FINGERPRINT_STORE_FORMAT = "fingerprint-store-v1"
+# The most samples a session may have: one complex128 capture of it is 2 GiB,
+# and a build holds up to three captures at once.
+MAX_SESSION_SAMPLES = 2 ** 27
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,6 +175,16 @@ def table_of(cls, all_required: bool = False, **converters) -> dict:
     }
 
 
+def check_session_size(duration_s: float, sample_rate_hz: float) -> None:
+    """Reject a session of more than MAX_SESSION_SAMPLES samples before anything is allocated."""
+    samples = duration_s * sample_rate_hz
+    if samples > MAX_SESSION_SAMPLES + 0.5:  # round(samples) > MAX_SESSION_SAMPLES, or an overflow
+        raise ValidationError(
+            f"schedule.session_duration_s {duration_s} at sample_rate_hz {sample_rate_hz} gives "
+            f"{samples:.4g} samples, above the cap of {MAX_SESSION_SAMPLES}"
+        )
+
+
 def build_schedule(parsed: dict, profiles, where: str):
     """(TransmissionSchedule, profiles by id) from a parsed schedule section."""
     by_id: dict[str, EmitterProfile] = {}
@@ -302,8 +315,11 @@ def csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def atomic_write(path, data: bytes | str) -> None:
-    """Replace `path` with `data` (str is UTF-8 encoded) via a unique temp file and a rename.
+def atomic_write(path, data) -> None:
+    """Replace `path` with `data` via a unique temp file and a rename.
+
+    `data` is a str (written UTF-8 encoded) or any bytes-like object, such as
+    a contiguous numpy array, whose buffer is written without a copy.
 
     Readers never see a partial file; on failure the temp file is removed and
     an existing target is left as it was.

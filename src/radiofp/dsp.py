@@ -2,9 +2,10 @@
 
 Power-of-two FFT wrappers, Hamming windowed-sinc lowpass design, linear-phase
 FIR filtering with group-delay compensation, instantaneous amplitude / phase /
-frequency decomposition, and a two-region SNR estimator.
+frequency decomposition, a two-region SNR estimator, and the in-place
+helpers a capture's stages share (seal, as_sum_of_parts, add_white_noise).
 
-All functions are pure; recordings and tap sets are immutable after
+Every other function is pure; recordings and tap sets are immutable after
 construction, so values can be shared freely across threads.
 """
 
@@ -39,12 +40,36 @@ def mean_power(samples) -> float:
     return float(np.mean(np.abs(arr) ** 2))
 
 
+def seal(arr: np.ndarray) -> np.ndarray:
+    """Make arr and every array it views read-only, so an IqRecording adopts it uncopied.
+
+    The stage that allocated arr hands it over this way once it is done writing.
+    """
+    link = arr
+    while isinstance(link, np.ndarray):
+        link.setflags(write=False)
+        link = link.base
+    return arr
+
+
+def _sealed(arr) -> bool:
+    """True for a complex128 array that nothing can write: it and each array it views are read-only."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.complex128:
+        return False
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 @dataclass(frozen=True, eq=False)
 class IqRecording:
     """A complex-baseband capture plus its acquisition metadata.
 
-    samples are dimensionless full-scale units (I + jQ); the array is copied
-    and frozen at construction.
+    samples are dimensionless full-scale units (I + jQ). A sealed complex128
+    array (see seal) is adopted as it is; any other input is copied and the
+    copy frozen, so writing to an array passed in never changes a recording.
     """
 
     samples: np.ndarray
@@ -53,7 +78,7 @@ class IqRecording:
     id: str = ""
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.complex128, copy=True)
+        arr = self.samples if _sealed(self.samples) else np.array(self.samples, dtype=np.complex128)
         if arr.ndim != 1:
             raise SizeError(f"samples must be 1-D, got ndim={arr.ndim}")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -162,6 +187,34 @@ def instantaneous(recording: IqRecording) -> tuple[np.ndarray, np.ndarray, np.nd
     phase = np.unwrap(np.angle(z))
     frequency_hz = np.diff(phase) * (recording.sample_rate_hz / (2.0 * np.pi))
     return amplitude, phase, frequency_hz
+
+
+def as_sum_of_parts(z: np.ndarray) -> np.ndarray:
+    """Give z, in place, the bits of z.real + 1j*z.imag.
+
+    That sum differs from the parts only in signed zeros: a -0 real part
+    becomes +0 unless the imaginary part's sign bit is set, and a -0
+    imaginary part becomes +0.
+    """
+    np.add(z.real, 0.0, out=z.real, where=~np.signbit(z.imag))
+    z.imag += 0.0
+    return z
+
+
+def add_white_noise(x: np.ndarray, scale: float, seed: int) -> np.ndarray:
+    """Add scale * (N(0, 1) + 1j*N(0, 1)) to the complex array x, in place.
+
+    default_rng(seed) draws every I value before any Q value, into one real
+    buffer refilled for each part. Wherever a draw is non-zero the sums are
+    the bits of x + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)).
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.empty(x.size)
+    for part in (x.real, x.imag):
+        rng.standard_normal(out=draws)
+        draws *= scale
+        part += draws
+    return x
 
 
 def snr_db_from_powers(p_sig: float, p_noise: float) -> float:

@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording
+from .dsp import IqRecording, seal
 from .errors import ParameterError, SizeError
 
 __all__ = [
@@ -224,5 +224,5 @@ def render_session(
         buf[start:start + burst.size] += burst
         ground_truth.append(BurstSpan(emitter_id, start, int(burst.size)))
 
-    recording = IqRecording(buf, sample_rate_hz, 0.0, id=f"session-{seed}")
+    recording = IqRecording(seal(buf), sample_rate_hz, 0.0, id=f"session-{seed}")
     return recording, ground_truth

@@ -84,6 +84,7 @@ _TRANSIENT_NAMES = ("rise_time_samples", "fall_time_samples")
 _SPECTRAL_NAMES = ("spectral_centroid_hz", "occupied_bw_hz", "spectral_flatness")
 
 _FLATNESS_SEGMENTS = 8
+_TINY = np.finfo(float).tiny  # the least normal float64
 
 
 @dataclass(frozen=True)
@@ -177,24 +178,33 @@ class Moments(NamedTuple):
 
 
 def _normalized_moments(x: np.ndarray) -> Moments:
-    """Population moments with the zero-variance convention skew = kurt = 0."""
+    """Population moments with the zero-variance convention skew = kurt = 0 for an all-equal x."""
     mean = float(np.mean(x))
     c = x - mean
     variance = float(np.mean(c * c))
-    if variance <= 0.0:
-        return Moments(mean, 0.0, 0.0, 0.0)
-    z = c / math.sqrt(variance)  # standardized first, so sigma^3 and sigma^4 cannot underflow
+    sigma = math.sqrt(variance)
+    if variance < _TINY:  # subnormal or underflowed: standardize c scaled to a peak of 1
+        peak = float(np.max(np.abs(c)))
+        if peak == 0.0:
+            return Moments(mean, variance, 0.0, 0.0)
+        c = c / peak
+        sigma = math.sqrt(float(np.mean(c * c)))
+    z = c / sigma  # standardized first, so sigma^3 and sigma^4 cannot underflow
     z2 = z * z
     return Moments(mean, variance, float(np.mean(z2 * z)), float(np.mean(z2 * z2)) - 3.0)
 
 
 def moments(x) -> Moments:
-    """Population mean/variance/skewness/excess-kurtosis of a real sequence."""
+    """Population mean/variance/skewness/excess-kurtosis of a real sequence.
+
+    Raises for an all-equal sequence. A spread below ~1e-154 leaves the
+    variance subnormal or 0.0, but skewness and kurtosis stay exact.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 4:
         raise SizeError(f"need a 1-D sequence of length >= 4, got shape {arr.shape}")
     result = _normalized_moments(arr)
-    if result.variance <= 0.0:
+    if not np.any(arr - result.mean):  # all equal: the centered sequence is all zero
         raise DegenerateInputError(
             f"zero variance (mean={result.mean}); skewness/kurtosis are undefined"
         )

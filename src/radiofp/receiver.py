@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqRecording, design_lowpass, fir_apply
+from .dsp import IqRecording, add_white_noise, as_sum_of_parts, design_lowpass, fir_apply, seal
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -52,8 +52,13 @@ def quantization_step(adc_bits: int, full_scale: float) -> float:
     return 2.0 * full_scale / (2 ** int(adc_bits) - 1)
 
 
-def _quantize(values: np.ndarray, step: float, full_scale: float) -> np.ndarray:
-    return np.clip(step * np.round(values / step), -full_scale, full_scale)
+def _clip_and_quantize(part: np.ndarray, step: float, full_scale: float) -> None:
+    """Clip one real component to the rails and round it to the ADC grid, in place."""
+    np.clip(part, -full_scale, full_scale, out=part)
+    part /= step
+    np.round(part, out=part)
+    part *= step
+    np.clip(part, -full_scale, full_scale, out=part)
 
 
 def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:
@@ -64,20 +69,23 @@ def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:
     bits as acquiring the clean input with the noise power set.
     """
     if power > 0:
-        rng = np.random.default_rng(seed)
-        scale = np.sqrt(power / 2.0)
-        x += scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        add_white_noise(x, np.sqrt(power / 2.0), seed)
     return x
 
 
 def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> IqRecording:
-    """Run the receiver chain over a recording; deterministic given the seed."""
+    """Run the receiver chain over a recording; deterministic given the seed.
+
+    Noise and gain change one copy of the input, and clipping and the ADC
+    work in place inside the filter output, so a call holds at most two
+    captures besides its input.
+    """
     fs = input_recording.sample_rate_hz
     if config.filter_bw_hz >= fs:
         raise ParameterError(
             f"filter_bw_hz={config.filter_bw_hz} is at or above the sample rate {fs}"
         )
-    x = np.array(input_recording.samples, dtype=np.complex128, copy=True)
+    x = input_recording.samples.copy()
     add_frontend_noise(x, config.frontend_noise_power, seed)
 
     x *= 10.0 ** (config.gain_db / 20.0)
@@ -85,15 +93,10 @@ def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> 
     taps = design_lowpass(config.filter_bw_hz / (2.0 * fs), NUM_FILTER_TAPS)
     x = fir_apply(x, taps)
 
-    fsd = config.full_scale
-    i = np.clip(x.real, -fsd, fsd)
-    q = np.clip(x.imag, -fsd, fsd)
-
-    step = quantization_step(config.adc_bits, fsd)
-    i = _quantize(i, step, fsd)
-    q = _quantize(q, step, fsd)
-
-    return input_recording.replace_samples(i + 1j * q)
+    step = quantization_step(config.adc_bits, config.full_scale)
+    _clip_and_quantize(x.real, step, config.full_scale)
+    _clip_and_quantize(x.imag, step, config.full_scale)
+    return input_recording.replace_samples(seal(as_sum_of_parts(x)))
 
 
 def clipping_ratio(recording: IqRecording, full_scale: float) -> float:

@@ -27,7 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss
+from .channel import ChannelSpec, loss_factor, multipath, noise_scale
+from .channel import add_awgn, apply_multipath  # noqa: F401 (perfbench/traced_run.py wraps these names)
 from .config import (
     ANNOTATION,
     CAPTURE,
@@ -42,12 +43,13 @@ from .config import (
     SIGMF_VERSION,
     DatasetSeeds,
     atomic_write,
+    check_session_size,
     json_text,
     load_json,
     parse,
     schedule_document,
 )
-from .dsp import IqRecording
+from .dsp import IqRecording, add_white_noise, as_sum_of_parts, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire
@@ -174,7 +176,7 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
     doc = {"global": global_section, "captures": captures, "annotations": annotations}
 
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
-    atomic_write(dpath, interleaved.tobytes())
+    atomic_write(dpath, interleaved)
     atomic_write(mpath, json_text(doc))
     return dpath, mpath
 
@@ -193,7 +195,10 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
     doc = parse(load_json(mpath), META, strict=False)
 
     interleaved = np.frombuffer(raw, dtype="<f4")
-    samples = interleaved[0::2].astype(np.float64) + 1j * interleaved[1::2].astype(np.float64)
+    samples = np.empty(interleaved.size // 2, dtype=np.complex128)
+    samples.real = interleaved[0::2]
+    samples.imag = interleaved[1::2]
+    as_sum_of_parts(samples)  # the signed zeros of I + 1j*Q
 
     claimed = doc["global"]["workbench:sample_count"]
     if claimed is not None and claimed != samples.size:
@@ -205,7 +210,7 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
     _check_annotation_bounds(meta, samples.size)
 
     center = captures[0].center_freq_hz if captures else 0.0
-    recording = IqRecording(samples, meta.sample_rate_hz, center, meta.recording_id)
+    recording = IqRecording(seal(samples), meta.sample_rate_hz, center, meta.recording_id)
     return recording, meta
 
 
@@ -273,19 +278,25 @@ def propagate(
     The AWGN level references the mean power over the ground-truth burst
     spans, measured after multipath and path loss, so inter-burst silence
     does not skew the target SNR. With no bursts the reference power is 1.0
-    (full scale).
+    (full scale). Multipath writes a new buffer; loss and noise change it in
+    place, with the bits apply_multipath, apply_path_loss and add_awgn give.
     """
-    faded = apply_multipath(recording, channel.multipath_taps)
-    faded = apply_path_loss(faded, channel.path_loss_db)
-    if np.isinf(channel.snr_db) and channel.snr_db > 0:
-        return faded
-    mask = np.zeros(len(faded), dtype=bool)
-    for span in ground_truth:
-        mask[span.start_sample:span.start_sample + span.length] = True
-    ref = float(np.mean(np.abs(faded.samples[mask]) ** 2)) if mask.any() else 1.0
-    if ref <= 0.0:
-        ref = 1.0
-    return add_awgn(faded, channel.snr_db, ref, seed)
+    taps, loss_db, snr_db = channel.multipath_taps, channel.path_loss_db, channel.snr_db
+    noiseless = np.isinf(snr_db) and snr_db > 0
+    if not taps and loss_db == 0 and noiseless:
+        return recording
+    x = multipath(recording.samples, taps) if taps else recording.samples.copy()
+    if loss_db != 0:
+        x *= loss_factor(loss_db)
+    if not noiseless:
+        mask = np.zeros(x.size, dtype=bool)
+        for span in ground_truth:
+            mask[span.start_sample:span.start_sample + span.length] = True
+        ref = float(np.mean(np.abs(x[mask]) ** 2)) if mask.any() else 1.0
+        if ref <= 0.0:
+            ref = 1.0
+        add_white_noise(x, noise_scale(snr_db, ref), seed)
+    return recording.replace_samples(seal(x))
 
 
 def build_dataset(
@@ -308,11 +319,14 @@ def build_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Each stage's input is dropped once consumed, so at most three captures are alive at once.
     rendered, ground_truth = render_session(
         schedule, profiles, sample_rate_hz, samples_per_symbol, seeds.render
     )
     received = propagate(rendered, ground_truth, channel, seeds.channel)
+    del rendered
     acquired = acquire(received, rx, seeds.frontend)
+    del received
 
     meta = SessionMeta.for_recording(acquired, ground_truth, description="synthesized session")
     manifest = {
@@ -344,7 +358,9 @@ def build_dataset(
 
 def read_manifest(manifest_path) -> dict:
     """Load and strictly validate a dataset manifest; returns its parsed fields."""
-    return parse(load_json(manifest_path), MANIFEST)
+    doc = parse(load_json(manifest_path), MANIFEST)
+    check_session_size(doc["schedule"][0].session_duration_s, doc["sample_rate_hz"])
+    return doc
 
 
 def regenerate_from_manifest(manifest_path, out_dir) -> DatasetBuildResult:

@@ -198,7 +198,8 @@ def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> Verificatio
 
 def score_vectors(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> np.ndarray:
     """Squared distances of many probes against one fingerprint."""
-    return np.array([verify(v, fingerprint).squared_distance for v in vectors])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
+        return np.array([verify(v, fingerprint).squared_distance for v in vectors])
 
 
 def _far_frr_curves(genuine: np.ndarray, impostor: np.ndarray, thresholds: np.ndarray):
@@ -365,8 +366,9 @@ def genuine_impostor_scores(
         raise ParameterError("probes and labels must have the same length")
     genuine: list[float] = []
     impostor: list[float] = []
-    for vec, label in zip(probes, labels):
-        for device_id, fp in store.items():
-            d2 = verify(vec, fp).squared_distance
-            (genuine if device_id == label else impostor).append(d2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
+        for vec, label in zip(probes, labels):
+            for device_id, fp in store.items():
+                d2 = verify(vec, fp).squared_distance
+                (genuine if device_id == label else impostor).append(d2)
     return np.asarray(genuine), np.asarray(impostor)

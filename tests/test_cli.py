@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +450,10 @@ PROBES = {
                               "receiver.filter_bw_hz"),
     "burst-overruns-session": ("synth", setting("schedule", "session_duration_s", value=0.2),
                                None, "schedule.entries[20]"),
+    "session-over-cap": ("synth", setting("schedule", "session_duration_s", value=1e5), None,
+                         "schedule.session_duration_s"),
+    "tuned-session-over-cap": ("tune", setting("schedule", "session_duration_s", value=1e5), None,
+                               "schedule.session_duration_s"),
     "unknown-detector-field": ("pipeline", setting("detector", "bogus", value=1), None,
                                "detector.bogus"),
     "unknown-enrollment-field": ("enroll", setting("enrollment", "bogus", value=1), None,
@@ -477,6 +483,20 @@ def test_bad_input_exits_2_naming_the_field(workspace, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2, err
     assert expected in err
+
+
+def test_session_over_cap_exits_before_allocating(workspace, tmp_path):
+    """10^10 samples would need 149 GiB for one capture; the parser stops it first."""
+    shutil.copytree(workspace, tmp_path, dirs_exist_ok=True)
+    edit_json("config.json", setting("schedule", "session_duration_s", value=1e5))(tmp_path)
+    tracemalloc.start()
+    try:
+        code, err = run_main(command_argv("synth", tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "above the cap of 134217728" in err
+    assert peak < 2 ** 24
 
 
 def test_unreadable_data_file_exits_1(workspace, tmp_path, capsys):
@@ -817,7 +837,7 @@ def test_store_round_trip_is_byte_identical(small_store, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == small_store.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     """A finite feature row so far away that d^2 overflows scores inf and is rejected."""
     header, *rows = csv.reader(io.StringIO(FEATURE_TABLE))
@@ -841,3 +861,29 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# --- golden bytes: recorded from the copying stages, which the in-place stages must reproduce ----
+
+GOLDEN_SHA256 = {
+    "data/session.sigmf-data": "4867efcb34fdb55bb293fd53ee8b0a35a4dbcffafb37f66ee654a5aec3b138bf",
+    "data/session.sigmf-meta": "88eb95eff3c58f61daf0a6991f9988e063ead8239d2b8ffe4df24305bc9b546c",
+    "data/manifest.json": "33f6928b0a1f19353b3e127ec3fb7774698b496aaed4cf0b04fe0949f5fd0d59",
+    "tuned/trace.csv": "bd0352298e923eec274ab932494b24ac6da2bd89619908a59c84289080f100ed",
+    "tuned/best_config.json": "d7beecd1335d4e02e8fb90e6b343a58530c806ef688b1b0d20f41df66cf1c46a",
+}
+
+
+def test_synth_and_tune_bytes_are_golden(tmp_path):
+    """The golden-features session (28 bursts, multipath, path loss, both noise sources) plus a
+    six-point tune. The data holds signed zeros, so a stage that loses a -0 changes the hash."""
+    config = json.loads((Path(__file__).parent / "golden_features.json").read_text())["config"]
+    config["tuning"] = {"gain_db_values": [-10.0, 0.0, 10.0], "filter_bw_hz_values": [20000.0, 40000.0]}
+    path = write_config(tmp_path, config)
+    assert run_main(["synth", "--config", path, "--out", str(tmp_path / "data")]) == (0, "")
+    assert run_main(["tune", "--config", path, "--out", str(tmp_path / "tuned")]) == (0, "")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+    parts = np.frombuffer((tmp_path / "data/session.sigmf-data").read_bytes(), dtype="<f4")
+    zeros = parts == 0
+    assert (zeros.sum(), np.signbit(parts[zeros]).sum()) == (606, 78)

@@ -4,6 +4,8 @@ import pytest
 from radiofp.dsp import (
     FirTaps,
     IqRecording,
+    add_white_noise,
+    as_sum_of_parts,
     design_lowpass,
     estimate_snr_db,
     fft_forward,
@@ -11,6 +13,7 @@ from radiofp.dsp import (
     fir_apply,
     instantaneous,
     mean_power,
+    seal,
 )
 from radiofp.errors import DegenerateInputError, ParameterError, SizeError
 
@@ -52,6 +55,40 @@ class TestIqRecording:
         rec = IqRecording(arr, 1.0)
         arr[0] = 99
         assert rec.samples[0] == 1
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        arr = np.ones(4, dtype=np.complex128)
+        view = arr[:]
+        view.setflags(write=False)
+        rec = IqRecording(view, 1.0)
+        arr[0] = 99
+        assert rec.samples[0] == 1
+
+    def test_sealed_array_is_adopted_uncopied(self):
+        full = np.arange(6, dtype=np.complex128)
+        inner = seal(full[1:5])
+        assert not full.flags.writeable
+        assert IqRecording(inner, 1.0).samples is inner
+        assert IqRecording(seal(np.ones(3)), 1.0).samples.dtype == np.complex128  # not complex128: copied
+
+
+class TestCaptureBufferHelpers:
+    def test_sum_of_parts_matches_the_complex_expression_bit_for_bit(self):
+        values = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324])
+        re, im = (a.ravel() for a in np.meshgrid(values, values))
+        z = np.empty(re.size, dtype=np.complex128)
+        z.real, z.imag = re, im
+        assert as_sum_of_parts(z).tobytes() == (re + 1j * im).tobytes()
+        assert np.signbit(z.real[re == 0]).sum() == 3  # only -0 with a negative or -0 im stays -0
+
+    def test_white_noise_matches_the_complex_expression_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+        x[::5] = complex(-0.0, -0.0)
+        draws = np.random.default_rng(11)
+        scale = np.sqrt(0.02 / 2.0)
+        want = x + scale * (draws.standard_normal(x.size) + 1j * draws.standard_normal(x.size))
+        assert add_white_noise(x.copy(), scale, 11).tobytes() == want.tobytes()
 
 
 class TestFft:

@@ -106,6 +106,17 @@ class TestMoments:
         assert tiny.skewness == pytest.approx(unit.skewness, rel=1e-12)
         assert tiny.excess_kurtosis == pytest.approx(unit.excess_kurtosis, rel=1e-12)
 
+    @pytest.mark.parametrize("spike", [1.5e-160, 1e-162])
+    def test_subnormal_variance_keeps_skew_and_kurtosis(self, spike):
+        """The variance of these is subnormal or underflows to 0, yet the spread is not zero."""
+        m = moments([spike, 0.0, 0.0, 0.0])
+        assert abs(m.skewness - 2.0 / math.sqrt(3.0)) <= 1e-12
+        assert abs(m.excess_kurtosis + 2.0 / 3.0) <= 1e-12
+
+    def test_all_equal_subnormal_sequence_raises(self):
+        with pytest.raises(DegenerateInputError):
+            moments([1e-320] * 4)
+
 
 class TestInstantaneousStats:
     def test_noiseless_tone(self):

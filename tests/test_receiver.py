@@ -1,11 +1,13 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from radiofp.dsp import IqRecording
+from radiofp.dsp import IqRecording, design_lowpass, fir_apply
 from radiofp.errors import ParameterError
 from radiofp.receiver import (
+    NUM_FILTER_TAPS,
     ReceiverConfig,
     acquire,
     add_frontend_noise,
@@ -25,6 +27,20 @@ def transparent_config(**kwargs):
                     full_scale=1.0, frontend_noise_power=0.0)
     defaults.update(kwargs)
     return ReceiverConfig(**defaults)
+
+
+def copying_acquire(x, config, seed):
+    """acquire written with a new array per step: the reference for the in-place chain."""
+    x = np.array(x, dtype=np.complex128)
+    if config.frontend_noise_power > 0:
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(config.frontend_noise_power / 2.0)
+        x = x + scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    x = x * 10.0 ** (config.gain_db / 20.0)
+    x = fir_apply(x, design_lowpass(config.filter_bw_hz / (2.0 * FS), NUM_FILTER_TAPS))
+    fsd, step = config.full_scale, quantization_step(config.adc_bits, config.full_scale)
+    i, q = (np.clip(step * np.round(np.clip(part, -fsd, fsd) / step), -fsd, fsd) for part in (x.real, x.imag))
+    return i + 1j * q
 
 
 class TestReceiverConfig:
@@ -133,6 +149,30 @@ class TestAcquire:
         quiet = replace(config, frontend_noise_power=0.0)
         np.testing.assert_array_equal(acquire(rec(noisy), quiet, seed=4).samples,
                                       acquire(rec(x), config, seed=4).samples)
+
+    @pytest.mark.parametrize("gain_db, noise_power", [(-30.0, 0.0), (0.0, 1e-6), (20.0, 1e-4)])
+    def test_in_place_chain_gives_the_bits_of_the_copying_form(self, gain_db, noise_power):
+        rng = np.random.default_rng(12)
+        x = 0.4 * (rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
+        x[1000:2000] = 0.0  # silence, where the ADC leaves signed zeros
+        config = transparent_config(gain_db=gain_db, adc_bits=10, filter_bw_hz=0.3 * FS,
+                                    frontend_noise_power=noise_power)
+        want = copying_acquire(x, config, 5)
+        assert np.signbit(want.view(np.float64)[want.view(np.float64) == 0]).any()
+        assert acquire(rec(x), config, seed=5).samples.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_two_captures_above_the_input(self):
+        rng = np.random.default_rng(6)
+        capture = rec(0.3 * (rng.standard_normal(2 ** 18) + 1j * rng.standard_normal(2 ** 18)))
+        config = transparent_config(gain_db=3.0, filter_bw_hz=0.4 * FS, frontend_noise_power=1e-4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            acquire(capture, config, seed=2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * capture.samples.nbytes
 
     def test_bandwidth_above_sample_rate_rejected(self):
         with pytest.raises(ParameterError):

@@ -266,3 +266,16 @@ class TestBuildDataset:
         bad.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="surprise"):
             read_manifest(bad)
+
+    def test_manifest_over_the_session_cap_rejected(self, tmp_path):
+        result = build_dataset(
+            example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+            DatasetSeeds(1, 2, 3), tmp_path, FS, 32,
+        )
+        doc = json.loads(result.manifest_file.read_text())
+        doc["schedule"]["session_duration_s"] = 1e5  # 10^10 samples at 100 kHz
+        bad = tmp_path / "big_manifest.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="schedule.session_duration_s"):
+            regenerate_from_manifest(bad, tmp_path / "again")
+        assert not (tmp_path / "again").exists()
