@@ -6,7 +6,7 @@ identity verification, and closes the loop with an adaptive controller that
 tunes receiver parameters for feature quality.
 """
 
-from .channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss
+from .channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss, propagate
 from .detect import DetectorParams, MatchReport, RegionOfInterest, detect_bursts, match_rois
 from .dsp import (
     FirTaps,

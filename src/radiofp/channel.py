@@ -4,22 +4,23 @@ Integer-tap multipath (upfade/downfade/nulling via tap interference), scalar
 path loss, and AWGN at a target SNR. The channel is static per recording;
 noise is deterministic given the seed.
 
-The recording-level functions each return a new recording; sigmf_io.propagate
-runs the same steps in place on the one buffer multipath() allocates.
+propagate runs the whole chain on one buffer; apply_multipath and
+apply_path_loss are its one-step cases. Each returns a new recording.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dsp import IqRecording, add_white_noise, seal
+from .emitter import BurstSpan
 from .errors import ParameterError
 
-__all__ = ["ChannelSpec", "apply_multipath", "apply_path_loss", "add_awgn", "multipath", "loss_factor",
-           "noise_scale"]
+__all__ = ["ChannelSpec", "propagate", "apply_multipath", "apply_path_loss", "add_awgn"]
 
 
 @dataclass(frozen=True)
@@ -47,28 +48,60 @@ class ChannelSpec:
             if any(b <= a for a, b in zip(delays, delays[1:])):
                 raise ParameterError("multipath_taps delays must be strictly increasing")
 
-
-def multipath(x: np.ndarray, taps) -> np.ndarray:
-    """sum_k gain_k * x[n - delay_k] over checked, non-empty taps, in a new writable array.
-
-    One scratch buffer holds each tap's product in turn.
-    """
-    y = np.zeros_like(x)
-    scratch = np.empty_like(x)
-    for delay, gain in taps:
-        if delay < x.size:
-            y[delay:] += np.multiply(gain, x[:x.size - delay], out=scratch[delay:])
-    return y
+    def to_doc(self) -> dict:
+        """The manifest form: taps as [delay, re, im], an infinite SNR as "inf"."""
+        return {
+            "snr_db": "inf" if math.isinf(self.snr_db) else self.snr_db,
+            "multipath_taps": [[d, g.real, g.imag] for d, g in self.multipath_taps],
+            "path_loss_db": self.path_loss_db,
+        }
 
 
-def loss_factor(loss_db: float) -> float:
-    return 10.0 ** (-loss_db / 20.0)
-
-
-def noise_scale(snr_db: float, signal_power_ref: float) -> float:
+def _noise_scale(snr_db: float, signal_power_ref: float) -> float:
     """Per-component noise standard deviation for a target SNR against a reference power."""
     sigma2 = signal_power_ref / 10.0 ** (snr_db / 10.0)
     return np.sqrt(sigma2 / 2.0)
+
+
+def propagate(
+    recording: IqRecording,
+    ground_truth: Sequence[BurstSpan],
+    channel: ChannelSpec,
+    seed: int,
+) -> IqRecording:
+    """Run a rendered session through the channel: multipath, then path loss, then AWGN.
+
+    The AWGN level references the mean power over the ground-truth burst
+    spans, measured after multipath and path loss, so inter-burst silence
+    does not skew the target SNR. With no bursts the reference power is 1.0
+    (full scale). Multipath writes a new buffer, one scratch buffer holding
+    each tap's product in turn; loss and noise change it in place.
+    """
+    taps, loss_db, snr_db = channel.multipath_taps, channel.path_loss_db, channel.snr_db
+    noiseless = np.isinf(snr_db) and snr_db > 0
+    if not taps and loss_db == 0 and noiseless:
+        return recording
+    samples = recording.samples
+    if taps:  # y[n] = sum_k gain_k * x[n - delay_k]; out-of-range history reads as zero
+        x = np.zeros_like(samples)
+        scratch = np.empty_like(samples)
+        for delay, gain in taps:
+            if delay < x.size:
+                x[delay:] += np.multiply(gain, samples[:x.size - delay], out=scratch[delay:])
+        del scratch  # before the noise draws allocate theirs
+    else:
+        x = samples.copy()
+    if loss_db != 0:
+        x *= 10.0 ** (-loss_db / 20.0)
+    if not noiseless:
+        mask = np.zeros(x.size, dtype=bool)
+        for span in ground_truth:
+            mask[span.start_sample:span.start_sample + span.length] = True
+        ref = float(np.mean(np.abs(x[mask]) ** 2)) if mask.any() else 1.0
+        if ref <= 0.0:
+            ref = 1.0
+        add_white_noise(x, _noise_scale(snr_db, ref), seed)
+    return recording.replace_samples(seal(x))
 
 
 def apply_multipath(recording: IqRecording, taps) -> IqRecording:
@@ -76,20 +109,12 @@ def apply_multipath(recording: IqRecording, taps) -> IqRecording:
 
     Out-of-range history reads as zero. Empty taps are the identity.
     """
-    taps = tuple((int(d), complex(g)) for d, g in taps)
-    if not taps:
-        return recording
-    ChannelSpec(multipath_taps=taps)  # reuse the invariant checks
-    return recording.replace_samples(seal(multipath(recording.samples, taps)))
+    return propagate(recording, (), ChannelSpec(multipath_taps=taps), seed=0)
 
 
 def apply_path_loss(recording: IqRecording, loss_db: float) -> IqRecording:
     """Scale every sample by 10^(-loss_db/20)."""
-    if loss_db < 0:
-        raise ParameterError(f"loss_db must be >= 0, got {loss_db}")
-    if loss_db == 0:
-        return recording
-    return recording.replace_samples(seal(recording.samples * loss_factor(loss_db)))
+    return propagate(recording, (), ChannelSpec(path_loss_db=loss_db), seed=0)
 
 
 def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, seed: int) -> IqRecording:
@@ -104,5 +129,5 @@ def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, see
         raise ParameterError(f"signal_power_ref must be > 0, got {signal_power_ref}")
     if math.isinf(snr_db) and snr_db > 0:
         return recording
-    noisy = add_white_noise(recording.samples.copy(), noise_scale(snr_db, signal_power_ref), seed)
+    noisy = add_white_noise(recording.samples.copy(), _noise_scale(snr_db, signal_power_ref), seed)
     return recording.replace_samples(seal(noisy))

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import propagate
 from .config import (
     EXPERIMENT,
     REQUIRED,
@@ -49,7 +50,7 @@ from .features import (
     fisher_select,
 )
 from .receiver import ReceiverConfig, acquire, add_frontend_noise
-from .sigmf_io import build_dataset, propagate, read_recording
+from .sigmf_io import build_dataset, read_recording
 from .tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 from .verify import (
     calibrate_threshold,

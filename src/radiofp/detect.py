@@ -69,9 +69,9 @@ class MatchReport(NamedTuple):
     false_alarms: int
 
 
-def _windowed_power(power: np.ndarray, window: int) -> np.ndarray:
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(power, kernel, mode="same")
+def _run_starts(mask: np.ndarray) -> np.ndarray:
+    """Indices where a run of True begins: every other change of the mask, after a leading False."""
+    return np.flatnonzero(np.diff(mask, prepend=False))[::2]
 
 
 def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[RegionOfInterest]:
@@ -83,8 +83,10 @@ def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[Region
     n = len(recording)
     if n < params.window:
         raise SizeError(f"recording length {n} is shorter than the window {params.window}")
-    power = np.abs(recording.samples) ** 2
-    p = _windowed_power(power, params.window)
+    power = np.abs(recording.samples)
+    np.square(power, out=power)
+    p = np.convolve(power, np.full(params.window, 1.0 / params.window), mode="same")
+    del power
     floor = float(np.median(p))
 
     if floor > 0:
@@ -95,34 +97,20 @@ def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[Region
         open_thr = np.nextafter(0.0, 1.0)
         close_thr = np.nextafter(0.0, 1.0)
 
-    # Hysteresis as a vectorized forward fill: 1 where the open threshold is
-    # met, 0 where the close threshold is crossed, previous state elsewhere.
-    state = np.full(n, -1, dtype=np.int8)
-    state[p >= open_thr] = 1
-    state[p < close_thr] = 0
-    assigned_at = np.where(state >= 0, np.arange(n), -1)
-    np.maximum.accumulate(assigned_at, out=assigned_at)
-    active = np.where(assigned_at >= 0, state[np.maximum(assigned_at, 0)], 0).astype(bool)
-
-    edges = np.diff(active.astype(np.int8))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1) + 1)
-    if active[0]:
-        starts.insert(0, 0)
-    if active[-1]:
-        ends.append(n)
-    spans = [[int(s), int(e)] for s, e in zip(starts, ends)]
-
-    merged: list[list[int]] = []
-    for span in spans:
-        if merged and span[0] - merged[-1][1] <= params.merge_gap:
-            merged[-1][1] = span[1]
-        else:
-            merged.append(span)
+    # Hysteresis from the crossings: each run at or above open_thr opens a span
+    # that ends where the next run below close_thr begins, or at n. A span
+    # opened before the previous one closed has a negative gap to it, so it
+    # joins it, as does a span at most merge_gap after it.
+    opens = _run_starts(p >= open_thr)
+    closes = _run_starts(p < close_thr)
+    ends = np.append(closes, n)[np.searchsorted(closes, opens)]
+    cut = opens[1:] - ends[:-1] > params.merge_gap
+    starts = np.concatenate((opens[:1], opens[1:][cut]))
+    ends = np.concatenate((ends[:-1][cut], ends[-1:]))
 
     floor_out = floor if floor > 0 else float(np.finfo(np.float64).tiny)
     rois = []
-    for s, e in merged:
+    for s, e in zip(starts.tolist(), ends.tolist()):
         if e - s < params.min_length:
             continue
         peak = float(np.max(p[s:e]))

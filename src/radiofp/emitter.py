@@ -191,9 +191,10 @@ def render_session(
     """Render a full session: every scheduled burst summed into one buffer.
 
     Overlapping bursts superpose additively (interference scenarios).
-    Summation order is fixed (ascending start sample, ties by entry index)
-    so renders are bit-reproducible. Returns the recording and the exact
-    ground-truth spans in summation order.
+    Bursts are rendered and summed one at a time in a fixed order (ascending
+    start sample, ties by entry index), so renders are bit-reproducible and
+    an error names the first entry in that order. Returns the recording and
+    the exact ground-truth spans in summation order.
     """
     if not sample_rate_hz > 0:
         raise ParameterError("sample_rate_hz must be > 0")
@@ -201,28 +202,26 @@ def render_session(
     buf = np.zeros(total, dtype=np.complex128)
 
     # One child seed per entry, derived from the session seed.
-    child_seeds = np.random.SeedSequence(seed).generate_state(max(len(schedule.entries), 1))
+    entries = schedule.entries
+    child_seeds = np.random.SeedSequence(seed).generate_state(max(len(entries), 1))
+    starts = [int(round(entry.start_time_s * sample_rate_hz)) for entry in entries]
 
-    rendered = []
-    for k, entry in enumerate(schedule.entries):
+    ground_truth: list[BurstSpan] = []
+    for k in sorted(range(len(entries)), key=starts.__getitem__):  # stable: ties by entry index
+        entry, start = entries[k], starts[k]
         try:
             profile = profiles[entry.emitter_id]
         except KeyError:
             raise KeyError(f"schedule references unknown emitter_id '{entry.emitter_id}'") from None
         ideal = modulate_ook(entry.payload_bits, samples_per_symbol)
         burst = apply_impairments(ideal, profile, sample_rate_hz, int(child_seeds[k]))
-        start = int(round(entry.start_time_s * sample_rate_hz))
         if start + burst.size > total:
             raise ParameterError(
                 f"schedule.entries[{k}] ('{entry.emitter_id}' at t={entry.start_time_s}s) "
                 f"overruns the session end"
             )
-        rendered.append((start, k, entry.emitter_id, burst))
-
-    ground_truth: list[BurstSpan] = []
-    for start, _k, emitter_id, burst in sorted(rendered, key=lambda r: (r[0], r[1])):
         buf[start:start + burst.size] += burst
-        ground_truth.append(BurstSpan(emitter_id, start, int(burst.size)))
+        ground_truth.append(BurstSpan(entry.emitter_id, start, int(burst.size)))
 
     recording = IqRecording(seal(buf), sample_rate_hz, 0.0, id=f"session-{seed}")
     return recording, ground_truth

@@ -183,11 +183,11 @@ def _normalized_moments(x: np.ndarray) -> Moments:
     c = x - mean
     variance = float(np.mean(c * c))
     sigma = math.sqrt(variance)
-    if variance < _TINY:  # subnormal or underflowed: standardize c scaled to a peak of 1
-        peak = float(np.max(np.abs(c)))
-        if peak == 0.0:
+    if variance < _TINY:  # subnormal or underflowed: center x scaled to a peak of 1
+        if not np.any(c):
             return Moments(mean, variance, 0.0, 0.0)
-        c = c / peak
+        scaled = x / np.max(np.abs(x))
+        c = scaled - np.mean(scaled)
         sigma = math.sqrt(float(np.mean(c * c)))
     z = c / sigma  # standardized first, so sigma^3 and sigma^4 cannot underflow
     z2 = z * z

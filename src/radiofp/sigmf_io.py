@@ -27,8 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelSpec, loss_factor, multipath, noise_scale
-from .channel import add_awgn, apply_multipath  # noqa: F401 (perfbench/traced_run.py wraps these names)
+from .channel import ChannelSpec, propagate
 from .config import (
     ANNOTATION,
     CAPTURE,
@@ -49,7 +48,7 @@ from .config import (
     parse,
     schedule_document,
 )
-from .dsp import IqRecording, add_white_noise, as_sum_of_parts, seal
+from .dsp import IqRecording, as_sum_of_parts, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire
@@ -259,46 +258,6 @@ class DatasetBuildResult:
     ground_truth: tuple[BurstSpan, ...]
 
 
-def _channel_to_doc(spec: ChannelSpec) -> dict:
-    return {
-        "snr_db": "inf" if np.isinf(spec.snr_db) else spec.snr_db,
-        "multipath_taps": [[d, g.real, g.imag] for d, g in spec.multipath_taps],
-        "path_loss_db": spec.path_loss_db,
-    }
-
-
-def propagate(
-    recording: IqRecording,
-    ground_truth: Sequence[BurstSpan],
-    channel: ChannelSpec,
-    seed: int,
-) -> IqRecording:
-    """Run a rendered session through the channel.
-
-    The AWGN level references the mean power over the ground-truth burst
-    spans, measured after multipath and path loss, so inter-burst silence
-    does not skew the target SNR. With no bursts the reference power is 1.0
-    (full scale). Multipath writes a new buffer; loss and noise change it in
-    place, with the bits apply_multipath, apply_path_loss and add_awgn give.
-    """
-    taps, loss_db, snr_db = channel.multipath_taps, channel.path_loss_db, channel.snr_db
-    noiseless = np.isinf(snr_db) and snr_db > 0
-    if not taps and loss_db == 0 and noiseless:
-        return recording
-    x = multipath(recording.samples, taps) if taps else recording.samples.copy()
-    if loss_db != 0:
-        x *= loss_factor(loss_db)
-    if not noiseless:
-        mask = np.zeros(x.size, dtype=bool)
-        for span in ground_truth:
-            mask[span.start_sample:span.start_sample + span.length] = True
-        ref = float(np.mean(np.abs(x[mask]) ** 2)) if mask.any() else 1.0
-        if ref <= 0.0:
-            ref = 1.0
-        add_white_noise(x, noise_scale(snr_db, ref), seed)
-    return recording.replace_samples(seal(x))
-
-
 def build_dataset(
     schedule: TransmissionSchedule,
     profiles: Mapping[str, EmitterProfile],
@@ -334,7 +293,7 @@ def build_dataset(
         "sample_rate_hz": sample_rate_hz,
         "samples_per_symbol": samples_per_symbol,
         "seeds": asdict(seeds),
-        "channel": _channel_to_doc(channel),
+        "channel": channel.to_doc(),
         "receiver": asdict(rx),
         "schedule": schedule_to_doc(schedule, profiles),
         "sessions": [

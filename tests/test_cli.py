@@ -16,13 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from radiofp.channel import propagate
 from radiofp.cli import FEATURE_CSV_PREFIX, main
 from radiofp.config import EXPERIMENT, build_schedule, parse
 from radiofp.detect import detect_bursts
 from radiofp.emitter import render_session
 from radiofp.features import ExtractionConfig, catalog_names
 from radiofp.receiver import acquire
-from radiofp.sigmf_io import propagate
 from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 from radiofp.verify import load_fingerprint_store, save_fingerprint_store
 

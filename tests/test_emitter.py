@@ -173,6 +173,34 @@ class TestRenderSession:
         with pytest.raises(ParameterError):
             render_session(sched, self.profiles(), FS, 4, seed=1)
 
+    def test_two_overruns_name_the_one_that_starts_first(self):
+        sched = TransmissionSchedule((("a", 0.0099, (1, 1, 1, 1)), ("b", 0.0098, (1, 1, 1, 1))), 0.01)
+        with pytest.raises(ParameterError, match=r"entries\[1\] \('b' at t=0.0098s\) overruns"):
+            render_session(sched, self.profiles(), FS, 4, seed=1)
+
+    def test_sums_in_start_then_index_order(self):
+        """Overlapping bursts listed out of start order add up in (start sample, entry index) order."""
+        profiles = {k: EmitterProfile(k, cfo_hz=cfo, phase_noise_linewidth_hz=40.0, pa_a3=-0.05)
+                    for k, cfo in (("a", 310.0), ("b", -170.0), ("c", 530.0))}
+        entries = (("a", 0.002, (1,) * 12), ("b", 0.001, (1,) * 16), ("c", 0.001, (1,) * 14))
+        rec, truth = render_session(TransmissionSchedule(entries, 0.01), profiles, FS, 8, seed=5)
+
+        seeds = np.random.SeedSequence(5).generate_state(3)
+        bursts = [(int(round(t * FS)), apply_impairments(modulate_ook(bits, 8), profiles[e], FS,
+                                                         int(seeds[k])))
+                  for k, (e, t, bits) in enumerate(entries)]
+
+        def summed(order):
+            buf = np.zeros(len(rec), dtype=complex)
+            for k in order:
+                start, burst = bursts[k]
+                buf[start:start + burst.size] += burst
+            return buf
+
+        assert rec.samples.tobytes() == summed([1, 2, 0]).tobytes()
+        assert rec.samples.tobytes() != summed([0, 1, 2]).tobytes()  # the order shows in the bits
+        assert [span.emitter_id for span in truth] == ["b", "c", "a"]
+
     def test_deterministic(self):
         profiles = {"a": EmitterProfile("a", phase_noise_linewidth_hz=20.0, cfo_hz=300.0)}
         sched = TransmissionSchedule((("a", 0.0, (1,) * 8), ("a", 0.005, (1,) * 8)), 0.02)

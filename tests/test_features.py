@@ -113,6 +113,16 @@ class TestMoments:
         assert abs(m.skewness - 2.0 / math.sqrt(3.0)) <= 1e-12
         assert abs(m.excess_kurtosis + 2.0 / 3.0) <= 1e-12
 
+    @pytest.mark.parametrize("x, skewness, kurtosis", [
+        ([5e-324, 0.0, 0.0, 0.0], 2.0 / math.sqrt(3.0), -2.0 / 3.0),
+        ([5e-324, 5e-324, 0.0, 0.0, 0.0, 0.0], 1.0 / math.sqrt(2.0), -1.5),
+    ])
+    def test_spike_whose_mean_underflows(self, x, skewness, kurtosis):
+        """The mean of these rounds to 0, so centering cannot be done at their own scale."""
+        m = moments(x)
+        assert abs(m.skewness - skewness) <= 1e-12
+        assert abs(m.excess_kurtosis - kurtosis) <= 1e-12
+
     def test_all_equal_subnormal_sequence_raises(self):
         with pytest.raises(DegenerateInputError):
             moments([1e-320] * 4)
