@@ -30,6 +30,7 @@ from .config import (
     REQUIRED,
     atomic_write,
     build_schedule,
+    check_below_sample_rate,
     check_session_size,
     csv_text,
     fields,
@@ -59,7 +60,7 @@ from .verify import (
     genuine_impostor_scores,
     load_fingerprint_store,
     save_fingerprint_store,
-    verify,
+    score_vectors,
 )
 
 FEATURE_CSV_PREFIX = ("session", "roi_index", "label", "start_sample", "length")
@@ -93,15 +94,10 @@ def _output(args, name: str) -> Path:
     return out_dir / name
 
 
-def _below_sample_rate(values, sample_rate: float, where: str) -> None:
-    if max(values) >= sample_rate:
-        raise ValidationError(f"{where} must be below sample_rate_hz {sample_rate}, got {max(values)}")
-
-
 def cmd_synth(args) -> int:
     config = _load_config(args, *SESSION)
     schedule, profiles, channel, rx, seeds, sample_rate, sps = _session_parts(config)
-    _below_sample_rate([rx.filter_bw_hz], sample_rate, "receiver.filter_bw_hz")
+    check_below_sample_rate([rx.filter_bw_hz], sample_rate, "receiver.filter_bw_hz")
     with fields(""):
         result = build_dataset(
             schedule, profiles, channel, rx, seeds, args.out, sample_rate, sps,
@@ -250,10 +246,9 @@ def cmd_verify(args) -> int:
         return 1
     fp = store[args.claim]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
-        decisions = [verify(vec, fp) for vec in vectors]
-    rows = ([vec.roi_ref[0], vec.roi_ref[1], d.claimed_id, repr(d.squared_distance),
-             repr(d.threshold_used), int(d.accepted)] for vec, d in zip(vectors, decisions))
+    scores = score_vectors(vectors, fp).tolist()
+    rows = ([vec.roi_ref[0], vec.roi_ref[1], fp.device_id, repr(d2), repr(fp.threshold),
+             int(d2 <= fp.threshold)] for vec, d2 in zip(vectors, scores))  # verify()'s accept rule
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
     atomic_write(decisions_path, csv_text(header, rows))
@@ -301,7 +296,7 @@ def cmd_tune(args) -> int:
     tuning = dict(config["tuning"])
     with fields("tuning"):
         grid = TuningGrid(tuple(tuning.pop("gain_db_values")), tuple(tuning.pop("filter_bw_hz_values")))
-    _below_sample_rate(grid.filter_bw_hz_values, sample_rate, "tuning.filter_bw_hz_values")
+    check_below_sample_rate(grid.filter_bw_hz_values, sample_rate, "tuning.filter_bw_hz_values")
     obj_params = ObjectiveParams(**tuning.pop("objective"), full_scale=rx_template.full_scale)
 
     # The plant is synthesized once, front-end noise included: that noise comes

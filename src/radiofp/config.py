@@ -185,6 +185,12 @@ def check_session_size(duration_s: float, sample_rate_hz: float) -> None:
         )
 
 
+def check_below_sample_rate(values, sample_rate_hz: float, where: str) -> None:
+    """Reject a bandwidth at or above the sample rate where it is parsed, before anything is allocated."""
+    if max(values) >= sample_rate_hz:
+        raise ValidationError(f"{where} must be below sample_rate_hz {sample_rate_hz}, got {max(values)}")
+
+
 def build_schedule(parsed: dict, profiles, where: str):
     """(TransmissionSchedule, profiles by id) from a parsed schedule section."""
     by_id: dict[str, EmitterProfile] = {}

@@ -172,7 +172,7 @@ def fir_apply(samples, taps: FirTaps) -> np.ndarray:
     return full[trim:trim + x.size]
 
 
-def instantaneous(recording: IqRecording) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instantaneous amplitude, unwrapped phase, and frequency.
 
     Returns (amplitude, phase, frequency_hz); frequency is the first
@@ -180,12 +180,12 @@ def instantaneous(recording: IqRecording) -> tuple[np.ndarray, np.ndarray, np.nd
     shorter than the input. The input is already complex baseband, hence
     no analytic-signal construction is needed.
     """
-    z = recording.samples
+    z = as_complex_array(samples)
     if z.size < 2:
         raise SizeError(f"need at least 2 samples, got {z.size}")
     amplitude = np.abs(z)
     phase = np.unwrap(np.angle(z))
-    frequency_hz = np.diff(phase) * (recording.sample_rate_hz / (2.0 * np.pi))
+    frequency_hz = np.diff(phase) * (sample_rate_hz / (2.0 * np.pi))
     return amplitude, phase, frequency_hz
 
 

@@ -226,7 +226,7 @@ def instantaneous_stats(roi_samples, sample_rate_hz: float) -> dict[str, float]:
     if not np.any(interior):
         raise DegenerateInputError("ROI interior is all zero")
 
-    amplitude, phase, frequency = instantaneous(IqRecording(interior, sample_rate_hz))
+    amplitude, phase, frequency = instantaneous(interior, sample_rate_hz)
 
     amp = _normalized_moments(amplitude)
     rss_db = 10.0 * math.log10(float(np.mean(amplitude ** 2)))

@@ -42,6 +42,7 @@ from .config import (
     SIGMF_VERSION,
     DatasetSeeds,
     atomic_write,
+    check_below_sample_rate,
     check_session_size,
     json_text,
     load_json,
@@ -319,6 +320,7 @@ def read_manifest(manifest_path) -> dict:
     """Load and strictly validate a dataset manifest; returns its parsed fields."""
     doc = parse(load_json(manifest_path), MANIFEST)
     check_session_size(doc["schedule"][0].session_duration_s, doc["sample_rate_hz"])
+    check_below_sample_rate([doc["receiver"].filter_bw_hz], doc["sample_rate_hz"], "receiver.filter_bw_hz")
     return doc
 
 

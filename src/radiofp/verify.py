@@ -197,26 +197,21 @@ def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> Verificatio
 
 
 def score_vectors(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> np.ndarray:
-    """Squared distances of many probes against one fingerprint."""
+    """Squared distances of many probes against one fingerprint; every probe score comes from here."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
         return np.array([verify(v, fingerprint).squared_distance for v in vectors])
 
 
-def _far_frr_curves(genuine: np.ndarray, impostor: np.ndarray, thresholds: np.ndarray):
-    gen_sorted = np.sort(genuine)
-    imp_sorted = np.sort(impostor)
-    far = np.searchsorted(imp_sorted, thresholds, side="right") / imp_sorted.size
-    frr = (gen_sorted.size - np.searchsorted(gen_sorted, thresholds, side="right")) / gen_sorted.size
-    return far, frr
-
-
-def _score_union(genuine, impostor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gen = np.asarray(genuine, dtype=np.float64)
-    imp = np.asarray(impostor, dtype=np.float64)
+def _curves(genuine, impostor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(union, far, frr): the sorted distinct scores, and FAR and FRR with each one as the threshold."""
+    gen = np.sort(np.asarray(genuine, dtype=np.float64))
+    imp = np.sort(np.asarray(impostor, dtype=np.float64))
     if gen.size == 0 or imp.size == 0:
         raise ParameterError("genuine and impostor score sets must be non-empty")
     union = np.unique(np.concatenate([gen, imp]))
-    return gen, imp, union
+    far = np.searchsorted(imp, union, side="right") / imp.size
+    frr = (gen.size - np.searchsorted(gen, union, side="right")) / gen.size
+    return union, far, frr
 
 
 def calibrate_threshold(genuine_d2, impostor_d2, policy: str = "eer", max_far: float | None = None) -> float:
@@ -227,8 +222,7 @@ def calibrate_threshold(genuine_d2, impostor_d2, policy: str = "eer", max_far: f
     whose FAR stays at or below max_far (a value just below the smallest
     score if even that is too permissive).
     """
-    gen, imp, union = _score_union(genuine_d2, impostor_d2)
-    far, frr = _far_frr_curves(gen, imp, union)
+    union, far, frr = _curves(genuine_d2, impostor_d2)
 
     if policy == "eer":
         diff = far - frr  # monotone non-decreasing; ends at +1, so it always crosses
@@ -277,8 +271,7 @@ def evaluate(genuine_d2, impostor_d2) -> EvaluationReport:
     FAR at the smallest threshold reaching that FRR; frr_at maps an FAR
     anchor to the FRR at the largest threshold still within that FAR.
     """
-    gen, imp, union = _score_union(genuine_d2, impostor_d2)
-    far, frr = _far_frr_curves(gen, imp, union)
+    union, far, frr = _curves(genuine_d2, impostor_d2)
 
     idx = int(np.argmin(np.abs(far - frr)))
     eer = float((far[idx] + frr[idx]) / 2.0)
@@ -333,7 +326,7 @@ def save_fingerprint_store(
 
 def load_fingerprint_store(path, catalog_names: Sequence[str] | None = None) -> dict[str, DeviceFingerprint]:
     """Load a store; with catalog_names given, the catalog the store records must equal
-    it, and every fingerprint's catalog_version must be that catalog's version."""
+    it, and every fingerprint must have that catalog's version and one selection score per name."""
     doc = parse(load_json(path), STORE)
     if catalog_names is not None and doc["catalog_names"] not in (None, list(catalog_names)):
         raise ValidationError(f"{path}: catalog_names do not match the feature table header")
@@ -344,6 +337,9 @@ def load_fingerprint_store(path, catalog_names: Sequence[str] | None = None) -> 
             device_id, version, kept, scores, mean, cov, *rest = f.values()
             if expected not in (None, version):
                 raise ParameterError(f"catalog_version must be the feature table's {expected!r}, got {version!r}")
+            if catalog_names is not None and len(scores) != len(catalog_names):
+                raise ParameterError(f"selection_scores must hold one score per catalog feature "
+                                     f"({len(catalog_names)}), got {len(scores)}")
             selection = FeatureSelection(tuple(kept), np.asarray(scores))
             fp = DeviceFingerprint(device_id, version, selection, np.asarray(mean), np.asarray(cov), *rest)
         if fp.device_id in store:
@@ -359,16 +355,13 @@ def genuine_impostor_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score every probe against every enrolled device.
 
-    A probe scored against the fingerprint of its own label contributes a
-    genuine score; against any other fingerprint an impostor score.
+    Each device's column of scores is split by a label mask: a probe scored
+    against the fingerprint of its own label contributes a genuine score,
+    against any other fingerprint an impostor score. Scores come out
+    device-major.
     """
     if len(probes) != len(labels):
         raise ParameterError("probes and labels must have the same length")
-    genuine: list[float] = []
-    impostor: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
-        for vec, label in zip(probes, labels):
-            for device_id, fp in store.items():
-                d2 = verify(vec, fp).squared_distance
-                (genuine if device_id == label else impostor).append(d2)
-    return np.asarray(genuine), np.asarray(impostor)
+    own = np.asarray(labels, dtype=str) == np.asarray(list(store), dtype=str)[:, None]
+    scores = np.array([score_vectors(probes, fp) for fp in store.values()]).reshape(own.shape)
+    return scores[own], scores[~own]

@@ -17,14 +17,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiofp.channel import propagate
-from radiofp.cli import FEATURE_CSV_PREFIX, main
+from radiofp.cli import FEATURE_CSV_PREFIX, _read_feature_table, main
 from radiofp.config import EXPERIMENT, build_schedule, parse
 from radiofp.detect import detect_bursts
 from radiofp.emitter import render_session
 from radiofp.features import ExtractionConfig, catalog_names
 from radiofp.receiver import acquire
 from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
-from radiofp.verify import load_fingerprint_store, save_fingerprint_store
+from radiofp.verify import load_fingerprint_store, save_fingerprint_store, verify
 
 FS = 1.0e5
 
@@ -367,6 +367,13 @@ def negate_covariance(doc):
     doc["fingerprints"][0]["covariance"] = [[-v for v in row] for row in cov]
 
 
+def outgrow_catalog(doc):
+    """Eight selection scores more than the table has features, and a kept index among them."""
+    fp = doc["fingerprints"][0]
+    fp["selection_scores"] += [1.0] * 8
+    fp["kept_indices"][-1] = 39
+
+
 def set_cell(column, value):
     def edit(header, rows):
         rows[1][header.index(column)] = value
@@ -425,6 +432,12 @@ PROBES = {
     "truncated-store": ("verify", None, truncate_store, "fingerprints.json"),
     "covariance-not-pd": ("evaluate", None, edit_json("fingerprints.json", negate_covariance),
                           "fingerprints[0].covariance"),
+    "scores-outgrow-catalog": ("evaluate", None, edit_json("fingerprints.json", outgrow_catalog),
+                               "fingerprints[0].selection_scores"),
+    "claimed-scores-outgrow-catalog": ("verify", None, edit_json("fingerprints.json", outgrow_catalog),
+                                       "fingerprints[0].selection_scores"),
+    "empty-store": ("evaluate", None, edit_json("fingerprints.json", setting("fingerprints", value=[])),
+                    "need both genuine and impostor scores"),
     "csv-cell-not-a-number": ("evaluate", None, edit_csv(set_cell("cfo_est_hz", "abc")),
                               "row 3, column 'cfo_est_hz'"),
     "csv-roi-index-not-a-number": ("verify", None, edit_csv(set_cell("roi_index", "not-a-number")),
@@ -711,7 +724,7 @@ STORE_FIELDS = [
     (("device_id",), 5, None, False, True),
     (("catalog_version",), [], "fc1-d3", False, True),
     (("kept_indices",), "0,1", reversed_list, False, True),
-    (("selection_scores",), "s", None, True, True),
+    (("selection_scores",), "s", lambda scores: scores + [1.0] * 8, True, True),
     (("mean",), [["m"]], lambda mean: mean[:-1], True, True),
     (("covariance",), [[1.0, "c"]], asymmetric, True, True),
     (("ridge_lambda",), "r", -1.0, True, True),
@@ -839,7 +852,8 @@ def test_store_round_trip_is_byte_identical(small_store, tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
-    """A finite feature row so far away that d^2 overflows scores inf and is rejected."""
+    """A finite feature row so far away that d^2 overflows scores inf and is rejected; every
+    decisions.csv row is verify()'s decision for its probe."""
     header, *rows = csv.reader(io.StringIO(FEATURE_TABLE))
     rows[0][len(FEATURE_CSV_PREFIX):] = ["1e200"] * (len(header) - len(FEATURE_CSV_PREFIX))
     with open(tmp_path / "features.csv", "w", newline="") as fh:
@@ -851,6 +865,13 @@ def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     _, decisions = read_csv_rows(tmp_path / "out" / "decisions.csv")
     assert len(decisions) == len(rows)
     assert (decisions[0][3], decisions[0][5]) == ("inf", "0")
+    names, _labels, vectors = _read_feature_table(str(tmp_path / "features.csv"))
+    fp = load_fingerprint_store(small_store, names)["dev-0"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [verify(v, fp) for v in vectors]
+    assert decisions == [[v.roi_ref[0], str(v.roi_ref[1]), d.claimed_id, repr(d.squared_distance),
+                          repr(d.threshold_used), str(int(d.accepted))] for v, d in zip(vectors, expected)]
+    assert any(d.accepted for d in expected)
     assert run_main(command_argv("evaluate", tmp_path)) == (0, "")
 
 

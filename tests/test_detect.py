@@ -115,6 +115,16 @@ class TestDetectBursts:
         (joined,) = detect_bursts(rec, DetectorParams(window=16, merge_gap=gap))
         assert (joined.start_sample, joined.end_sample) == (first.start_sample, second.end_sample)
 
+    def test_peak_metric_over_a_silent_floor_is_finite_and_ordered(self):
+        """Over half the session exactly silent: the floor is 0 and the metric stays finite."""
+        x = np.zeros(4096, dtype=complex)
+        x[500:800] = 3.0
+        x[2000:2300] = 0.5
+        strong, weak = detect_bursts(IqRecording(x, FS), DetectorParams(window=16))
+        assert strong.noise_floor == weak.noise_floor == np.finfo(np.float64).tiny
+        assert np.isfinite(strong.peak_metric) and np.isfinite(weak.peak_metric)
+        assert strong.peak_metric > weak.peak_metric
+
     def test_too_short_recording_raises(self):
         with pytest.raises(SizeError):
             detect_bursts(IqRecording(np.zeros(32, dtype=complex), FS), PARAMS)
@@ -163,7 +173,13 @@ def state_machine_detect(x: np.ndarray, params: DetectorParams) -> list[tuple]:
         else:
             merged.append([s, e])
     floor_out = floor if floor > 0 else float(np.finfo(np.float64).tiny)
-    return [(s, e - s, float(10.0 * np.log10(float(np.max(p[s:e])) / floor_out)), floor_out)
+
+    def metric(peak: float) -> float:  # a difference of logs over a zero floor, where the ratio overflows
+        if floor > 0:
+            return float(10.0 * np.log10(peak / floor_out))
+        return float(10.0 * (np.log10(peak) - np.log10(floor_out)))
+
+    return [(s, e - s, metric(float(np.max(p[s:e]))), floor_out)
             for s, e in merged if e - s >= params.min_length]
 
 
@@ -183,6 +199,8 @@ def track(segments) -> np.ndarray:
          min_length=1, merge_gap=0, noise_seed=None)
 @example(segments=[(3.0, 40), (0.01, 200)], window=8, open_db=10.0, hysteresis_db=4.0,  # active at 0
          min_length=1, merge_gap=0, noise_seed=None)
+@example(segments=[(0.0, 200), (3.0, 40), (0.0, 60), (0.5, 40)], window=8, open_db=10.0,  # zero floor
+         hysteresis_db=4.0, min_length=1, merge_gap=0, noise_seed=None)
 @example(segments=[(0.01, 200), (3.0, 40)], window=8, open_db=10.0, hysteresis_db=4.0,  # active at n
          min_length=1, merge_gap=0, noise_seed=None)
 @example(segments=[(0.01, 100), (1.0, 30), (0.01, 10), (1.0, 30), (0.01, 100), (1.0, 3), (0.01, 50)],

@@ -195,43 +195,38 @@ class TestInstantaneous:
     def test_pure_tone_frequency(self):
         fs = 48000.0
         n = np.arange(1000)
-        rec = IqRecording(np.exp(2j * np.pi * 1000.0 * n / fs), fs)
-        amp, _phase, freq = instantaneous(rec)
+        amp, _phase, freq = instantaneous(np.exp(2j * np.pi * 1000.0 * n / fs), fs)
         np.testing.assert_allclose(amp, 1.0, atol=1e-12)
         np.testing.assert_allclose(freq, 1000.0, atol=1e-6)
 
     def test_negative_tone_frequency(self):
         fs = 48000.0
         n = np.arange(1000)
-        rec = IqRecording(np.exp(-2j * np.pi * 5000.0 * n / fs), fs)
-        _amp, _phase, freq = instantaneous(rec)
+        _amp, _phase, freq = instantaneous(np.exp(-2j * np.pi * 5000.0 * n / fs), fs)
         np.testing.assert_allclose(freq, -5000.0, atol=1e-6)
 
     def test_dc_input(self):
-        rec = IqRecording(np.ones(32, dtype=complex), 1000.0)
-        amp, _phase, freq = instantaneous(rec)
+        amp, _phase, freq = instantaneous(np.ones(32, dtype=complex), 1000.0)
         np.testing.assert_array_equal(amp, 1.0)
         np.testing.assert_array_equal(freq, 0.0)
 
     def test_amplitude_nonnegative(self):
         rng = np.random.default_rng(11)
-        rec = IqRecording(rng.standard_normal(500) + 1j * rng.standard_normal(500), 1.0)
-        amp, _, _ = instantaneous(rec)
+        amp, _, _ = instantaneous(rng.standard_normal(500) + 1j * rng.standard_normal(500), 1.0)
         assert np.all(amp >= 0)
 
     def test_unwrap_recovers_steep_ramp(self):
         # Per-sample increment close to pi still unwraps to a constant offset.
         inc = 0.95 * np.pi
         true_phase = inc * np.arange(300)
-        rec = IqRecording(np.exp(1j * true_phase), 1.0)
-        _amp, phase, _freq = instantaneous(rec)
+        _amp, phase, _freq = instantaneous(np.exp(1j * true_phase), 1.0)
         offsets = (phase - true_phase) / (2 * np.pi)
         np.testing.assert_allclose(offsets, offsets[0], atol=1e-9)
         assert abs(offsets[0] - round(offsets[0])) < 1e-9
 
     def test_too_short_raises(self):
         with pytest.raises(SizeError):
-            instantaneous(IqRecording([1 + 0j], 1.0))
+            instantaneous([1 + 0j], 1.0)
 
 
 class TestEstimateSnr:

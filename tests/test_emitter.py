@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radiofp.dsp import IqRecording, instantaneous
+from radiofp.dsp import instantaneous
 from radiofp.emitter import (
     EmitterProfile,
     TransmissionSchedule,
@@ -70,7 +70,7 @@ class TestApplyImpairments:
     def test_cfo_shows_in_instantaneous_frequency(self):
         profile = EmitterProfile("dev", cfo_hz=100.0)
         burst = apply_impairments(np.ones(2000, dtype=complex), profile, FS, seed=0)
-        _amp, _ph, freq = instantaneous(IqRecording(burst, FS))
+        _amp, _ph, freq = instantaneous(burst, FS)
         np.testing.assert_allclose(freq, 100.0, atol=1e-6)
 
     def test_iq_imbalance_hand_value(self):

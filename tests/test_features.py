@@ -452,7 +452,7 @@ class TestRewritesMatchLoopForms:
            noise=st.floats(0.02, 0.3), seed=st.integers(0, 2**32 - 1))
     def test_closed_form_slope_matches_polyfit(self, n, cfo_hz, noise, seed):
         z = noisy_tone(seed, n, cfo_hz, noise)
-        _amplitude, phase, _frequency = instantaneous(IqRecording(z[round(0.1 * n):round(0.9 * n)], FS))
+        _amplitude, phase, _frequency = instantaneous(z[round(0.1 * n):round(0.9 * n)], FS)
         idx = np.arange(phase.size, dtype=np.float64)
         slope, intercept = np.polyfit(idx, phase, 1)
         resid = power_moments(phase - (slope * idx + intercept))

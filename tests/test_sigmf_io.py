@@ -279,3 +279,18 @@ class TestBuildDataset:
         with pytest.raises(ValidationError, match="schedule.session_duration_s"):
             regenerate_from_manifest(bad, tmp_path / "again")
         assert not (tmp_path / "again").exists()
+
+    def test_manifest_bandwidth_at_the_sample_rate_rejected(self, tmp_path):
+        result = build_dataset(
+            example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+            DatasetSeeds(1, 2, 3), tmp_path, FS, 32,
+        )
+        doc = json.loads(result.manifest_file.read_text())
+        doc["receiver"]["filter_bw_hz"] = FS
+        bad = tmp_path / "wide_manifest.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="receiver.filter_bw_hz"):
+            read_manifest(bad)
+        with pytest.raises(ValidationError, match="receiver.filter_bw_hz"):
+            regenerate_from_manifest(bad, tmp_path / "again")
+        assert not (tmp_path / "again").exists()

@@ -19,6 +19,7 @@ from radiofp.verify import (
     calibrate_threshold,
     enroll,
     evaluate,
+    genuine_impostor_scores,
     load_fingerprint_store,
     mahalanobis_squared,
     save_fingerprint_store,
@@ -150,6 +151,50 @@ class TestVerify:
         rng = np.random.default_rng(9)
         fp = enroll_gaussian(rng, np.zeros(2))
         assert verify(vec([0.1, -0.2]), fp).squared_distance > 0
+
+
+def small_store(rng):
+    """Three enrolled devices with well-apart means: {device_id: fingerprint}."""
+    means = {"a": [0.0, 0.0], "b": [4.0, 0.0], "c": [0.0, 4.0]}
+    return {d: enroll_gaussian(rng, np.array(m), device_id=d) for d, m in means.items()}
+
+
+class TestGenuineImpostorScores:
+    def probes(self, rng, store, per_device=4):
+        labels = [d for d in store for _ in range(per_device)]
+        return [vec(store[d].mean + rng.normal(0.0, 1.0, 2)) for d in labels], labels
+
+    def test_multisets_match_a_per_pair_loop(self):
+        rng = np.random.default_rng(20)
+        store = small_store(rng)
+        probes, labels = self.probes(rng, store)
+        genuine, impostor = [], []
+        for probe, label in zip(probes, labels):
+            for device_id, fp in store.items():
+                (genuine if device_id == label else impostor).append(verify(probe, fp).squared_distance)
+        got_genuine, got_impostor = genuine_impostor_scores(probes, labels, store)
+        np.testing.assert_array_equal(np.sort(got_genuine), np.sort(genuine))
+        np.testing.assert_array_equal(np.sort(got_impostor), np.sort(impostor))
+        n, d = len(probes), len(store)
+        assert (got_genuine.size, got_impostor.size) == (n, n * (d - 1))
+
+    def test_unlabeled_probe_is_only_an_impostor(self):
+        rng = np.random.default_rng(21)
+        store = small_store(rng)
+        genuine, impostor = genuine_impostor_scores([vec([1.0, 1.0])], [""], store)
+        assert genuine.size == 0
+        np.testing.assert_array_equal(
+            np.sort(impostor), np.sort([verify(vec([1.0, 1.0]), fp).squared_distance for fp in store.values()]))
+
+    def test_empty_store_gives_two_empty_sets(self):
+        genuine, impostor = genuine_impostor_scores([vec([1.0, 1.0])], ["a"], {})
+        assert genuine.shape == impostor.shape == (0,)
+        with pytest.raises(ParameterError):
+            evaluate(genuine, impostor)
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ParameterError):
+            genuine_impostor_scores([vec([1.0, 1.0])], [], {})
 
 
 class TestCalibrateThreshold:
