@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, add_white_noise, seal
+from .dsp import BLOCK_SAMPLES, IqRecording, add_white_noise, seal
 from .emitter import BurstSpan
 from .errors import ParameterError
 
@@ -74,34 +74,62 @@ def propagate(
     The AWGN level references the mean power over the ground-truth burst
     spans, measured after multipath and path loss, so inter-burst silence
     does not skew the target SNR. With no bursts the reference power is 1.0
-    (full scale). Multipath writes a new buffer, one scratch buffer holding
-    each tap's product in turn; loss and noise change it in place.
+    (full scale). Multipath writes a new buffer one block of BLOCK_SAMPLES
+    at a time, one block-sized scratch buffer holding each tap's product in
+    turn; loss and noise change it in place. So a call holds one capture
+    besides its input, plus the burst samples' power (a float each) while
+    it measures the reference.
     """
     taps, loss_db, snr_db = channel.multipath_taps, channel.path_loss_db, channel.snr_db
     noiseless = np.isinf(snr_db) and snr_db > 0
     if not taps and loss_db == 0 and noiseless:
         return recording
     samples = recording.samples
+    n = samples.size
     if taps:  # y[n] = sum_k gain_k * x[n - delay_k]; out-of-range history reads as zero
         x = np.zeros_like(samples)
-        scratch = np.empty_like(samples)
-        for delay, gain in taps:
-            if delay < x.size:
-                x[delay:] += np.multiply(gain, samples[:x.size - delay], out=scratch[delay:])
-        del scratch  # before the noise draws allocate theirs
+        scratch = np.empty(min(n, BLOCK_SAMPLES), dtype=samples.dtype)
+        for start in range(0, n, BLOCK_SAMPLES):
+            stop = min(start + BLOCK_SAMPLES, n)
+            for delay, gain in taps:
+                lo = max(start, delay)
+                if lo < stop:
+                    x[lo:stop] += np.multiply(gain, samples[lo - delay:stop - delay], out=scratch[:stop - lo])
+        del scratch  # before the burst power and the noise draws allocate theirs
     else:
         x = samples.copy()
     if loss_db != 0:
         x *= 10.0 ** (-loss_db / 20.0)
     if not noiseless:
-        mask = np.zeros(x.size, dtype=bool)
-        for span in ground_truth:
-            mask[span.start_sample:span.start_sample + span.length] = True
-        ref = float(np.mean(np.abs(x[mask]) ** 2)) if mask.any() else 1.0
-        if ref <= 0.0:
-            ref = 1.0
+        ref = _burst_power(x, ground_truth)
         add_white_noise(x, _noise_scale(snr_db, ref), seed)
     return recording.replace_samples(seal(x))
+
+
+def _burst_power(x: np.ndarray, ground_truth: Sequence[BurstSpan]) -> float:
+    """Mean |x|^2 over the union of the spans; 1.0 with no span or no power.
+
+    |x| over the union, in sample order, is copied into one float array that
+    is squared in place and averaged once: the summation order of
+    np.mean(np.abs(x[mask]) ** 2), without the masked copy of x.
+    """
+    runs: list[list[int]] = []  # the union, as ascending disjoint [start, stop) runs
+    spans = (range(x.size)[span.start_sample:span.start_sample + span.length] for span in ground_truth)
+    for span in sorted((r.start, r.stop) for r in spans if r):
+        if runs and span[0] <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], span[1])
+        else:
+            runs.append(list(span))
+    if not runs:
+        return 1.0
+    power = np.empty(sum(stop - start for start, stop in runs))
+    filled = 0
+    for start, stop in runs:
+        np.abs(x[start:stop], out=power[filled:filled + stop - start])
+        filled += stop - start
+    np.square(power, out=power)
+    ref = float(np.mean(power))
+    return ref if ref > 0.0 else 1.0
 
 
 def apply_multipath(recording: IqRecording, taps) -> IqRecording:

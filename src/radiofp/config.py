@@ -39,7 +39,7 @@ SCHEDULE_FORMAT = "schedule-v1"
 MANIFEST_FORMAT = "dataset-manifest-v1"
 FINGERPRINT_STORE_FORMAT = "fingerprint-store-v1"
 # The most samples a session may have: one complex128 capture of it is 2 GiB,
-# and a build holds up to three captures at once.
+# and each stage of a build holds two captures (its input and its output).
 MAX_SESSION_SAMPLES = 2 ** 27
 
 

@@ -114,9 +114,10 @@ def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[Region
         if e - s < params.min_length:
             continue
         peak = float(np.max(p[s:e]))
-        if floor > 0:
-            metric = float(10.0 * np.log10(peak / floor_out))
-        else:  # peak / tiny overflows for a peak above about 4; the difference of logs does not
+        ratio = peak / floor_out
+        if floor > 0 and np.isfinite(ratio):
+            metric = float(10.0 * np.log10(ratio))
+        else:  # over a zero or subnormal floor the ratio can overflow; the difference of logs does not
             metric = float(10.0 * (np.log10(peak) - np.log10(floor_out)))
         rois.append(RegionOfInterest(s, e - s, metric, floor_out))
     return rois

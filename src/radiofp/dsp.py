@@ -4,9 +4,12 @@ Power-of-two FFT wrappers, Hamming windowed-sinc lowpass design, linear-phase
 FIR filtering with group-delay compensation, instantaneous amplitude / phase /
 frequency decomposition, a two-region SNR estimator, and the in-place
 helpers a capture's stages share (seal, as_sum_of_parts, add_white_noise).
+fir_apply and add_white_noise work in blocks of BLOCK_SAMPLES.
 
-Every other function is pure; recordings and tap sets are immutable after
-construction, so values can be shared freely across threads.
+fir_apply writes into the out array it is given (which may be its input),
+and the helpers change their argument in place; every other function is
+pure. Recordings and tap sets are immutable after construction, so values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .errors import DegenerateInputError, ParameterError, SizeError
 SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
+# The block length of the capture stages that work in blocks (fir_apply,
+# add_white_noise, the channel's multipath), so that each holds only its
+# input and its output plus a few blocks.
+BLOCK_SAMPLES = 2 ** 16
 
 
 def as_complex_array(samples) -> np.ndarray:
@@ -156,20 +163,38 @@ def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     return FirTaps(taps, normalized_cutoff)
 
 
-def fir_apply(samples, taps: FirTaps) -> np.ndarray:
-    """Zero-padded convolution trimmed back to the input length.
+def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-padded convolution trimmed back to the input length, written into out.
 
     (num_taps - 1) / 2 samples are dropped from each end of the full
     convolution, so the output stays aligned with the input and downstream
-    sample indices remain valid.
+    sample indices remain valid. out (a new array by default) may be the
+    input itself, or an array of its shape that shares no memory with it.
+
+    The filter runs in blocks of BLOCK_SAMPLES (or num_taps, if longer): a
+    short tail joins the block before it, and each block convolves its own
+    samples plus trim on each side, zero padding only at the array's ends.
+    So every output sample is the dot product one whole-array np.convolve
+    computes, and the bits are the same. A block's output is written once
+    the next block has read its samples.
     """
     x = as_complex_array(samples)
-    if x.size == 0:
-        return x
-    h = taps.coefficients
-    full = np.convolve(x, h, mode="full")
+    if out is None:
+        out = np.empty_like(x)
+    n, h = x.size, taps.coefficients
+    if n == 0:
+        return out
     trim = (h.size - 1) // 2
-    return full[trim:trim + x.size]
+    step = max(BLOCK_SAMPLES, h.size)
+    starts = list(range(0, n - step + 1, step)) or [0]
+    pending = slice(0, 0), x[:0]  # the last block's output, held while the next block reads its samples
+    for start, stop in zip(starts, starts[1:] + [n]):
+        lo = max(start - trim, 0)
+        full = np.convolve(x[lo:min(stop + trim, n)], h, mode="full")
+        out[pending[0]] = pending[1]
+        pending = slice(start, stop), full[start - lo + trim:stop - lo + trim]
+    out[pending[0]] = pending[1]
+    return out
 
 
 def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,16 +229,20 @@ def as_sum_of_parts(z: np.ndarray) -> np.ndarray:
 def add_white_noise(x: np.ndarray, scale: float, seed: int) -> np.ndarray:
     """Add scale * (N(0, 1) + 1j*N(0, 1)) to the complex array x, in place.
 
-    default_rng(seed) draws every I value before any Q value, into one real
-    buffer refilled for each part. Wherever a draw is non-zero the sums are
-    the bits of x + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)).
+    default_rng(seed) draws every I value before any Q value, one block of
+    BLOCK_SAMPLES at a time into one real buffer; the generator's stream
+    runs on across blocks. Wherever a draw is non-zero the sums are the bits
+    of x + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)).
     """
     rng = np.random.default_rng(seed)
-    draws = np.empty(x.size)
+    buffer = np.empty(min(x.size, BLOCK_SAMPLES))
     for part in (x.real, x.imag):
-        rng.standard_normal(out=draws)
-        draws *= scale
-        part += draws
+        for start in range(0, x.size, BLOCK_SAMPLES):
+            block = part[start:start + BLOCK_SAMPLES]
+            draws = buffer[:block.size]
+            rng.standard_normal(out=draws)
+            draws *= scale
+            block += draws
     return x
 
 

@@ -76,9 +76,9 @@ def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:
 def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> IqRecording:
     """Run the receiver chain over a recording; deterministic given the seed.
 
-    Noise and gain change one copy of the input, and clipping and the ADC
-    work in place inside the filter output, so a call holds at most two
-    captures besides its input.
+    Every stage works in place on one copy of the input: the noise, the
+    gain, the FIR (which filters in blocks, see fir_apply), clipping and the
+    ADC. So a call holds one capture besides its input, plus a few blocks.
     """
     fs = input_recording.sample_rate_hz
     if config.filter_bw_hz >= fs:
@@ -91,7 +91,7 @@ def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> 
     x *= 10.0 ** (config.gain_db / 20.0)
 
     taps = design_lowpass(config.filter_bw_hz / (2.0 * fs), NUM_FILTER_TAPS)
-    x = fir_apply(x, taps)
+    fir_apply(x, taps, out=x)
 
     step = quantization_step(config.adc_bits, config.full_scale)
     _clip_and_quantize(x.real, step, config.full_scale)

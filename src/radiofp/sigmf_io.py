@@ -279,7 +279,8 @@ def build_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each stage's input is dropped once consumed, so at most three captures are alive at once.
+    # Each stage holds its input and its output, and its input is dropped once consumed,
+    # so at most two captures are alive at once.
     rendered, ground_truth = render_session(
         schedule, profiles, sample_rate_hz, samples_per_symbol, seeds.render
     )

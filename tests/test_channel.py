@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from radiofp.channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss
-from radiofp.dsp import IqRecording
+from radiofp.channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss, propagate
+from radiofp.dsp import BLOCK_SAMPLES, IqRecording
+from radiofp.emitter import BurstSpan
 from radiofp.errors import ParameterError
 
 FS = 1.0e5
@@ -123,3 +125,51 @@ class TestAwgn:
     def test_rejects_nonpositive_reference(self):
         with pytest.raises(ParameterError):
             add_awgn(rec(np.zeros(8, dtype=complex)), 10.0, 0.0, seed=0)
+
+
+def copying_propagate(x, truth, channel, seed):
+    """propagate written with a new array per step: the reference for the blocked chain."""
+    y = np.zeros_like(x)
+    for delay, gain in channel.multipath_taps:
+        if delay < x.size:
+            y[delay:] = y[delay:] + gain * x[:x.size - delay]
+    y = y * 10.0 ** (-channel.path_loss_db / 20.0)
+    mask = np.zeros(x.size, dtype=bool)
+    for span in truth:
+        mask[span.start_sample:span.start_sample + span.length] = True
+    ref = float(np.mean(np.abs(y[mask]) ** 2))
+    scale = np.sqrt(ref / 10.0 ** (channel.snr_db / 10.0) / 2.0)
+    rng = np.random.default_rng(seed)
+    return y + scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+
+
+class TestPropagate:
+    def test_blocks_give_the_bits_of_the_copying_form(self):
+        """Taps and spans across block edges, overlapping spans and one past the end."""
+        n, b = 3 * BLOCK_SAMPLES + 77, BLOCK_SAMPLES
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x[::9] = complex(-0.0, -0.0)
+        channel = ChannelSpec(snr_db=12.0, path_loss_db=4.0,
+                              multipath_taps=((0, 0.9 + 0.1j), (5, -0.3j), (b + 3, 0.05)))
+        truth = [BurstSpan("a", s, length) for s, length in
+                 [(10, 500), (300, 900), (400, 50), (b - 40, 100), (2 * b - 7, b + 20), (n - 30, 100), (4, 2)]]
+        want = copying_propagate(x, truth, channel, seed=8)
+        assert propagate(rec(x), truth, channel, seed=8).samples.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_capture_and_the_burst_power_above_the_input(self):
+        """The output, one float per burst sample while the reference is measured, and a few blocks."""
+        n = 2 ** 20  # large against the blocks of BLOCK_SAMPLES
+        rng = np.random.default_rng(5)
+        recording = rec(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        truth = [BurstSpan("a", s, 1000) for s in range(0, n, 2000)]  # half the samples
+        channel = ChannelSpec(snr_db=15.0, path_loss_db=6.0,
+                              multipath_taps=((0, 1.0), (2, 0.3 - 0.1j), (9, 0.05j)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            propagate(recording, truth, channel, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * recording.samples.nbytes

@@ -125,6 +125,16 @@ class TestDetectBursts:
         assert np.isfinite(strong.peak_metric) and np.isfinite(weak.peak_metric)
         assert strong.peak_metric > weak.peak_metric
 
+    def test_peak_metric_over_a_subnormal_floor_is_finite(self):
+        """A positive floor so small that peak / floor overflows: the difference of logs instead."""
+        x = np.full(4096, 1e-160, dtype=complex)
+        x[2000:2200] = 3.0
+        (roi,) = detect_bursts(IqRecording(x, FS), DetectorParams(window=16))
+        assert 0 < roi.noise_floor < np.finfo(np.float64).tiny
+        peak = 9.0  # the smoothed power inside the burst
+        assert roi.peak_metric == pytest.approx(10.0 * (np.log10(peak) - np.log10(roi.noise_floor)))
+        assert 3000 < roi.peak_metric < 4000
+
     def test_too_short_recording_raises(self):
         with pytest.raises(SizeError):
             detect_bursts(IqRecording(np.zeros(32, dtype=complex), FS), PARAMS)
@@ -174,8 +184,8 @@ def state_machine_detect(x: np.ndarray, params: DetectorParams) -> list[tuple]:
             merged.append([s, e])
     floor_out = floor if floor > 0 else float(np.finfo(np.float64).tiny)
 
-    def metric(peak: float) -> float:  # a difference of logs over a zero floor, where the ratio overflows
-        if floor > 0:
+    def metric(peak: float) -> float:  # a difference of logs over a zero floor, or where the ratio overflows
+        if floor > 0 and peak / floor_out < np.inf:
             return float(10.0 * np.log10(peak / floor_out))
         return float(10.0 * (np.log10(peak) - np.log10(floor_out)))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from radiofp.dsp import (
+    BLOCK_SAMPLES,
     FirTaps,
     IqRecording,
     add_white_noise,
@@ -82,8 +83,9 @@ class TestCaptureBufferHelpers:
         assert np.signbit(z.real[re == 0]).sum() == 3  # only -0 with a negative or -0 im stays -0
 
     def test_white_noise_matches_the_complex_expression_bit_for_bit(self):
+        n = 2 * BLOCK_SAMPLES + 5000  # past two blocks: the stream runs on from block to block
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x[::5] = complex(-0.0, -0.0)
         draws = np.random.default_rng(11)
         scale = np.sqrt(0.02 / 2.0)
@@ -157,7 +159,22 @@ class TestDesignLowpass:
             FirTaps([1.0, 2.0, 3.0], 0.25)  # asymmetric
 
 
+B = BLOCK_SAMPLES
+
+
 class TestFirFilter:
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "in_place"])
+    @pytest.mark.parametrize("n", [0, 1, 62, 63, B - 1, B, B + 1, B + 31, B + 32, 2 * B - 1, 2 * B, 7 * B // 2])
+    def test_blocks_give_the_bits_of_one_whole_convolution(self, n, in_place):
+        """Each block's dot products are the whole convolution's, at the block edges and the array ends."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = design_lowpass(0.2, 63)
+        want = np.convolve(x, taps.coefficients, mode="full")[31:31 + n] if n else x.copy()
+        got = fir_apply(x, taps, out=x) if in_place else fir_apply(x, taps)
+        assert got.tobytes() == want.tobytes()
+        assert (got is x) == in_place
+
     def test_unit_tap_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(50) + 1j * rng.standard_normal(50)

@@ -12,6 +12,11 @@ workloads when their listings are:
 
 A command that exits non-zero stops the script with exit 1, naming the
 workload, seed and command.
+
+With --rss the script also writes, to standard error, each command's peak
+RSS as perfbench/run.py measures it (the child's own rusage from os.wait4),
+one `peak_rss_mb  workload/seed/command` line per command, so one run gives
+both the byte-identity listing and the per-command memory table.
 """
 
 from __future__ import annotations
@@ -34,11 +39,23 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+def run(argv: list[str], env: dict, cwd: str) -> tuple[int, float, str]:
+    """Run one command to completion: its exit code, its peak RSS in MB and its output."""
+    with tempfile.TemporaryFile() as log:
+        proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env, cwd=cwd)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        log.seek(0)
+        return proc.returncode, usage.ru_maxrss / 1024.0, log.read().decode(errors="replace")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the src directory of the tree to run")
     parser.add_argument("--seeds", type=seed_range, default=range(16),
                         help="inclusive seed range such as 0-15 (the default), or one seed")
+    parser.add_argument("--rss", action="store_true",
+                        help="also write each command's peak RSS in MB to standard error")
     args = parser.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
 
@@ -49,10 +66,11 @@ def main(argv=None) -> int:
                 inputs, out = Path(tmp, workload, str(seed), "inputs"), Path(tmp, workload, str(seed), "out")
                 workloads.generate(workload, seed, inputs)
                 for name, command in workloads.commands(workload, inputs, out):
-                    proc = subprocess.run([sys.executable, "-m", "radiofp.cli", *command],
-                                          env=env, capture_output=True, text=True, cwd=tmp)
-                    if proc.returncode != 0:
-                        sys.exit(f"{workload} seed {seed}: `{name}` exited {proc.returncode}\n{proc.stderr}")
+                    code, peak_mb, output = run([sys.executable, "-m", "radiofp.cli", *command], env, tmp)
+                    if code != 0:
+                        sys.exit(f"{workload} seed {seed}: `{name}` exited {code}\n{output}")
+                    if args.rss:
+                        print(f"{peak_mb:8.1f}  {workload}/{seed}/{name}", file=sys.stderr)
                 for path in out.rglob("*"):
                     if path.is_file():
                         key = f"{workload}/{seed}/{path.relative_to(out).as_posix()}"
