@@ -32,7 +32,7 @@ from .config import (
     build_schedule,
     check_below_sample_rate,
     check_session_size,
-    csv_text,
+    csv_chunks,
     fields,
     json_text,
     load_json,
@@ -156,7 +156,7 @@ def cmd_pipeline(args) -> int:
     rows = ([session, idx, label, start, length] + [repr(float(v)) for v in vec.values]
             for session, idx, label, start, length, vec in all_rows)
     features_path = _output(args, "features.csv")
-    atomic_write(features_path, csv_text(FEATURE_CSV_PREFIX + catalog_names(extraction), rows))
+    atomic_write(features_path, csv_chunks(FEATURE_CSV_PREFIX + catalog_names(extraction), rows))
     print(features_path)
     return 0
 
@@ -242,8 +242,7 @@ def cmd_verify(args) -> int:
     names, _labels, vectors = _read_feature_table(args.features)
     store = load_fingerprint_store(args.store, names)
     if args.claim not in store:
-        print(f"error: claimed id '{args.claim}' is not enrolled", file=sys.stderr)
-        return 1
+        raise ValidationError(f"--claim '{args.claim}' is not enrolled in {args.store}")
     fp = store[args.claim]
 
     scores = score_vectors(vectors, fp).tolist()
@@ -251,7 +250,7 @@ def cmd_verify(args) -> int:
              int(d2 <= fp.threshold)] for vec, d2 in zip(vectors, scores))  # verify()'s accept rule
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
-    atomic_write(decisions_path, csv_text(header, rows))
+    atomic_write(decisions_path, csv_chunks(header, rows))
     print(decisions_path)
     return 0
 
@@ -273,7 +272,7 @@ def cmd_evaluate(args) -> int:
     eer_threshold = calibrate_threshold(genuine, impostor, policy="eer")
 
     roc = _repr_rows(report.far, report.frr, report.thresholds)
-    atomic_write(_output(args, "roc.csv"), csv_text(["far", "frr", "threshold"], roc))
+    atomic_write(_output(args, "roc.csv"), csv_chunks(["far", "frr", "threshold"], roc))
 
     metrics = {
         "eer": report.eer,

@@ -15,11 +15,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -306,6 +308,7 @@ STORE = {
 
 _UMASK = os.umask(0o022)  # read the process umask; mkstemp would create the file 0600
 os.umask(_UMASK)
+CSV_BLOCK_ROWS = 1024  # the rows csv_chunks turns into text at a time
 
 
 def json_text(doc) -> str:
@@ -313,30 +316,43 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def csv_text(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
+def csv_chunks(header, rows) -> Iterator[str]:
+    """The CSV text of header and rows, one chunk per CSV_BLOCK_ROWS rows (the header alone first).
+
+    One csv.writer runs over one small buffer, emptied after each chunk, so the
+    chunks join into the bytes of one csv.writer over the whole table (its
+    quoting, \\r\\n line ends) while only a block of it is ever held as text.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
     writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    rows = iter(rows)
+    while buffer.tell():  # every row writes at least its line end
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerows(itertools.islice(rows, CSV_BLOCK_ROWS))
 
 
 def atomic_write(path, data) -> None:
     """Replace `path` with `data` via a unique temp file and a rename.
 
-    `data` is a str (written UTF-8 encoded) or any bytes-like object, such as
-    a contiguous numpy array, whose buffer is written without a copy.
+    `data` is a str (written UTF-8 encoded), any bytes-like object, such as
+    a contiguous numpy array, whose buffer is written without a copy, or an
+    iterator of such chunks, each written as it arrives, so the whole
+    content is never held at once.
 
-    Readers never see a partial file; on failure the temp file is removed and
-    an existing target is left as it was.
+    Readers never see a partial file; on failure, an exception from the
+    iterator included, the temp file is removed and an existing target is
+    left as it was.
     """
     path = Path(path)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    chunks = data if isinstance(data, Iterator) else (data,)
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:

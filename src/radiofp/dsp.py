@@ -26,8 +26,8 @@ SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 # The block length of the capture stages that work in blocks (fir_apply,
-# add_white_noise, the channel's multipath), so that each holds only its
-# input and its output plus a few blocks.
+# add_white_noise, the channel's multipath, the write of a session's data
+# file), so that each holds only its input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
 
 

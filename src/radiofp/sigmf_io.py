@@ -49,7 +49,7 @@ from .config import (
     parse,
     schedule_document,
 )
-from .dsp import IqRecording, as_sum_of_parts, seal
+from .dsp import BLOCK_SAMPLES, IqRecording, as_sum_of_parts, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire
@@ -154,7 +154,9 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
     """Write a session pair; validates before touching the filesystem.
 
     Sample data is stored as float32, so values already representable in
-    float32 round-trip bit-identically.
+    float32 round-trip bit-identically. It is converted and written one
+    block of BLOCK_SAMPLES at a time, so no interleaved copy of the whole
+    capture is made.
     """
     if meta.sample_rate_hz != recording.sample_rate_hz:
         raise ValidationError(
@@ -162,10 +164,6 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
         )
     _check_annotation_bounds(meta, len(recording))
     meta = replace(meta, sample_count=len(recording), recording_id=meta.recording_id or recording.id)
-
-    interleaved = np.empty(2 * len(recording), dtype="<f4")
-    interleaved[0::2] = recording.samples.real
-    interleaved[1::2] = recording.samples.imag
 
     global_section = dict(zip(GLOBAL, astuple(meta)))
     captures = [  # an empty core:datetime is left out
@@ -176,7 +174,10 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
     doc = {"global": global_section, "captures": captures, "annotations": annotations}
 
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
-    atomic_write(dpath, interleaved)
+    samples = recording.samples
+    blocks = (np.ascontiguousarray(samples[start:start + BLOCK_SAMPLES]).view(np.float64).astype("<f4")
+              for start in range(0, samples.size, BLOCK_SAMPLES))
+    atomic_write(dpath, blocks)
     atomic_write(mpath, json_text(doc))
     return dpath, mpath
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import atomic_write, csv_text
+from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
 from .dsp import SNR_MIN_SAMPLES, IqRecording, mean_power, snr_db_from_powers
 from .errors import ParameterError, SizeError, TuningError
@@ -229,4 +229,4 @@ def write_trace_csv(trace: TuningTrace, path) -> None:
          repr(step.snr_est_db), repr(step.clip_ratio), step.n_rois]
         for i, step in enumerate(trace.steps)
     )
-    atomic_write(path, csv_text(TRACE_CSV_COLUMNS, rows))
+    atomic_write(path, csv_chunks(TRACE_CSV_COLUMNS, rows))

@@ -229,11 +229,13 @@ class TestEnrollVerifyEvaluate:
                           "threshold", "accepted"]
         assert all(row[2] == "alpha" for row in rows)
 
-    def test_verify_unknown_claim_nonzero_exit(self, enrolled, tmp_path):
+    def test_verify_unknown_claim_nonzero_exit(self, enrolled, tmp_path, capsys):
         _, features_path, store_path = enrolled
         code = main(["verify", "--features", str(features_path), "--store", str(store_path),
                      "--claim", "ghost", "--out", str(tmp_path / "d")])
-        assert code == 1
+        assert code == 2  # a usage error, naming the option
+        assert "--claim 'ghost' is not enrolled" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_evaluate_emits_metrics_and_roc(self, enrolled, tmp_path):
         _, features_path, store_path = enrolled

@@ -1,9 +1,12 @@
+import csv
+import io
 import os
+import tracemalloc
 
 import pytest
 
 from radiofp import config
-from radiofp.config import DEFAULT, REQUIRED, atomic_write, integer, number, parse
+from radiofp.config import CSV_BLOCK_ROWS, DEFAULT, REQUIRED, atomic_write, csv_chunks, integer, number, parse
 from radiofp.errors import ValidationError
 
 
@@ -48,6 +51,62 @@ class TestAtomicWrite:
         assert len(temps) == 2 and temps[0] != temps[1]
         assert target.read_text() == "first\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        atomic_write(tmp_path / "out.bin", iter(["hé", b"\x00", bytearray(b"\x01")]))
+        assert (tmp_path / "out.bin").read_bytes() == "hé".encode("utf-8") + b"\x00\x01"
+
+    def test_iterator_failing_halfway_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\r\n")
+
+        def chunks():
+            yield "new,"
+            yield b"half"
+            raise ValueError("row source failed")
+
+        with pytest.raises(ValueError, match="row source failed"):
+            atomic_write(target, chunks())
+        assert target.read_bytes() == b"old\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def one_shot_csv(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+class TestCsvChunks:
+    def test_chunks_join_into_the_bytes_of_one_writer(self):
+        header = ["label", "x", "note"]
+        rows = [[f"dev-{i}", repr(i / 7), ""] for i in range(2 * CSV_BLOCK_ROWS + 10)]
+        rows[CSV_BLOCK_ROWS - 1][0] = 'a,"b"\nc'  # quoted, at the end of the first block
+        rows[CSV_BLOCK_ROWS][2] = 'x,"y"'       # and at the start of the second
+        chunks = list(csv_chunks(header, iter(rows)))
+        assert len(chunks) == 4  # the header, then three blocks of rows
+        assert "".join(chunks) == one_shot_csv(header, rows)
+        assert chunks[1].endswith('"a,""b""\nc",' + repr((CSV_BLOCK_ROWS - 1) / 7) + ",\r\n")
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS])
+    def test_short_tables(self, n_rows):
+        rows = [[i] for i in range(n_rows)]
+        assert "".join(csv_chunks(["n"], rows)) == one_shot_csv(["n"], rows)
+
+    def test_writing_a_large_table_holds_only_a_block_of_text(self, tmp_path):
+        # 100,000 rows of three repr floats are 4.8 MB of CSV; built as one
+        # StringIO, then a str, then UTF-8 bytes, the table peaks at 15.5 MB.
+        rows = ((repr(i / 3), repr(i / 7), repr(i * 1e-9)) for i in range(100_000))
+        tracemalloc.start()
+        try:
+            atomic_write(tmp_path / "big.csv", csv_chunks(["a", "b", "c"], rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 4_500_000
+        assert peak < 2_000_000
 
 
 class TestParse:

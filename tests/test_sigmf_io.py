@@ -1,12 +1,13 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from radiofp.channel import ChannelSpec
-from radiofp.dsp import IqRecording
+from radiofp.dsp import BLOCK_SAMPLES, IqRecording, seal
 from radiofp.emitter import EmitterProfile, TransmissionSchedule
 from radiofp.errors import (
     ConsistencyError,
@@ -83,6 +84,35 @@ class TestWriteReadRecording:
         loaded, meta = read_recording(tmp_path / "a")
         d2, m2 = write_recording(loaded, meta, tmp_path / "b")
         assert d1.read_bytes() == d2.read_bytes()
+
+    def test_blocks_write_the_interleaved_float32_bytes(self, tmp_path):
+        n = 2 * BLOCK_SAMPLES + 37  # past two blocks, with a short tail
+        rng = np.random.default_rng(4)
+        full = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        full.real[::3] = -0.0
+        full.imag[::5] = -0.0
+        samples = seal(full[::2])  # a strided sealed view, adopted as it is
+        rec = IqRecording(samples, FS, id="big")
+        assert rec.samples is samples
+        dpath, _ = write_recording(rec, simple_meta(rec), tmp_path / "big")
+        want = np.empty(2 * n, dtype="<f4")
+        want[0::2], want[1::2] = samples.real, samples.imag
+        assert dpath.read_bytes() == want.tobytes()
+        parts = want.astype(np.float64)
+        loaded, _ = read_recording(tmp_path / "big")
+        assert loaded.samples.tobytes() == (parts[0::2] + 1j * parts[1::2]).tobytes()
+
+    def test_write_holds_one_block_of_float32(self, tmp_path):
+        rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="m")
+        meta = simple_meta(rec)
+        tracemalloc.start()
+        try:
+            write_recording(rec, meta, tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "m.sigmf-data").stat().st_size == rec.samples.nbytes // 2
+        assert peak < 0.1 * rec.samples.nbytes  # an interleaved copy of the whole capture is 0.5
 
     def test_out_of_bounds_annotation_rejected_before_write(self, tmp_path):
         rec = IqRecording(np.zeros(10, dtype=complex), FS, id="x")

@@ -17,6 +17,13 @@ With --rss the script also writes, to standard error, each command's peak
 RSS as perfbench/run.py measures it (the child's own rusage from os.wait4),
 one `peak_rss_mb  workload/seed/command` line per command, so one run gives
 both the byte-identity listing and the per-command memory table.
+
+Each output is hashed in 1 MiB chunks, never read whole. On Linux a child
+reports a peak RSS (ru_maxrss) no lower than the high-water RSS of the
+process that spawned it, so reading one 20 MB .sigmf-data file whole here
+would raise the reading of every later command to this script's own
+peak. With --rss the script's own peak, the floor of every reading, is
+the last line.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -47,6 +55,14 @@ def run(argv: list[str], env: dict, cwd: str) -> tuple[int, float, str]:
         proc.returncode = os.waitstatus_to_exitcode(status)
         log.seek(0)
         return proc.returncode, usage.ru_maxrss / 1024.0, log.read().decode(errors="replace")
+
+
+def sha256_of(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -74,9 +90,12 @@ def main(argv=None) -> int:
                 for path in out.rglob("*"):
                     if path.is_file():
                         key = f"{workload}/{seed}/{path.relative_to(out).as_posix()}"
-                        lines[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+                        lines[key] = sha256_of(path)
     for key in sorted(lines):
         print(f"{lines[key]}  {key}")
+    if args.rss:
+        floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"{floor_mb:8.1f}  (this script's own peak: no command reads below it)", file=sys.stderr)
     return 0
 
 
