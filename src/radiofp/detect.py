@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording
+from .dsp import BLOCK_SAMPLES, IqRecording, block_slices
 from .errors import ParameterError, SizeError
 
 __all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
@@ -69,9 +69,37 @@ class MatchReport(NamedTuple):
     false_alarms: int
 
 
-def _run_starts(mask: np.ndarray) -> np.ndarray:
-    """Indices where a run of True begins: every other change of the mask, after a leading False."""
-    return np.flatnonzero(np.diff(mask, prepend=False))[::2]
+def _run_starts(track: np.ndarray, test, threshold: float) -> np.ndarray:
+    """Indices where a run of test(track, threshold) begins, found one block of BLOCK_SAMPLES at a time."""
+    found, before = [], False
+    for block in block_slices(track.size):
+        mask = test(track[block], threshold)
+        found.append(np.flatnonzero(np.diff(mask, prepend=before) & mask) + block.start)  # the rises
+        before = mask[-1]
+    return np.concatenate(found)
+
+
+def _power_track(samples: np.ndarray, window: int) -> np.ndarray:
+    """np.convolve(|samples|^2, a window-long 1/window boxcar, mode="same"), one block at a time.
+
+    Outputs come in blocks of BLOCK_SAMPLES (or window, if longer; a short
+    tail joins the block before it). Each block squares the samples its
+    outputs reach and convolves them alone, zero padding only at the array's
+    ends, so every output is the dot product of the whole-array convolution,
+    with the same bits, while only a block of |samples|^2 is ever held.
+    """
+    n = samples.size
+    kernel = np.full(window, 1.0 / window)
+    reach = (window - 1) // 2  # the "same" output k is the "full" output k + reach
+    step = max(BLOCK_SAMPLES, window)
+    starts = list(range(0, n - step + 1, step)) or [0]
+    track = np.empty(n)
+    for start, stop in zip(starts, starts[1:] + [n]):
+        lo = max(start + reach - window + 1, 0)
+        power = np.abs(samples[lo:min(stop + reach, n)])
+        np.square(power, out=power)
+        track[start:stop] = np.convolve(power, kernel, mode="full")[start + reach - lo:stop + reach - lo]
+    return track
 
 
 def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[RegionOfInterest]:
@@ -83,10 +111,7 @@ def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[Region
     n = len(recording)
     if n < params.window:
         raise SizeError(f"recording length {n} is shorter than the window {params.window}")
-    power = np.abs(recording.samples)
-    np.square(power, out=power)
-    p = np.convolve(power, np.full(params.window, 1.0 / params.window), mode="same")
-    del power
+    p = _power_track(recording.samples, params.window)
     floor = float(np.median(p))
 
     if floor > 0:
@@ -101,8 +126,8 @@ def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[Region
     # that ends where the next run below close_thr begins, or at n. A span
     # opened before the previous one closed has a negative gap to it, so it
     # joins it, as does a span at most merge_gap after it.
-    opens = _run_starts(p >= open_thr)
-    closes = _run_starts(p < close_thr)
+    opens = _run_starts(p, np.greater_equal, open_thr)
+    closes = _run_starts(p, np.less, close_thr)
     ends = np.append(closes, n)[np.searchsorted(closes, opens)]
     cut = opens[1:] - ends[:-1] > params.merge_gap
     starts = np.concatenate((opens[:1], opens[1:][cut]))

@@ -4,7 +4,8 @@ Power-of-two FFT wrappers, Hamming windowed-sinc lowpass design, linear-phase
 FIR filtering with group-delay compensation, instantaneous amplitude / phase /
 frequency decomposition, a two-region SNR estimator, and the in-place
 helpers a capture's stages share (seal, as_sum_of_parts, add_white_noise).
-fir_apply and add_white_noise work in blocks of BLOCK_SAMPLES.
+fir_apply, as_sum_of_parts, add_white_noise and IqRecording's finiteness
+check work in blocks of BLOCK_SAMPLES (see block_slices).
 
 fir_apply writes into the out array it is given (which may be its input),
 and the helpers change their argument in place; every other function is
@@ -27,8 +28,14 @@ _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 # The block length of the capture stages that work in blocks (fir_apply,
 # add_white_noise, the channel's multipath, the write of a session's data
-# file), so that each holds only its input and its output plus a few blocks.
+# file, the detector's power track and crossings, clipping_ratio), so that
+# each holds only its input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
+
+
+def block_slices(n: int):
+    """The slices that cut n samples into blocks of BLOCK_SAMPLES, the last one shorter."""
+    return (slice(start, start + BLOCK_SAMPLES) for start in range(0, n, BLOCK_SAMPLES))
 
 
 def as_complex_array(samples) -> np.ndarray:
@@ -88,7 +95,7 @@ class IqRecording:
         arr = self.samples if _sealed(self.samples) else np.array(self.samples, dtype=np.complex128)
         if arr.ndim != 1:
             raise SizeError(f"samples must be 1-D, got ndim={arr.ndim}")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if not all(np.isfinite(arr[block]).all() for block in block_slices(arr.size)):
             raise ParameterError("samples must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -175,8 +182,10 @@ def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarr
     short tail joins the block before it, and each block convolves its own
     samples plus trim on each side, zero padding only at the array's ends.
     So every output sample is the dot product one whole-array np.convolve
-    computes, and the bits are the same. A block's output is written once
-    the next block has read its samples.
+    computes, and the bits are the same. A block's output is written as soon
+    as it is computed, except its last trim samples: the next block reads
+    the inputs there, so they are held (copied) until it has. Only one
+    block's convolution is alive at a time.
     """
     x = as_complex_array(samples)
     if out is None:
@@ -187,13 +196,16 @@ def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarr
     trim = (h.size - 1) // 2
     step = max(BLOCK_SAMPLES, h.size)
     starts = list(range(0, n - step + 1, step)) or [0]
-    pending = slice(0, 0), x[:0]  # the last block's output, held while the next block reads its samples
+    held = slice(0, 0), x[:0]  # the last block's last trim outputs, until the next block reads its inputs
     for start, stop in zip(starts, starts[1:] + [n]):
         lo = max(start - trim, 0)
-        full = np.convolve(x[lo:min(stop + trim, n)], h, mode="full")
-        out[pending[0]] = pending[1]
-        pending = slice(start, stop), full[start - lo + trim:stop - lo + trim]
-    out[pending[0]] = pending[1]
+        block = np.convolve(x[lo:min(stop + trim, n)], h, mode="full")[start - lo + trim:stop - lo + trim]
+        out[held[0]] = held[1]
+        split = max(stop - trim, start)
+        out[start:split] = block[:split - start]
+        held = slice(split, stop), block[split - start:].copy()
+        del block  # so that the next block's convolution is the only one alive
+    out[held[0]] = held[1]
     return out
 
 
@@ -219,9 +231,11 @@ def as_sum_of_parts(z: np.ndarray) -> np.ndarray:
 
     That sum differs from the parts only in signed zeros: a -0 real part
     becomes +0 unless the imaginary part's sign bit is set, and a -0
-    imaginary part becomes +0.
+    imaginary part becomes +0. The sign mask is built one block at a time.
     """
-    np.add(z.real, 0.0, out=z.real, where=~np.signbit(z.imag))
+    for block in block_slices(z.size):
+        part = z[block]
+        np.add(part.real, 0.0, out=part.real, where=~np.signbit(part.imag))
     z.imag += 0.0
     return z
 
@@ -237,12 +251,12 @@ def add_white_noise(x: np.ndarray, scale: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     buffer = np.empty(min(x.size, BLOCK_SAMPLES))
     for part in (x.real, x.imag):
-        for start in range(0, x.size, BLOCK_SAMPLES):
-            block = part[start:start + BLOCK_SAMPLES]
-            draws = buffer[:block.size]
+        for block in block_slices(x.size):
+            segment = part[block]
+            draws = buffer[:segment.size]
             rng.standard_normal(out=draws)
             draws *= scale
-            block += draws
+            segment += draws
     return x
 
 

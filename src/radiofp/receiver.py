@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqRecording, add_white_noise, as_sum_of_parts, design_lowpass, fir_apply, seal
+from .dsp import IqRecording, add_white_noise, as_sum_of_parts, block_slices, design_lowpass, fir_apply, seal
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -103,7 +103,8 @@ def clipping_ratio(recording: IqRecording, full_scale: float) -> float:
     """Fraction of samples with either component at the rails.
 
     A component counts as railed when |v| >= full_scale - eps with
-    eps = full_scale * 1e-9. Empty recordings report 0.0.
+    eps = full_scale * 1e-9. Empty recordings report 0.0. The samples are
+    counted one block of BLOCK_SAMPLES at a time.
     """
     if not full_scale > 0:
         raise ParameterError(f"full_scale must be > 0, got {full_scale}")
@@ -111,5 +112,6 @@ def clipping_ratio(recording: IqRecording, full_scale: float) -> float:
     if z.size == 0:
         return 0.0
     limit = full_scale - full_scale * 1e-9
-    railed = (np.abs(z.real) >= limit) | (np.abs(z.imag) >= limit)
-    return float(np.mean(railed))
+    railed = sum(int(np.count_nonzero((np.abs(z[block].real) >= limit) | (np.abs(z[block].imag) >= limit)))
+                 for block in block_slices(z.size))
+    return railed / z.size

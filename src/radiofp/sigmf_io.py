@@ -49,7 +49,7 @@ from .config import (
     parse,
     schedule_document,
 )
-from .dsp import BLOCK_SAMPLES, IqRecording, as_sum_of_parts, seal
+from .dsp import IqRecording, as_sum_of_parts, block_slices, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire
@@ -175,8 +175,8 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
 
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
     samples = recording.samples
-    blocks = (np.ascontiguousarray(samples[start:start + BLOCK_SAMPLES]).view(np.float64).astype("<f4")
-              for start in range(0, samples.size, BLOCK_SAMPLES))
+    blocks = (np.ascontiguousarray(samples[block]).view(np.float64).astype("<f4")
+              for block in block_slices(samples.size))
     atomic_write(dpath, blocks)
     atomic_write(mpath, json_text(doc))
     return dpath, mpath

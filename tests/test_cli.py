@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -884,6 +885,40 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+MAPPED_AFTER_A_LARGER_FREE = """
+import ctypes, sys
+import numpy as np
+import radiofp.cli
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+if sys.argv[1] == "pinned":
+    assert radiofp.cli.pin_mmap_threshold()
+np.ones(2 ** 20, dtype=complex)  # 16 MiB, mapped, then freed
+kept = np.ones(2 ** 19, dtype=complex)  # 8 MiB
+print(libc.mallinfo2().hblkhd >= kept.nbytes)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_pinned_mmap_threshold_maps_every_capture_sized_array():
+    """Unpinned, glibc puts an array smaller than one it freed in the heap, where its cost depends on layout."""
+    import ctypes
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("glibc before 2.33 has no mallinfo2")
+    src = str(Path(__import__("radiofp").__file__).parent.parent)
+    env = {key: value for key, value in os.environ.items()  # glibc's defaults, not tunables set from outside
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    mapped = {}
+    for mode in ("pinned", "default"):
+        result = subprocess.run([sys.executable, "-c", MAPPED_AFTER_A_LARGER_FREE, mode], capture_output=True,
+                                text=True, env={**env, "PYTHONPATH": src}, check=True)
+        mapped[mode] = result.stdout.strip()
+    assert mapped == {"pinned": "True", "default": "False"}
 
 
 # --- golden bytes: recorded from the copying stages, which the in-place stages must reproduce ----

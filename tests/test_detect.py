@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiofp.channel import add_awgn
-from radiofp.detect import DetectorParams, RegionOfInterest, detect_bursts, match_rois
-from radiofp.dsp import IqRecording
+from radiofp.detect import DetectorParams, RegionOfInterest, _power_track, _run_starts, detect_bursts, match_rois
+from radiofp.dsp import BLOCK_SAMPLES, IqRecording
 from radiofp.emitter import EmitterProfile, TransmissionSchedule, render_session
 from radiofp.errors import ParameterError, SizeError
 
@@ -156,6 +156,30 @@ class TestDetectBursts:
             tracemalloc.stop()
         assert len(rois) == 13
         assert peak <= 1.1 * rec.samples.nbytes
+
+
+B = BLOCK_SAMPLES
+
+
+@pytest.mark.parametrize("window", [4, 17, 64])
+@pytest.mark.parametrize("n", [64, B - 1, B, B + 1, B + 40, 2 * B - 1, 2 * B + 3, 7 * B // 2])
+def test_power_track_blocks_give_the_bits_of_one_whole_convolution(n, window):
+    """Each block's dot products are the whole "same" convolution's, at the block edges and the array ends."""
+    rng = np.random.default_rng(n + window)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = np.convolve(np.abs(x) ** 2, np.full(window, 1.0 / window), mode="same")
+    assert _power_track(x, window).tobytes() == want.tobytes()
+
+
+def test_run_starts_across_block_edges():
+    """Runs that start on, end on and cross the block edges: the rises of one whole mask."""
+    track = np.zeros(3 * B + 5)
+    for start, stop in [(0, 3), (B - 2, B + 4), (2 * B, 2 * B + 1), (2 * B + 7, 3 * B + 5)]:
+        track[start:stop] = 1.0
+    mask = track >= 0.5
+    want = np.flatnonzero(mask & ~np.concatenate(([False], mask[:-1])))
+    assert _run_starts(track, np.greater_equal, 0.5).tolist() == want.tolist() == [0, B - 2, 2 * B, 2 * B + 7]
+    assert _run_starts(track, np.less, 0.5).tolist() == [3, B + 4, 2 * B + 1]
 
 
 def state_machine_detect(x: np.ndarray, params: DetectorParams) -> list[tuple]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from radiofp.dsp import (
     IqRecording,
     add_white_noise,
     as_sum_of_parts,
+    block_slices,
     design_lowpass,
     estimate_snr_db,
     fft_forward,
@@ -46,6 +49,12 @@ class TestIqRecording:
         with pytest.raises(ParameterError):
             IqRecording([np.nan + 0j], 1.0)
 
+    def test_rejects_nonfinite_in_the_last_short_block(self):
+        x = np.zeros(2 * BLOCK_SAMPLES + 3, dtype=complex)
+        x[-1] = complex(0.0, np.inf)
+        with pytest.raises(ParameterError):
+            IqRecording(x, 1.0)
+
     def test_samples_immutable(self):
         rec = IqRecording([1 + 0j], 1.0)
         with pytest.raises(ValueError):
@@ -81,6 +90,35 @@ class TestCaptureBufferHelpers:
         z.real, z.imag = re, im
         assert as_sum_of_parts(z).tobytes() == (re + 1j * im).tobytes()
         assert np.signbit(z.real[re == 0]).sum() == 3  # only -0 with a negative or -0 im stays -0
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_SAMPLES, 2 * BLOCK_SAMPLES + 5])
+    def test_block_slices_cover_each_sample_once(self, n):
+        covered = np.zeros(n, dtype=int)
+        for block in block_slices(n):
+            covered[block] += 1
+        assert np.all(covered == 1)
+
+    def test_sum_of_parts_in_blocks_matches_the_whole_expression(self):
+        """Signed zeros on both sides of each block edge keep the bits of re + 1j*im."""
+        n = 2 * BLOCK_SAMPLES + 5
+        rng = np.random.default_rng(2)
+        re, im = rng.choice([0.0, -0.0, 1.0, -1.0], n), rng.choice([0.0, -0.0, 2.0], n)
+        for edge in (BLOCK_SAMPLES, 2 * BLOCK_SAMPLES):
+            re[edge - 1:edge + 1], im[edge - 1:edge + 1] = -0.0, (-0.0, 0.0)
+        z = np.empty(n, dtype=np.complex128)
+        z.real, z.imag = re, im
+        assert as_sum_of_parts(z).tobytes() == (re + 1j * im).tobytes()
+
+    def test_sum_of_parts_holds_one_block_mask(self):
+        z = np.full(2 ** 21, complex(-0.0, -0.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            as_sum_of_parts(z)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * BLOCK_SAMPLES  # a few one-byte masks of a block; the whole mask is 2 MiB
 
     def test_white_noise_matches_the_complex_expression_bit_for_bit(self):
         n = 2 * BLOCK_SAMPLES + 5000  # past two blocks: the stream runs on from block to block

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radiofp.detect import RegionOfInterest
-from radiofp.dsp import IqRecording, estimate_snr_db
+from radiofp.dsp import BLOCK_SAMPLES, IqRecording, estimate_snr_db
 from radiofp.errors import ParameterError, SizeError, TuningError
 from radiofp.receiver import ReceiverConfig
 from radiofp.tuning import (
@@ -114,6 +116,37 @@ class TestAcquisitionMetrics:
         snr, clip = acquisition_metrics(rec, rois, full_scale=1.0)
         assert snr == expected
         assert clip == 0.0
+
+    def test_gaps_give_the_masked_complement_bits(self):
+        """Unsorted, overlapping and end-touching ROIs: the SNR bits of estimate_snr_db against the masked complement."""
+        n = 3 * BLOCK_SAMPLES + 11
+        rng = np.random.default_rng(5)
+        x = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        rois = [RegionOfInterest(start, 3000, 10.0, 1e-3)
+                for start in (n - 3000, 100, 2 * BLOCK_SAMPLES - 2999, 1500, BLOCK_SAMPLES - 1000)]
+        for roi in rois:
+            x[roi.start_sample:roi.end_sample] *= 20.0
+        rec = IqRecording(x, FS)
+        mask = np.ones(n, dtype=bool)
+        for roi in rois:
+            mask[roi.start_sample:roi.end_sample] = False
+        expected = float(np.mean([estimate_snr_db(roi.slice_of(rec), x[mask]) for roi in rois]))
+        assert acquisition_metrics(rec, rois, full_scale=1.0)[0] == expected
+
+    def test_peak_memory_is_the_complement_power_alone(self):
+        """One float per complement sample: a quarter of the capture here."""
+        n = 2 ** 21
+        x = np.full(n, 0.01 + 0.01j)
+        rois = [RegionOfInterest(start, 4096, 10.0, 1e-3) for start in range(0, n, 8192)]
+        rec = IqRecording(x, FS)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            acquisition_metrics(rec, rois, full_scale=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.27 * rec.samples.nbytes
 
     def test_short_roi_raises_size_error(self):
         rec, rois = self.recording_with_rois([300, 5, 700])
