@@ -12,7 +12,6 @@ from .dsp import (
     FirTaps,
     IqRecording,
     design_lowpass,
-    estimate_snr_db,
     fft_forward,
     fft_inverse,
     instantaneous,
@@ -41,12 +40,10 @@ from .sigmf_io import (
     SessionMeta,
     build_dataset,
     read_recording,
-    read_schedule,
     regenerate_from_manifest,
     write_recording,
-    write_schedule,
 )
-from .tuning import ObjectiveParams, TuningGrid, TuningTrace, objective, replan_on_drift, tune
+from .tuning import ObjectiveParams, TuningGrid, TuningTrace, objective, tune
 from .verify import (
     DeviceFingerprint,
     VerificationDecision,

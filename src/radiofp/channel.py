@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import BLOCK_SAMPLES, IqRecording, add_white_noise, seal
+from .dsp import BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, runs_power, seal, union_runs
 from .emitter import BurstSpan
 from .errors import ParameterError
 
@@ -89,10 +89,9 @@ def propagate(
     if taps:  # y[n] = sum_k gain_k * x[n - delay_k]; out-of-range history reads as zero
         x = np.zeros_like(samples)
         scratch = np.empty(min(n, BLOCK_SAMPLES), dtype=samples.dtype)
-        for start in range(0, n, BLOCK_SAMPLES):
-            stop = min(start + BLOCK_SAMPLES, n)
+        for block in block_slices(n):
             for delay, gain in taps:
-                lo = max(start, delay)
+                lo, stop = max(block.start, delay), block.stop
                 if lo < stop:
                     x[lo:stop] += np.multiply(gain, samples[lo - delay:stop - delay], out=scratch[:stop - lo])
         del scratch  # before the burst power and the noise draws allocate theirs
@@ -107,28 +106,9 @@ def propagate(
 
 
 def _burst_power(x: np.ndarray, ground_truth: Sequence[BurstSpan]) -> float:
-    """Mean |x|^2 over the union of the spans; 1.0 with no span or no power.
-
-    |x| over the union, in sample order, is copied into one float array that
-    is squared in place and averaged once: the summation order of
-    np.mean(np.abs(x[mask]) ** 2), without the masked copy of x.
-    """
-    runs: list[list[int]] = []  # the union, as ascending disjoint [start, stop) runs
-    spans = (range(x.size)[span.start_sample:span.start_sample + span.length] for span in ground_truth)
-    for span in sorted((r.start, r.stop) for r in spans if r):
-        if runs and span[0] <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], span[1])
-        else:
-            runs.append(list(span))
-    if not runs:
-        return 1.0
-    power = np.empty(sum(stop - start for start, stop in runs))
-    filled = 0
-    for start, stop in runs:
-        np.abs(x[start:stop], out=power[filled:filled + stop - start])
-        filled += stop - start
-    np.square(power, out=power)
-    ref = float(np.mean(power))
+    """Mean |x|^2 over the union of the spans (one mean over runs_power); 1.0 with no span or no power."""
+    runs = union_runs(((span.start_sample, span.start_sample + span.length) for span in ground_truth), x.size)
+    ref = float(np.mean(runs_power(x, runs))) if runs else 0.0
     return ref if ref > 0.0 else 1.0
 
 

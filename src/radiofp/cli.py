@@ -16,11 +16,13 @@ deterministic and output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import dataclasses
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -177,12 +179,25 @@ def _cell_error(path: str, line: int, header: list[str], row: list[str]) -> Vali
     return ValidationError(f"{path}, row {line}, column '{header[col]}': {row[col]!r:.40} is not {expected}")
 
 
+def _csv_rows(path: str):
+    """The rows of a CSV file; text that is not UTF-8 or a cell over csv.field_size_limit() names its row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValidationError(f"{path}, row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # decoded ahead of the reader, so the row is found in the bytes
+            text = Path(path).read_bytes().decode("utf-8", errors="surrogateescape")
+            row = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+            raise ValidationError(f"{path}, row {row}: not UTF-8 text") from None
+
+
 def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[FeatureVector]]:
     """(feature_names, labels, vectors) from a pipeline CSV, whose header must be
     FEATURE_CSV_PREFIX followed by the full catalog of one wavelet depth."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with contextlib.closing(_csv_rows(path)) as rows:
+        header = next(rows, [])
         prefix, names = tuple(header[:len(FEATURE_CSV_PREFIX)]), tuple(header[len(FEATURE_CSV_PREFIX):])
         version = catalog_version_of(names) if prefix == FEATURE_CSV_PREFIX else None
         if version is None:
@@ -191,7 +206,7 @@ def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[Fea
                 f"{','.join(FEATURE_CSV_PREFIX)} followed by the feature catalog in order"
             )
         labels, vectors = [], []
-        for line, row in enumerate(reader, start=2):
+        for line, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise ValidationError(f"{path}, row {line}: {len(row)} columns, expected {len(header)}")
             try:

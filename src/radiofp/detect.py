@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import BLOCK_SAMPLES, IqRecording, block_slices
+from .dsp import IqRecording, block_slices, convolve_same
 from .errors import ParameterError, SizeError
 
 __all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
@@ -80,26 +80,12 @@ def _run_starts(track: np.ndarray, test, threshold: float) -> np.ndarray:
 
 
 def _power_track(samples: np.ndarray, window: int) -> np.ndarray:
-    """np.convolve(|samples|^2, a window-long 1/window boxcar, mode="same"), one block at a time.
+    """The mode="same" np.convolve of |samples|^2 and a window-long 1/window boxcar, bit for bit.
 
-    Outputs come in blocks of BLOCK_SAMPLES (or window, if longer; a short
-    tail joins the block before it). Each block squares the samples its
-    outputs reach and convolves them alone, zero padding only at the array's
-    ends, so every output is the dot product of the whole-array convolution,
-    with the same bits, while only a block of |samples|^2 is ever held.
-    """
-    n = samples.size
-    kernel = np.full(window, 1.0 / window)
-    reach = (window - 1) // 2  # the "same" output k is the "full" output k + reach
-    step = max(BLOCK_SAMPLES, window)
-    starts = list(range(0, n - step + 1, step)) or [0]
-    track = np.empty(n)
-    for start, stop in zip(starts, starts[1:] + [n]):
-        lo = max(start + reach - window + 1, 0)
-        power = np.abs(samples[lo:min(stop + reach, n)])
-        np.square(power, out=power)
-        track[start:stop] = np.convolve(power, kernel, mode="full")[start + reach - lo:stop + reach - lo]
-    return track
+    Squared and convolved in place (convolve_same): the track is its only capture-length array."""
+    power = np.abs(samples)
+    np.square(power, out=power)
+    return convolve_same(power, np.full(window, 1.0 / window), out=power)
 
 
 def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[RegionOfInterest]:

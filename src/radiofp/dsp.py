@@ -2,12 +2,12 @@
 
 Power-of-two FFT wrappers, Hamming windowed-sinc lowpass design, linear-phase
 FIR filtering with group-delay compensation, instantaneous amplitude / phase /
-frequency decomposition, a two-region SNR estimator, and the in-place
-helpers a capture's stages share (seal, as_sum_of_parts, add_white_noise).
-fir_apply, as_sum_of_parts, add_white_noise and IqRecording's finiteness
-check work in blocks of BLOCK_SAMPLES (see block_slices).
+frequency decomposition, the SNR of two mean powers, and what a capture's
+stages share: the one blocked convolution (convolve_same, behind fir_apply and
+the detector's power track), |z|^2 over a union of spans (union_runs,
+runs_power) and the in-place helpers (seal, as_sum_of_parts, add_white_noise).
 
-fir_apply writes into the out array it is given (which may be its input),
+convolve_same writes into the out array it is given (which may be its input),
 and the helpers change their argument in place; every other function is
 pure. Recordings and tap sets are immutable after construction, so values
 can be shared freely across threads.
@@ -26,7 +26,7 @@ from .errors import DegenerateInputError, ParameterError, SizeError
 SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
-# The block length of the capture stages that work in blocks (fir_apply,
+# The block length of the capture stages that work in blocks (convolve_same,
 # add_white_noise, the channel's multipath, the write of a session's data
 # file, the detector's power track and crossings, clipping_ratio), so that
 # each holds only its input and its output plus a few blocks.
@@ -34,8 +34,8 @@ BLOCK_SAMPLES = 2 ** 16
 
 
 def block_slices(n: int):
-    """The slices that cut n samples into blocks of BLOCK_SAMPLES, the last one shorter."""
-    return (slice(start, start + BLOCK_SAMPLES) for start in range(0, n, BLOCK_SAMPLES))
+    """The slices that cut n samples into blocks of BLOCK_SAMPLES, the last one shorter (stop <= n)."""
+    return (slice(start, min(start + BLOCK_SAMPLES, n)) for start in range(0, n, BLOCK_SAMPLES))
 
 
 def as_complex_array(samples) -> np.ndarray:
@@ -170,43 +170,70 @@ def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     return FirTaps(taps, normalized_cutoff)
 
 
+def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The mode="same" np.convolve of x and kernel, bit for bit, written into out.
+
+    With m = len(kernel), output k is "full" output k + reach, reach =
+    (m - 1) // 2, also for an x shorter than the kernel. out (a new array
+    like x by default) may be x itself, or an array of its shape that shares
+    no memory with it. The convolution runs in blocks of BLOCK_SAMPLES (or m,
+    if longer; a short tail joins the block before it), each over its own
+    samples plus back = m - 1 - reach before and reach after them, zero
+    padding only at the array's ends: every output is the whole-array dot
+    product. A block's output is written at once, except its last back
+    samples: the next block reads the inputs there, so they are held
+    (copied) until it has. One block's convolution is alive at a time.
+    """
+    out = np.empty_like(x) if out is None else out
+    n, m = x.size, kernel.size
+    if n == 0:
+        return out
+    reach, back = (m - 1) // 2, m // 2  # back = m - 1 - reach
+    step = max(BLOCK_SAMPLES, m)
+    starts = list(range(0, n - step + 1, step)) or [0]
+    held = slice(0, 0), x[:0]  # the last block's last back outputs, until the next block reads its inputs
+    for start, stop in zip(starts, starts[1:] + [n]):
+        lo = max(start - back, 0)
+        block = np.convolve(x[lo:min(stop + reach, n)], kernel, mode="full")[start + reach - lo:stop + reach - lo]
+        out[held[0]] = held[1]
+        split = max(stop - back, start)
+        out[start:split] = block[:split - start]
+        held = slice(split, stop), block[split - start:].copy()
+        del block  # so that the next block's convolution is the only one alive
+    out[held[0]] = held[1]
+    return out
+
+
 def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded convolution trimmed back to the input length, written into out.
 
     (num_taps - 1) / 2 samples are dropped from each end of the full
     convolution, so the output stays aligned with the input and downstream
     sample indices remain valid. out (a new array by default) may be the
-    input itself, or an array of its shape that shares no memory with it.
-
-    The filter runs in blocks of BLOCK_SAMPLES (or num_taps, if longer): a
-    short tail joins the block before it, and each block convolves its own
-    samples plus trim on each side, zero padding only at the array's ends.
-    So every output sample is the dot product one whole-array np.convolve
-    computes, and the bits are the same. A block's output is written as soon
-    as it is computed, except its last trim samples: the next block reads
-    the inputs there, so they are held (copied) until it has. Only one
-    block's convolution is alive at a time.
+    input itself, or an array of its shape that shares no memory with it (see convolve_same).
     """
-    x = as_complex_array(samples)
-    if out is None:
-        out = np.empty_like(x)
-    n, h = x.size, taps.coefficients
-    if n == 0:
-        return out
-    trim = (h.size - 1) // 2
-    step = max(BLOCK_SAMPLES, h.size)
-    starts = list(range(0, n - step + 1, step)) or [0]
-    held = slice(0, 0), x[:0]  # the last block's last trim outputs, until the next block reads its inputs
-    for start, stop in zip(starts, starts[1:] + [n]):
-        lo = max(start - trim, 0)
-        block = np.convolve(x[lo:min(stop + trim, n)], h, mode="full")[start - lo + trim:stop - lo + trim]
-        out[held[0]] = held[1]
-        split = max(stop - trim, start)
-        out[start:split] = block[:split - start]
-        held = slice(split, stop), block[split - start:].copy()
-        del block  # so that the next block's convolution is the only one alive
-    out[held[0]] = held[1]
-    return out
+    return convolve_same(as_complex_array(samples), taps.coefficients, out)
+
+
+def union_runs(spans, n: int) -> list[list[int]]:
+    """The union of (start, stop) spans, each covering range(n)[start:stop], as ascending disjoint runs."""
+    runs: list[list[int]] = []
+    for start, stop in sorted((r.start, r.stop) for r in (range(n)[a:b] for a, b in spans) if r):
+        if runs and start <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], stop)
+        else:
+            runs.append([start, stop])
+    return runs
+
+
+def runs_power(z: np.ndarray, runs) -> np.ndarray:
+    """|z|^2 over the [start, stop) runs, in order, in one float array: np.abs(z[mask]) ** 2 with no mask or copy."""
+    power = np.empty(sum(stop - start for start, stop in runs))
+    filled = 0
+    for start, stop in runs:
+        np.abs(z[start:stop], out=power[filled:filled + stop - start])
+        filled += stop - start
+    return np.square(power, out=power)
 
 
 def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,17 +297,3 @@ def snr_db_from_powers(p_sig: float, p_noise: float) -> float:
         raise DegenerateInputError("noise region has zero power")
     excess = max(p_sig - p_noise, p_noise * _SNR_FLOOR_RATIO)
     return float(10.0 * np.log10(excess / p_noise))
-
-
-def estimate_snr_db(signal_region, noise_region) -> float:
-    """SNR estimate from a signal region and a pure-noise region.
-
-    snr_db_from_powers of the mean |z|^2 of each region; both regions need
-    at least SNR_MIN_SAMPLES samples.
-    """
-    sig = as_complex_array(signal_region)
-    noise = as_complex_array(noise_region)
-    if sig.size < SNR_MIN_SAMPLES or noise.size < SNR_MIN_SAMPLES:
-        raise SizeError(
-            f"both regions need >= {SNR_MIN_SAMPLES} samples, got {sig.size} and {noise.size}")
-    return snr_db_from_powers(mean_power(sig), mean_power(noise))

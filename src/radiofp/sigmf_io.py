@@ -47,7 +47,6 @@ from .config import (
     json_text,
     load_json,
     parse,
-    schedule_document,
 )
 from .dsp import IqRecording, as_sum_of_parts, block_slices, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
@@ -63,8 +62,6 @@ __all__ = [
     "DatasetBuildResult",
     "write_recording",
     "read_recording",
-    "write_schedule",
-    "read_schedule",
     "build_dataset",
     "regenerate_from_manifest",
     "read_manifest",
@@ -238,16 +235,6 @@ def schedule_to_doc(schedule: TransmissionSchedule, profiles: Mapping[str, Emitt
         "profiles": [_profile_to_doc(profiles[i]) for i in sorted(profiles)],
         "entries": [dict(zip(ENTRY, entry)) for entry in schedule.entries],
     }
-
-
-def write_schedule(schedule: TransmissionSchedule, profiles: Mapping[str, EmitterProfile], path) -> Path:
-    path = Path(path)
-    atomic_write(path, json_text(schedule_to_doc(schedule, profiles)))
-    return path
-
-
-def read_schedule(path) -> tuple[TransmissionSchedule, dict[str, EmitterProfile]]:
-    return schedule_document(load_json(path))
 
 
 # --- dataset building --------------------------------------------------------

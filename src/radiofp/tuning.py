@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
-from .dsp import SNR_MIN_SAMPLES, IqRecording, mean_power, snr_db_from_powers
+from .dsp import SNR_MIN_SAMPLES, IqRecording, mean_power, runs_power, snr_db_from_powers, union_runs
 from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
@@ -32,7 +32,6 @@ __all__ = [
     "acquisition_metrics",
     "objective",
     "tune",
-    "replan_on_drift",
     "write_trace_csv",
 ]
 
@@ -89,29 +88,13 @@ class TuningTrace:
 def _noise_power(recording: IqRecording, rois: Sequence[RegionOfInterest]) -> float:
     """mean_power of the samples no ROI covers, or nan when they are too few or all zero.
 
-    The gaps between the ROIs are written, in sample order, into one array
-    of their |z|^2, so the mean reduces the same values mean_power would,
-    with no mask and no gathered copy of the samples.
-    """
-    n = len(recording)
-    gaps, edge = [], 0
-    for start, end in sorted((min(roi.start_sample, n), min(roi.end_sample, n)) for roi in rois):
-        if start > edge:
-            gaps.append(slice(edge, start))
-        edge = max(edge, end)
-    gaps.append(slice(edge, n))
-    power = np.empty(sum(gap.stop - gap.start for gap in gaps))
-    if power.size < SNR_MIN_SAMPLES:
+    One mean over runs_power of the gaps: mean_power's values, with no mask or gathered copy."""
+    z, n = recording.samples, len(recording)
+    edges = [0, *itertools.chain.from_iterable(union_runs(((r.start_sample, r.end_sample) for r in rois), n)), n]
+    gaps = list(zip(edges[::2], edges[1::2]))
+    if sum(stop - start for start, stop in gaps) < SNR_MIN_SAMPLES or not any(z[a:b].any() for a, b in gaps):
         return float("nan")
-    filled, silent = 0, True
-    for gap in gaps:
-        z = recording.samples[gap]
-        silent = silent and not z.any()
-        out = power[filled:filled + z.size]
-        np.abs(z, out=out)
-        np.square(out, out=out)
-        filled += z.size
-    return float("nan") if silent else float(np.mean(power))
+    return float(np.mean(runs_power(z, gaps)))
 
 
 def acquisition_metrics(
@@ -123,9 +106,9 @@ def acquisition_metrics(
 
     The SNR reference is the part of the recording not covered by any ROI;
     nan means no usable measurement (no ROI, a too-small complement, or a
-    complement the ADC quantized to pure silence). Each ROI's SNR equals
-    estimate_snr_db(roi samples, complement), with the complement's power
-    reduced once for all ROIs.
+    complement the ADC quantized to pure silence). Each ROI's SNR is
+    snr_db_from_powers(mean_power(roi samples), mean_power(complement)), with
+    the complement's power reduced once for all ROIs.
     """
     clip = clipping_ratio(recording, full_scale)
     if not rois:
@@ -233,13 +216,6 @@ def tune(
 
     best = max(steps.values(), key=_step_key)
     return TuningTrace(tuple(steps.values()), best.config, best.objective_value)
-
-
-def replan_on_drift(previous: TuningTrace, new_objective_at_best: float, drift_threshold: float) -> bool:
-    """True when quality at the previously best config degraded enough to re-tune."""
-    if not previous.steps:
-        raise ParameterError("previous trace is empty")
-    return new_objective_at_best < previous.best_value - drift_threshold
 
 
 def write_trace_csv(trace: TuningTrace, path) -> None:

@@ -383,6 +383,19 @@ def set_cell(column, value):
     return edit
 
 
+def latin1_label(line):
+    """Give row `line` of features.csv a Latin-1 label, which is not UTF-8, past the decoder's first 8 KiB chunk."""
+    def apply(root):
+        path = root / "features.csv"
+        lines = path.read_bytes().split(b"\n")
+        assert sum(len(text) + 1 for text in lines[:line - 1]) > 8192
+        cells = lines[line - 1].split(b",")
+        cells[2] = "café".encode("latin-1")
+        lines[line - 1] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+    return apply
+
+
 def swap_columns(header, rows):
     a, b = header.index("amp_mean"), header.index("cfo_est_hz")
     for row in [header] + rows:
@@ -449,6 +462,9 @@ PROBES = {
                                   "row 3, column 'start_sample'"),
     "csv-zero-length": ("evaluate", None, edit_csv(set_cell("length", "0")),
                         "row 3, column 'length': '0' is not an integer >= 1"),
+    "csv-not-utf8": ("enroll", None, latin1_label(30), "features.csv, row 30: not UTF-8 text"),
+    "csv-cell-over-field-limit": ("verify", None, edit_csv(set_cell("label", "x" * 131_073)),
+                                  "features.csv, row 3: field larger than field limit"),
     "annotation-without-count": ("pipeline", None,
                                  edit_json("data/session.sigmf-meta", drop_sample_count),
                                  "annotations[0].core:sample_count"),
@@ -945,3 +961,28 @@ def test_synth_and_tune_bytes_are_golden(tmp_path):
     parts = np.frombuffer((tmp_path / "data/session.sigmf-data").read_bytes(), dtype="<f4")
     zeros = parts == 0
     assert (zeros.sum(), np.signbit(parts[zeros]).sum()) == (606, 78)
+
+
+# --- the README walk-through, as written ------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ```language block after the README line `heading`."""
+    text = README.read_text()
+    start = text.index(f"```{language}\n", text.index(f"\n{heading}\n")) + len(language) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_walkthrough_runs_each_command(tmp_path, monkeypatch):
+    """The README config and its six CLI commands, run in order from one directory: each exits 0."""
+    (tmp_path / "experiment.json").write_text(readme_block("### Experiment config", "json"))
+    commands = [line.split() for line in readme_block("## CLI", "bash").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["radiofp", name] for name in ("synth", "pipeline", "enroll", "verify", "evaluate", "tune")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, err = run_main(argv[1:])
+        assert code == 0, (argv, err)
+    assert (tmp_path / "tuned" / "best_config.json").exists()

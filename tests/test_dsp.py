@@ -1,7 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from radiofp.dsp import (
     BLOCK_SAMPLES,
@@ -10,14 +13,17 @@ from radiofp.dsp import (
     add_white_noise,
     as_sum_of_parts,
     block_slices,
+    convolve_same,
     design_lowpass,
-    estimate_snr_db,
     fft_forward,
     fft_inverse,
     fir_apply,
     instantaneous,
     mean_power,
+    runs_power,
     seal,
+    snr_db_from_powers,
+    union_runs,
 )
 from radiofp.errors import DegenerateInputError, ParameterError, SizeError
 
@@ -200,16 +206,40 @@ class TestDesignLowpass:
 B = BLOCK_SAMPLES
 
 
+def convolution_cases():
+    """The FIR on complex samples (ids as "n-mode") and a 64-long boxcar on floats ("boxcar64-n-mode")."""
+    for n in [0, 1, 62, 63, B - 1, B, B + 1, B + 31, B + 32, 2 * B - 1, 2 * B, 7 * B // 2]:
+        for mode in ("new", "in_place"):
+            yield pytest.param("fir", n, mode == "in_place", id=f"{n}-{mode}")
+            yield pytest.param("boxcar64", n, mode == "in_place", id=f"boxcar64-{n}-{mode}")
+
+
+def same_reference(x, kernel):
+    """One whole-array np.convolve(x, kernel, "same"), or its "full" output cut the same way for a shorter x."""
+    if x.size == 0:
+        return x.copy()
+    if x.size < kernel.size:  # "same" would return len(kernel) samples
+        reach = (kernel.size - 1) // 2
+        return np.convolve(x, kernel, mode="full")[reach:reach + x.size]
+    return np.convolve(x, kernel, mode="same")
+
+
 class TestFirFilter:
-    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "in_place"])
-    @pytest.mark.parametrize("n", [0, 1, 62, 63, B - 1, B, B + 1, B + 31, B + 32, 2 * B - 1, 2 * B, 7 * B // 2])
-    def test_blocks_give_the_bits_of_one_whole_convolution(self, n, in_place):
+    @pytest.mark.parametrize("kind, n, in_place", convolution_cases())
+    def test_blocks_give_the_bits_of_one_whole_convolution(self, kind, n, in_place):
         """Each block's dot products are the whole convolution's, at the block edges and the array ends."""
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        taps = design_lowpass(0.2, 63)
-        want = np.convolve(x, taps.coefficients, mode="full")[31:31 + n] if n else x.copy()
-        got = fir_apply(x, taps, out=x) if in_place else fir_apply(x, taps)
+        if kind == "fir":
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            taps = design_lowpass(0.2, 63)
+            want = same_reference(x, taps.coefficients)
+            got = fir_apply(x, taps, out=x) if in_place else fir_apply(x, taps)
+        else:  # an even kernel reads one sample more behind each output than ahead of it
+            x = rng.standard_normal(n)
+            kernel = np.full(64, 1.0 / 64)
+            want = same_reference(x, kernel)
+            got = convolve_same(x, kernel, out=x) if in_place else convolve_same(x, kernel)
+        assert got.dtype == x.dtype
         assert got.tobytes() == want.tobytes()
         assert (got is x) == in_place
 
@@ -285,30 +315,49 @@ class TestInstantaneous:
 
 
 class TestEstimateSnr:
+    """The SNR of a signal region over a noise region: snr_db_from_powers of their mean_power."""
+
     def test_definition_arithmetic(self):
         sig = np.full(16, np.sqrt(101.0), dtype=complex)
         noise = np.ones(16, dtype=complex)
-        assert estimate_snr_db(sig, noise) == pytest.approx(20.0, abs=1e-9)
+        assert snr_db_from_powers(mean_power(sig), mean_power(noise)) == pytest.approx(20.0, abs=1e-9)
 
     def test_floor_when_regions_identical(self):
-        region = np.ones(64, dtype=complex)
-        assert estimate_snr_db(region, region) == pytest.approx(-60.0, abs=1e-9)
+        power = mean_power(np.ones(64, dtype=complex))
+        assert snr_db_from_powers(power, power) == pytest.approx(-60.0, abs=1e-9)
 
     def test_monte_carlo_15db(self):
         rng = np.random.default_rng(123)
-        fs = 1.0e5
         n = 10 ** 5
         tone = np.exp(2j * np.pi * 0.01 * np.arange(n))
         sigma = np.sqrt(10 ** (-1.5) / 2)
         noise_a = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         noise_b = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        est = estimate_snr_db(tone + noise_a, noise_b)
+        est = snr_db_from_powers(mean_power(tone + noise_a), mean_power(noise_b))
         assert est == pytest.approx(15.0, abs=0.3)
 
     def test_zero_power_noise_raises(self):
         with pytest.raises(DegenerateInputError):
-            estimate_snr_db(np.ones(8, dtype=complex), np.zeros(8, dtype=complex))
+            snr_db_from_powers(mean_power(np.ones(8, dtype=complex)), mean_power(np.zeros(8, dtype=complex)))
 
-    def test_short_regions_raise(self):
-        with pytest.raises(SizeError):
-            estimate_snr_db(np.ones(4, dtype=complex), np.ones(8, dtype=complex))
+
+# Spans as slice bounds: overlapping, nested, empty (stop <= start) and past the end.
+spans_and_length = st.integers(0, 300).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n + 20), st.integers(0, n + 20)), max_size=8), st.just(n)))
+
+
+@given(spans_and_length)
+def test_runs_power_over_the_union_and_its_complement_is_the_masked_power(spans_n):
+    """union_runs and runs_power give the bits of |z[mask]|^2 for the union's mask and for its complement."""
+    spans, n = spans_n
+    z = np.random.default_rng(n).standard_normal(n) * (1 + 1j)
+    mask = np.zeros(n, dtype=bool)
+    for start, stop in spans:
+        mask[start:stop] = True
+    runs = union_runs(spans, n)
+    edges = [0, *itertools.chain.from_iterable(runs), n]
+    assert edges == sorted(edges) and all(start < stop for start, stop in runs)
+    assert all(stop < start for (_, stop), (start, _) in zip(runs, runs[1:]))  # disjoint and not touching
+    assert runs_power(z, runs).tobytes() == (np.abs(z[mask]) ** 2).tobytes()
+    gaps = list(zip(edges[::2], edges[1::2]))
+    assert runs_power(z, gaps).tobytes() == (np.abs(z[~mask]) ** 2).tobytes()

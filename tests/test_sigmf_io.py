@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from radiofp.channel import ChannelSpec
+from radiofp.config import json_text, schedule_document
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording, seal
 from radiofp.emitter import EmitterProfile, TransmissionSchedule
 from radiofp.errors import (
@@ -23,10 +24,9 @@ from radiofp.sigmf_io import (
     build_dataset,
     read_manifest,
     read_recording,
-    read_schedule,
     regenerate_from_manifest,
+    schedule_to_doc,
     write_recording,
-    write_schedule,
 )
 
 FS = 1.0e5
@@ -179,11 +179,21 @@ def example_schedule(n_entries=10):
     return TransmissionSchedule(entries, 0.004 * n_entries + 0.01)
 
 
+def dump_schedule(schedule, profiles, path):
+    """A schedule document as the manifest embeds it, written to path."""
+    path.write_text(json_text(schedule_to_doc(schedule, profiles)))
+    return path
+
+
+def load_schedule(path):
+    return schedule_document(json.loads(path.read_text()))
+
+
 class TestScheduleRoundTrip:
     def test_empty_schedule(self, tmp_path):
         schedule = TransmissionSchedule((), 1.0)
-        path = write_schedule(schedule, {}, tmp_path / "empty.json")
-        loaded_schedule, loaded_profiles = read_schedule(path)
+        path = dump_schedule(schedule, {}, tmp_path / "empty.json")
+        loaded_schedule, loaded_profiles = load_schedule(path)
         assert loaded_schedule.entries == ()
         assert loaded_schedule.session_duration_s == 1.0
         assert loaded_profiles == {}
@@ -191,37 +201,37 @@ class TestScheduleRoundTrip:
     def test_full_round_trip_field_identical(self, tmp_path):
         schedule = example_schedule()
         profiles = example_profiles()
-        path = write_schedule(schedule, profiles, tmp_path / "sched.json")
-        loaded_schedule, loaded_profiles = read_schedule(path)
+        path = dump_schedule(schedule, profiles, tmp_path / "sched.json")
+        loaded_schedule, loaded_profiles = load_schedule(path)
         assert loaded_schedule == schedule
         assert loaded_profiles == profiles
 
     def test_unknown_field_named_in_error(self, tmp_path):
         schedule = example_schedule(3)
-        path = write_schedule(schedule, example_profiles(), tmp_path / "s.json")
+        path = dump_schedule(schedule, example_profiles(), tmp_path / "s.json")
         doc = json.loads(path.read_text())
         doc["profiles"][0]["mystery_knob"] = 1.0
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="mystery_knob"):
-            read_schedule(path)
+            load_schedule(path)
 
     def test_duplicate_emitter_rejected(self, tmp_path):
         schedule = example_schedule(3)
-        path = write_schedule(schedule, example_profiles(), tmp_path / "s.json")
+        path = dump_schedule(schedule, example_profiles(), tmp_path / "s.json")
         doc = json.loads(path.read_text())
         doc["profiles"].append(dict(doc["profiles"][0]))
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="duplicate"):
-            read_schedule(path)
+            load_schedule(path)
 
     def test_entry_referencing_unknown_profile(self, tmp_path):
         schedule = example_schedule(3)
-        path = write_schedule(schedule, example_profiles(), tmp_path / "s.json")
+        path = dump_schedule(schedule, example_profiles(), tmp_path / "s.json")
         doc = json.loads(path.read_text())
         doc["entries"][0]["emitter_id"] = "ghost"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="ghost"):
-            read_schedule(path)
+            load_schedule(path)
 
 
 class TestBuildDataset:

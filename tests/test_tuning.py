@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radiofp.detect import RegionOfInterest
-from radiofp.dsp import BLOCK_SAMPLES, IqRecording, estimate_snr_db
+from radiofp.dsp import BLOCK_SAMPLES, SNR_MIN_SAMPLES, IqRecording, mean_power, snr_db_from_powers
 from radiofp.errors import ParameterError, SizeError, TuningError
 from radiofp.receiver import ReceiverConfig
 from radiofp.tuning import (
@@ -12,12 +12,17 @@ from radiofp.tuning import (
     TuningGrid,
     acquisition_metrics,
     objective,
-    replan_on_drift,
     tune,
     write_trace_csv,
 )
 
 FS = 1.0e5
+
+
+def estimate_snr_db(signal_region, noise_region):
+    """The reference SNR of two regions of at least SNR_MIN_SAMPLES: snr_db_from_powers of their mean_power."""
+    assert len(signal_region) >= SNR_MIN_SAMPLES and len(noise_region) >= SNR_MIN_SAMPLES
+    return snr_db_from_powers(mean_power(signal_region), mean_power(noise_region))
 
 
 def recording_with_roi(snr_db_exact, n=4000):
@@ -82,7 +87,6 @@ class TestObjective:
         # Independent measurement of both terms through the public helpers
         # must reproduce the objective (arithmetic: 25 dB, clip 0.25 -> 12.5).
         from radiofp.receiver import clipping_ratio
-        from radiofp.dsp import estimate_snr_db
         rec, rois = recording_with_roi(25.0)
         full_scale = 2.0  # rails only the ROI samples (amplitude ~17.8)
         clip = clipping_ratio(rec, full_scale)
@@ -253,21 +257,6 @@ class TestTune:
         trace = tune(synthetic_plant({(0.0, 1000.0): 1.0}), grid, config_template=template)
         cfg = trace.best_config
         assert cfg.adc_bits == 10 and cfg.full_scale == 2.0 and cfg.frontend_noise_power == 1e-4
-
-
-class TestReplanOnDrift:
-    def trace(self):
-        grid = TuningGrid((0.0,), (1000.0,))
-        return tune(synthetic_plant({(0.0, 1000.0): 10.0}), grid)
-
-    def test_unchanged_objective(self):
-        assert replan_on_drift(self.trace(), 10.0, drift_threshold=2.0) is False
-
-    def test_exact_threshold_boundary(self):
-        assert replan_on_drift(self.trace(), 8.0, drift_threshold=2.0) is False
-
-    def test_large_drop_triggers(self):
-        assert replan_on_drift(self.trace(), 6.0, drift_threshold=2.0) is True
 
 
 class TestTraceCsv:
