@@ -91,6 +91,11 @@ def _session_parts(config: dict):
             config["sample_rate_hz"], config["samples_per_symbol"])
 
 
+def _check_window(detector: DetectorParams, n_samples: int) -> None:
+    if detector.window > n_samples:  # a config error, caught before detection
+        raise ValidationError(f"detector.window {detector.window} exceeds the session's {n_samples} samples")
+
+
 def _output(args, name: str) -> Path:
     """Path of output file `name`, creating the --out directory."""
     out_dir = Path(args.out)
@@ -114,20 +119,26 @@ def cmd_synth(args) -> int:
 
 
 def _feature_rows_for_session(stem: Path, detector: DetectorParams, extraction: ExtractionConfig):
+    """(rows, the error class of each ROI extract rejected): a dropped ROI leaves a gap in roi_index."""
     recording, meta = read_recording(stem)
+    _check_window(detector, len(recording))
     rois = detect_bursts(recording, detector)
     # A ROI takes the label of the first annotation it overlaps most (bursts may overlap);
     # index 0 is "no annotation", with a zero overlap that only a positive one beats.
     labels = ["", *(ann.label for ann in meta.annotations)]
     starts = np.array([ann.sample_start for ann in meta.annotations], dtype=np.int64)
     ends = starts + np.array([ann.sample_count for ann in meta.annotations], dtype=np.int64)
-    rows = []
+    rows, dropped = [], []
     for i, roi in enumerate(rois):
+        try:
+            vec = extract(roi, recording, extraction)
+        except WorkbenchError as exc:
+            dropped.append(type(exc).__name__)
+            continue
         overlap = np.minimum(ends, roi.end_sample) - np.maximum(starts, roi.start_sample)
         label = labels[int(np.argmax(np.append(0, overlap)))]
-        vec = extract(roi, recording, extraction)
         rows.append((stem.name, i, label, roi.start_sample, roi.length, vec))
-    return rows
+    return rows, dropped
 
 
 def cmd_pipeline(args) -> int:
@@ -143,17 +154,18 @@ def cmd_pipeline(args) -> int:
     all_rows = []
     for stem in stems:
         try:
-            rows = _feature_rows_for_session(stem, detector, extraction)
+            rows, dropped = _feature_rows_for_session(stem, detector, extraction)
         except (WorkbenchError, OSError) as exc:
             failures.append((stem, exc))
             continue
         if args.verbose:
-            print(f"{stem.name}: {len(rows)} ROI(s)", file=sys.stderr)
+            drops = "".join(f", {dropped.count(name)} dropped ({name})" for name in sorted(set(dropped)))
+            print(f"{stem.name}: {len(rows)} ROI(s){drops}", file=sys.stderr)
         all_rows += rows
 
     for stem, exc in failures:
         print(f"warning: {stem}: {exc}", file=sys.stderr)
-    if failures and not all_rows:
+    if len(failures) == len(stems):
         print("error: every session failed", file=sys.stderr)
         return 2 if all(isinstance(exc, ValidationError) for _, exc in failures) else 1
 
@@ -309,6 +321,7 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     config = _load_config(args, *SESSION, "tuning")
     schedule, profiles, channel, rx_template, seeds, sample_rate, sps = _session_parts(config)
+    _check_window(config["detector"], int(round(schedule.session_duration_s * sample_rate)))
     tuning = dict(config["tuning"])
     with fields("tuning"):
         grid = TuningGrid(tuple(tuning.pop("gain_db_values")), tuple(tuning.pop("filter_bw_hz_values")))

@@ -114,6 +114,16 @@ positive = _typed((int, float), "a finite number > 0", lambda v: 0 < v <= sys.fl
 _list = _typed(list, "a list")
 
 
+def _usable_decibels(db) -> bool:
+    try:
+        return 0.0 < 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
+decibels = _typed((int, float), "a dB value with a finite, positive power ratio", _usable_decibels, float)
+
+
 def array(item):
     return lambda value, where: [item(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
 
@@ -241,13 +251,13 @@ SCHEDULE = {
 }
 SCHEDULE_DOCUMENT = {**SCHEDULE, **required(format_of(SCHEDULE_FORMAT), "format"),
                      **required(array(record(EmitterProfile, PROFILE)), "profiles")}
-CHANNEL = table_of(ChannelSpec, all_required=True, multipath_taps=array(tap),
-                   snr_db=lambda value, where: math.inf if value == "inf" else number(value, where))
-RECEIVER = table_of(ReceiverConfig, all_required=True)
+CHANNEL = table_of(ChannelSpec, all_required=True, multipath_taps=array(tap), path_loss_db=decibels,
+                   snr_db=lambda value, where: math.inf if value == "inf" else decibels(value, where))
+RECEIVER = table_of(ReceiverConfig, all_required=True, gain_db=decibels)
 SEEDS = table_of(DatasetSeeds)
 ENROLLMENT = {"ridge_lambda": (number, DEFAULT), "keep_features": (nullable(integer), None)}
 TUNING = {
-    **required(array(number), "gain_db_values", "filter_bw_hz_values"),
+    **required(array(decibels), "gain_db_values"), **required(array(number), "filter_bw_hz_values"),
     "strategy": (text, DEFAULT), "budget": (nullable(integer), DEFAULT), "max_rounds": (integer, DEFAULT),
     "objective": (section(dict.fromkeys(("clip_weight", "no_roi_penalty"), (number, DEFAULT))), {}),
 }
@@ -262,7 +272,8 @@ EXPERIMENT = {
     "schedule": (section(SCHEDULE), None),
     "channel": (record(ChannelSpec, CHANNEL), None),
     "receiver": (record(ReceiverConfig, RECEIVER), None),
-    "detector": (record(DetectorParams, table_of(DetectorParams)), DetectorParams()),
+    "detector": (record(DetectorParams, table_of(DetectorParams, open_threshold_db=decibels,
+                                                  close_threshold_db=decibels)), DetectorParams()),
     "extraction": (record(ExtractionConfig, table_of(ExtractionConfig)), ExtractionConfig()),
     "enrollment": (section(ENROLLMENT), {"keep_features": None}),
     "tuning": (section(TUNING), None),

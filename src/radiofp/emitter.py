@@ -199,15 +199,23 @@ def render_session(
     if not sample_rate_hz > 0:
         raise ParameterError("sample_rate_hz must be > 0")
     total = int(round(schedule.session_duration_s * sample_rate_hz))
-    buf = np.zeros(total, dtype=np.complex128)
 
-    # One child seed per entry, derived from the session seed.
+    # Each burst spans [round(start * fs), + len(bits) * sps), checked before anything is allocated;
+    # a start past the end counts as total + 1, so an infinite one is never rounded.
     entries = schedule.entries
-    child_seeds = np.random.SeedSequence(seed).generate_state(max(len(entries), 1))
-    starts = [int(round(entry.start_time_s * sample_rate_hz)) for entry in entries]
+    starts = [int(round(min(entry.start_time_s * sample_rate_hz, total + 1))) for entry in entries]
+    order = sorted(range(len(entries)), key=starts.__getitem__)  # stable: ties by entry index
+    for k in order:
+        emitter_id, start_s, bits = entries[k]
+        if starts[k] + len(bits) * samples_per_symbol > total:
+            raise ParameterError(f"schedule.entries[{k}] ('{emitter_id}' at t={start_s}s) overruns the session end "
+                                 f"({len(bits)} bits x samples_per_symbol {samples_per_symbol})")
 
+    buf = np.zeros(total, dtype=np.complex128)
+    # One child seed per entry, derived from the session seed.
+    child_seeds = np.random.SeedSequence(seed).generate_state(max(len(entries), 1))
     ground_truth: list[BurstSpan] = []
-    for k in sorted(range(len(entries)), key=starts.__getitem__):  # stable: ties by entry index
+    for k in order:
         entry, start = entries[k], starts[k]
         try:
             profile = profiles[entry.emitter_id]
@@ -215,11 +223,6 @@ def render_session(
             raise KeyError(f"schedule references unknown emitter_id '{entry.emitter_id}'") from None
         ideal = modulate_ook(entry.payload_bits, samples_per_symbol)
         burst = apply_impairments(ideal, profile, sample_rate_hz, int(child_seeds[k]))
-        if start + burst.size > total:
-            raise ParameterError(
-                f"schedule.entries[{k}] ('{entry.emitter_id}' at t={entry.start_time_s}s) "
-                f"overruns the session end"
-            )
         buf[start:start + burst.size] += burst
         ground_truth.append(BurstSpan(entry.emitter_id, start, int(burst.size)))
 

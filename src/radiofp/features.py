@@ -83,6 +83,7 @@ _INSTANT_NAMES = (
 _TRANSIENT_NAMES = ("rise_time_samples", "fall_time_samples")
 _SPECTRAL_NAMES = ("spectral_centroid_hz", "occupied_bw_hz", "spectral_flatness")
 
+_WPD_DEPTHS = range(1, 7)  # the wavelet-packet depths a catalog may have
 _FLATNESS_SEGMENTS = 8
 _TINY = np.finfo(float).tiny  # the least normal float64
 
@@ -94,8 +95,9 @@ class ExtractionConfig:
     wpd_depth: int = 4
 
     def __post_init__(self) -> None:
-        if not 1 <= self.wpd_depth <= 6:
-            raise ParameterError(f"wpd_depth must lie in [1, 6], got {self.wpd_depth}")
+        if self.wpd_depth not in _WPD_DEPTHS:
+            raise ParameterError(
+                f"wpd_depth must lie in [{_WPD_DEPTHS[0]}, {_WPD_DEPTHS[-1]}], got {self.wpd_depth}")
 
 
 def catalog_names(config: ExtractionConfig = ExtractionConfig()) -> tuple[str, ...]:
@@ -110,7 +112,7 @@ def catalog_version(config: ExtractionConfig = ExtractionConfig()) -> str:
 
 def catalog_version_of(names: Sequence[str]) -> str | None:
     """The version of the catalog that is exactly `names` (in order), or None."""
-    return next((catalog_version(config) for config in map(ExtractionConfig, range(1, 7))
+    return next((catalog_version(config) for config in map(ExtractionConfig, _WPD_DEPTHS)
                  if catalog_names(config) == tuple(names)), None)
 
 
@@ -241,19 +243,9 @@ def instantaneous_stats(roi_samples, sample_rate_hz: float) -> dict[str, float]:
 
     freq_var = float(np.mean((frequency - np.mean(frequency)) ** 2))
 
-    return {
-        "amp_mean": amp.mean,
-        "amp_var": amp.variance,
-        "amp_skew": amp.skewness,
-        "amp_kurt": amp.excess_kurtosis,
-        "amp_peak_to_mean": float(np.max(amplitude)) / amp.mean,
-        "rss_db": rss_db,
-        "cfo_est_hz": cfo_est_hz,
-        "phase_resid_var": resid_m.variance,
-        "phase_resid_skew": resid_m.skewness,
-        "phase_resid_kurt": resid_m.excess_kurtosis,
-        "freq_var": freq_var,
-    }
+    return dict(zip(_INSTANT_NAMES, (amp.mean, amp.variance, amp.skewness, amp.excess_kurtosis,
+                                     float(np.max(amplitude)) / amp.mean, rss_db, cfo_est_hz,
+                                     resid_m.variance, resid_m.skewness, resid_m.excess_kurtosis, freq_var)))
 
 
 def transient_features(roi_samples) -> dict[str, float]:
@@ -265,7 +257,7 @@ def transient_features(roi_samples) -> dict[str, float]:
     steady = float(np.median(_interior(amplitude)))
     sentinel = float(z.size)
     if steady <= 0.0:
-        return {"rise_time_samples": sentinel, "fall_time_samples": sentinel}
+        return dict.fromkeys(_TRANSIENT_NAMES, sentinel)
 
     def edge_time(amp: np.ndarray) -> float:
         above90 = np.flatnonzero(amp >= 0.9 * steady)
@@ -274,10 +266,7 @@ def transient_features(roi_samples) -> dict[str, float]:
         above10 = np.flatnonzero(amp >= 0.1 * steady)
         return float(above90[0] - above10[0])
 
-    return {
-        "rise_time_samples": edge_time(amplitude),
-        "fall_time_samples": edge_time(amplitude[::-1]),
-    }
+    return dict(zip(_TRANSIENT_NAMES, (edge_time(amplitude), edge_time(amplitude[::-1]))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,8 +295,8 @@ def wpd_energies(roi_samples, depth: int, normalized: bool = True) -> np.ndarray
     tree is one product: the zero-padded input as rows of 2^depth, times the
     transposed packet matrix.
     """
-    if not 1 <= depth <= 6:
-        raise ParameterError(f"depth must lie in [1, 6], got {depth}")
+    if depth not in _WPD_DEPTHS:
+        raise ParameterError(f"depth must lie in [{_WPD_DEPTHS[0]}, {_WPD_DEPTHS[-1]}], got {depth}")
     x = as_complex_array(roi_samples)
     width = 2 ** depth
     if x.size < width:
@@ -359,11 +348,7 @@ def spectral_features(roi_samples, sample_rate_hz: float) -> dict[str, float]:
     nonzero = acc[acc > 0]
     flatness = float(np.exp(np.mean(np.log(nonzero))) / np.mean(nonzero)) if nonzero.size else 0.0
 
-    return {
-        "spectral_centroid_hz": centroid,
-        "occupied_bw_hz": occupied_bw,
-        "spectral_flatness": flatness,
-    }
+    return dict(zip(_SPECTRAL_NAMES, (centroid, occupied_bw, flatness)))
 
 
 def extract(
@@ -371,19 +356,13 @@ def extract(
     recording: IqRecording,
     config: ExtractionConfig = ExtractionConfig(),
 ) -> FeatureVector:
-    """Extract the full catalog for one ROI of a recording."""
-    z = roi.slice_of(recording)
-    feats: dict[str, float] = {}
-    feats.update(instantaneous_stats(z, recording.sample_rate_hz))
-    feats.update(transient_features(z))
-    for i, energy in enumerate(wpd_energies(z, config.wpd_depth)):
-        feats[f"wpd_e{i:02d}"] = float(energy)
-    feats.update(spectral_features(z, recording.sample_rate_hz))
-
-    names = catalog_names(config)
+    """Extract the full catalog for one ROI of a recording: the families' values in catalog order."""
+    z, fs = roi.slice_of(recording), recording.sample_rate_hz
+    values = [*instantaneous_stats(z, fs).values(), *transient_features(z).values(),
+              *wpd_energies(z, config.wpd_depth), *spectral_features(z, fs).values()]
     return FeatureVector(  # raises FeatureError for a non-finite value
-        names=names,
-        values=np.array([feats[name] for name in names]),
+        names=catalog_names(config),
+        values=values,
         roi_ref=(recording.id, roi.start_sample),
         catalog_version=catalog_version(config),
     )

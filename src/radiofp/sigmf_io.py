@@ -53,6 +53,8 @@ from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_ses
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire
 
+CF32_LE = np.dtype("<c8")  # one cf32_le sample: I then Q, each a little-endian float32
+
 __all__ = [
     "DATATYPE",
     "CaptureInfo",
@@ -153,7 +155,7 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
     Sample data is stored as float32, so values already representable in
     float32 round-trip bit-identically. It is converted and written one
     block of BLOCK_SAMPLES at a time, so no interleaved copy of the whole
-    capture is made.
+    capture is made. If the meta write fails, the data file is removed.
     """
     if meta.sample_rate_hz != recording.sample_rate_hz:
         raise ValidationError(
@@ -172,10 +174,12 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
 
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
     samples = recording.samples
-    blocks = (np.ascontiguousarray(samples[block]).view(np.float64).astype("<f4")
-              for block in block_slices(samples.size))
-    atomic_write(dpath, blocks)
-    atomic_write(mpath, json_text(doc))
+    atomic_write(dpath, (samples[block].astype(CF32_LE) for block in block_slices(samples.size)))
+    try:
+        atomic_write(mpath, json_text(doc))
+    except BaseException:
+        dpath.unlink()
+        raise
     return dpath, mpath
 
 
@@ -188,15 +192,11 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
     """
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
     raw = dpath.read_bytes()
-    if len(raw) % 8 != 0:
+    if len(raw) % CF32_LE.itemsize != 0:
         raise CorruptDataError(f"{dpath} holds {len(raw)} bytes, not a whole number of cf32 samples")
     doc = parse(load_json(mpath), META, strict=False)
 
-    interleaved = np.frombuffer(raw, dtype="<f4")
-    samples = np.empty(interleaved.size // 2, dtype=np.complex128)
-    samples.real = interleaved[0::2]
-    samples.imag = interleaved[1::2]
-    as_sum_of_parts(samples)  # the signed zeros of I + 1j*Q
+    samples = as_sum_of_parts(np.frombuffer(raw, CF32_LE).astype(np.complex128))  # the signed zeros of I + 1j*Q
 
     claimed = doc["global"]["workbench:sample_count"]
     if claimed is not None and claimed != samples.size:
@@ -291,16 +291,13 @@ def build_dataset(
         ],
     }
 
-    written: list[Path] = []
+    dpath, mpath = write_recording(acquired, meta, out_dir / stem)  # both files, or neither
+    manifest_file = out_dir / "manifest.json"
     try:
-        dpath, mpath = write_recording(acquired, meta, out_dir / stem)
-        written.extend([dpath, mpath])
-        manifest_file = out_dir / "manifest.json"
         atomic_write(manifest_file, json_text(manifest))
-        written.append(manifest_file)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
+    except BaseException:
+        dpath.unlink()
+        mpath.unlink()
         raise
     return DatasetBuildResult(dpath, mpath, manifest_file, tuple(ground_truth))
 

@@ -103,10 +103,6 @@ class DeviceFingerprint:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @property
-    def dim(self) -> int:
-        return int(self.mean.size)
-
     def with_threshold(self, threshold: float) -> "DeviceFingerprint":
         return DeviceFingerprint(
             self.device_id, self.catalog_version, self.selection,

@@ -189,6 +189,42 @@ class TestPipeline:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_a_rejected_roi_is_dropped_and_leaves_a_gap(self, tmp_path):
+        """A 1-bit burst is one ROI too short for the spectral features; only that ROI goes."""
+        config = base_config()
+        config["profiles"].append({**config["profiles"][0], "emitter_id": "gamma",
+                                   "ramp_up_samples": 0, "ramp_down_samples": 0})
+        config["schedule"]["entries"].append({"emitter_id": "gamma", "start_time_s": 0.0455,
+                                              "payload_bits": [1]})
+        config["detector"] = {"window": 16, "min_length": 1}
+        config_path = write_config(tmp_path, config)
+        assert main(["synth", "--config", config_path, "--out", str(tmp_path / "data")]) == 0
+        code, err = run_main(["pipeline", "--config", config_path, "--dataset", str(tmp_path / "data"),
+                              "--out", str(tmp_path / "feat"), "--verbose"])
+        assert code == 0, err
+        assert "session: 12 ROI(s), 1 dropped (SizeError)" in err
+        _, rows = read_csv_rows(tmp_path / "feat" / "features.csv")
+        assert [int(row[1]) for row in rows] == [0, 1, 2, 3, 4, *range(6, 13)]
+        assert {row[2] for row in rows} == {"alpha", "beta"}
+
+    def test_a_session_without_rois_is_not_a_failure(self, synth_dataset, tmp_path, capsys):
+        """One session with no ROI next to a truncated one: one failure of two, so exit 0."""
+        config_path, data_dir = synth_dataset
+        data = data_dir / "session.sigmf-data"
+        for stem in ("quiet", "truncated"):
+            shutil.copy(data_dir / "session.sigmf-meta", data_dir / f"{stem}.sigmf-meta")
+        (data_dir / "quiet.sigmf-data").write_bytes(bytes(data.stat().st_size))  # all zero: no ROI
+        (data_dir / "truncated.sigmf-data").write_bytes(data.read_bytes()[:7])
+        for path in data_dir.glob("session.*"):
+            path.unlink()
+        code = main(["pipeline", "--config", config_path, "--dataset", str(data_dir),
+                     "--out", str(tmp_path / "feat")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "truncated.sigmf-data" in err and "every session failed" not in err
+        header, rows = read_csv_rows(tmp_path / "feat" / "features.csv")
+        assert header[:5] == list(FEATURE_CSV_PREFIX) and rows == []
+
     def test_empty_dataset_dir_exits_2(self, tmp_path):
         config_path = write_config(tmp_path, base_config())
         empty = tmp_path / "empty"
@@ -499,6 +535,24 @@ PROBES = {
     "zero-sample-rate": ("pipeline", None, edit_json(
         "data/session.sigmf-meta", setting("global", "core:sample_rate", value=0)),
         "global.core:sample_rate"),
+    # Values whose arithmetic overflowed, divided by zero or allocated without bound.
+    "snr-db-minus-1e308": ("synth", setting("channel", "snr_db", value=-1e308), None, "channel.snr_db"),
+    "snr-db-1e308": ("synth", setting("channel", "snr_db", value=1e308), None, "channel.snr_db"),
+    "path-loss-db-1e308": ("synth", setting("channel", "path_loss_db", value=1e308), None,
+                           "channel.path_loss_db"),
+    "gain-db-8000": ("synth", setting("receiver", "gain_db", value=8000), None, "receiver.gain_db"),
+    "tuned-gain-db-8000": ("tune", setting("tuning", "gain_db_values", value=[0.0, 8000]), None,
+                           "tuning.gain_db_values[1]"),
+    "open-threshold-db-8000": ("pipeline", setting("detector", "open_threshold_db", value=8000), None,
+                               "detector.open_threshold_db"),
+    "start-time-1e308": ("synth", setting("schedule", "entries", 0, "start_time_s", value=1e308), None,
+                         "schedule.entries[0] ('alpha' at t=1e+308s) overruns"),
+    "sps-1e12": ("synth", setting("samples_per_symbol", value=10 ** 12), None,
+                 "samples_per_symbol 1000000000000"),
+    "window-over-session": ("pipeline", setting("detector", "window", value=10 ** 8), None,
+                            "detector.window"),
+    "tuned-window-over-session": ("tune", setting("detector", "window", value=10 ** 8), None,
+                                  "detector.window"),
 }
 
 

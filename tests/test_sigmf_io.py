@@ -265,6 +265,16 @@ class TestBuildDataset:
             assert (ann.sample_start, ann.sample_count, ann.label) == \
                    (span.start_sample, span.length, span.emitter_id)
 
+    @pytest.mark.parametrize("blocked", ["session.sigmf-meta", "manifest.json"])
+    def test_a_failed_write_leaves_no_partial_output(self, tmp_path, blocked):
+        (tmp_path / blocked).mkdir()  # a directory where a file goes: renaming onto it fails
+        with pytest.raises(OSError):
+            build_dataset(
+                example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+                DatasetSeeds(1, 2, 3), tmp_path, FS, 32,
+            )
+        assert [path.name for path in tmp_path.iterdir()] == [blocked]
+
     def test_manifest_replay_byte_identical(self, tmp_path):
         first = build_dataset(
             example_schedule(6), example_profiles(), self.channel(), self.receiver(),

@@ -387,7 +387,7 @@ class TestWhitenedScoring:
     @settings(max_examples=200, deadline=None)
     @given(fp=fingerprints, seed=st.integers(0, 2**32 - 1))
     def test_matches_solve_on_well_conditioned_covariances(self, fp, seed):
-        x = fp.mean + np.random.default_rng(seed).normal(0.0, 3.0, fp.dim)
+        x = fp.mean + np.random.default_rng(seed).normal(0.0, 3.0, fp.mean.size)
         delta = x - fp.mean
         expected = delta @ np.linalg.solve(fp.covariance, delta)
         assert mahalanobis_squared(x, fp) == pytest.approx(expected, rel=1e-10)
@@ -406,14 +406,14 @@ class TestWhitenedScoring:
     @given(fp=fingerprints, position=st.integers(0, 11), value=bad_values)
     def test_non_finite_probe_rejected(self, fp, position, value):
         x = fp.mean.copy()
-        x[position % fp.dim] = value
+        x[position % fp.mean.size] = value
         with np.errstate(all="ignore"), pytest.raises(ParameterError, match="not finite"):
             mahalanobis_squared(x, fp)
 
     @settings(max_examples=60, deadline=None)
     @given(fp=fingerprints, threshold=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
     def test_with_threshold_scores_identically(self, fp, threshold, seed):
-        x = fp.mean + np.random.default_rng(seed).normal(0.0, 1.0, fp.dim)
+        x = fp.mean + np.random.default_rng(seed).normal(0.0, 1.0, fp.mean.size)
         moved = fp.with_threshold(threshold)
         assert moved.threshold == threshold
         assert mahalanobis_squared(x, moved) == mahalanobis_squared(x, fp)
