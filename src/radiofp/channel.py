@@ -4,8 +4,9 @@ Integer-tap multipath (upfade/downfade/nulling via tap interference), scalar
 path loss, and AWGN at a target SNR. The channel is static per recording;
 noise is deterministic given the seed.
 
-propagate runs the whole chain on one buffer; apply_multipath and
-apply_path_loss are its one-step cases. Each returns a new recording.
+propagate_in_place runs the whole chain on a buffer its caller owns;
+propagate runs it on a copy, and apply_multipath and apply_path_loss are
+propagate's one-step cases. Each of these three returns a new recording.
 """
 
 from __future__ import annotations
@@ -16,18 +17,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, runs_power, seal, union_runs
+from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, check_decibels, runs_power, seal,
+                  union_runs)
 from .emitter import BurstSpan
 from .errors import ParameterError
 
-__all__ = ["ChannelSpec", "propagate", "apply_multipath", "apply_path_loss", "add_awgn"]
+__all__ = ["ChannelSpec", "propagate", "propagate_in_place", "apply_multipath", "apply_path_loss", "add_awgn"]
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """A static channel: tapped delay line + flat loss + AWGN level.
 
-    snr_db = math.inf means no noise is added.
+    snr_db = math.inf means no noise is added. Any other dB value, the loss
+    included, must have a finite, positive power ratio (dsp.usable_decibels).
     """
 
     snr_db: float = math.inf
@@ -39,6 +42,9 @@ class ChannelSpec:
         object.__setattr__(self, "multipath_taps", taps)
         if self.path_loss_db < 0:
             raise ParameterError(f"path_loss_db must be >= 0, got {self.path_loss_db}")
+        check_decibels("path_loss_db", self.path_loss_db)
+        if not _noiseless(self.snr_db):
+            check_decibels("snr_db", self.snr_db)
         if taps:
             delays = [d for d, _ in taps]
             if delays[0] != 0:
@@ -57,52 +63,68 @@ class ChannelSpec:
         }
 
 
+def _noiseless(snr_db: float) -> bool:
+    """True for the no-noise sentinel, snr_db = +inf."""
+    return math.isinf(snr_db) and snr_db > 0
+
+
 def _noise_scale(snr_db: float, signal_power_ref: float) -> float:
     """Per-component noise standard deviation for a target SNR against a reference power."""
     sigma2 = signal_power_ref / 10.0 ** (snr_db / 10.0)
     return np.sqrt(sigma2 / 2.0)
 
 
-def propagate(
-    recording: IqRecording,
-    ground_truth: Sequence[BurstSpan],
-    channel: ChannelSpec,
-    seed: int,
-) -> IqRecording:
-    """Run a rendered session through the channel: multipath, then path loss, then AWGN.
+def propagate(recording: IqRecording, ground_truth: Sequence[BurstSpan], channel: ChannelSpec,
+              seed: int) -> IqRecording:
+    """Run a rendered session through the channel (propagate_in_place) on a copy of its samples.
+
+    A transparent channel returns the recording itself. So a call holds one
+    capture besides its input, plus what propagate_in_place holds.
+    """
+    if not channel.multipath_taps and channel.path_loss_db == 0 and _noiseless(channel.snr_db):
+        return recording
+    x = propagate_in_place(recording.samples.copy(), ground_truth, channel, seed)
+    return recording.replace_samples(seal(x))
+
+
+def propagate_in_place(x: np.ndarray, ground_truth: Sequence[BurstSpan], channel: ChannelSpec, seed: int) -> np.ndarray:
+    """Run the complex128 samples x through the channel, in place: multipath, then path loss, then AWGN.
 
     The AWGN level references the mean power over the ground-truth burst
     spans, measured after multipath and path loss, so inter-burst silence
     does not skew the target SNR. With no bursts the reference power is 1.0
-    (full scale). Multipath writes a new buffer one block of BLOCK_SAMPLES
-    at a time, one block-sized scratch buffer holding each tap's product in
-    turn; loss and noise change it in place. So a call holds one capture
-    besides its input, plus the burst samples' power (a float each) while
-    it measures the reference.
+    (full scale). The chain holds a few blocks besides x, plus the burst
+    samples' power (a float each) while it measures the reference. Returns x.
     """
-    taps, loss_db, snr_db = channel.multipath_taps, channel.path_loss_db, channel.snr_db
-    noiseless = np.isinf(snr_db) and snr_db > 0
-    if not taps and loss_db == 0 and noiseless:
-        return recording
-    samples = recording.samples
-    n = samples.size
-    if taps:  # y[n] = sum_k gain_k * x[n - delay_k]; out-of-range history reads as zero
-        x = np.zeros_like(samples)
-        scratch = np.empty(min(n, BLOCK_SAMPLES), dtype=samples.dtype)
-        for block in block_slices(n):
-            for delay, gain in taps:
-                lo, stop = max(block.start, delay), block.stop
-                if lo < stop:
-                    x[lo:stop] += np.multiply(gain, samples[lo - delay:stop - delay], out=scratch[:stop - lo])
-        del scratch  # before the burst power and the noise draws allocate theirs
-    else:
-        x = samples.copy()
-    if loss_db != 0:
-        x *= 10.0 ** (-loss_db / 20.0)
-    if not noiseless:
+    if channel.multipath_taps:
+        _multipath_in_place(x, channel.multipath_taps)
+    if channel.path_loss_db != 0:
+        x *= 10.0 ** (-channel.path_loss_db / 20.0)
+    if not _noiseless(channel.snr_db):
         ref = _burst_power(x, ground_truth)
-        add_white_noise(x, _noise_scale(snr_db, ref), seed)
-    return recording.replace_samples(seal(x))
+        add_white_noise(x, _noise_scale(channel.snr_db, ref), seed)
+    return x
+
+
+def _multipath_in_place(x: np.ndarray, taps) -> None:
+    """Write y[n] = sum_k gain_k * x[n - delay_k] over x; out-of-range history reads as zero.
+
+    Blocks of BLOCK_SAMPLES go from the last to the first. Each block's tap
+    products are added, in tap order, to a zeroed block-sized accumulator
+    (one block-sized scratch buffer holds each product in turn), which is
+    then written over the block. A block reads only samples at or before its
+    own end, and no block there has been written yet.
+    """
+    total = np.empty(min(x.size, BLOCK_SAMPLES), dtype=x.dtype)
+    scratch = np.empty_like(total)
+    for block in reversed(list(block_slices(x.size))):
+        acc = total[:block.stop - block.start]
+        acc[:] = 0
+        for delay, gain in taps:
+            lo, stop = max(block.start, delay), block.stop
+            if lo < stop:
+                acc[lo - block.start:] += np.multiply(gain, x[lo - delay:stop - delay], out=scratch[:stop - lo])
+        x[block] = acc
 
 
 def _burst_power(x: np.ndarray, ground_truth: Sequence[BurstSpan]) -> float:
@@ -135,7 +157,8 @@ def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, see
     """
     if not signal_power_ref > 0:
         raise ParameterError(f"signal_power_ref must be > 0, got {signal_power_ref}")
-    if math.isinf(snr_db) and snr_db > 0:
+    if _noiseless(snr_db):
         return recording
+    check_decibels("snr_db", snr_db)
     noisy = add_white_noise(recording.samples.copy(), _noise_scale(snr_db, signal_power_ref), seed)
     return recording.replace_samples(seal(noisy))

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .channel import ChannelSpec
 from .detect import DetectorParams
+from .dsp import usable_decibels
 from .emitter import EmitterProfile, ScheduledBurst, TransmissionSchedule
 from .errors import ParameterError, TuningError, UnsupportedFormatError, ValidationError
 from .features import ExtractionConfig
@@ -40,8 +41,8 @@ SIGMF_VERSION = "1.0.0"
 SCHEDULE_FORMAT = "schedule-v1"
 MANIFEST_FORMAT = "dataset-manifest-v1"
 FINGERPRINT_STORE_FORMAT = "fingerprint-store-v1"
-# The most samples a session may have: one complex128 capture of it is 2 GiB,
-# and each stage of a build holds two captures (its input and its output).
+# The most samples a session may have: one complex128 capture of it is 2 GiB. A build
+# holds one capture; each stage of tune holds two (its input and its output).
 MAX_SESSION_SAMPLES = 2 ** 27
 
 
@@ -114,14 +115,7 @@ positive = _typed((int, float), "a finite number > 0", lambda v: 0 < v <= sys.fl
 _list = _typed(list, "a list")
 
 
-def _usable_decibels(db) -> bool:
-    try:
-        return 0.0 < 10.0 ** (db / 10.0) < math.inf
-    except OverflowError:
-        return False
-
-
-decibels = _typed((int, float), "a dB value with a finite, positive power ratio", _usable_decibels, float)
+decibels = _typed((int, float), "a dB value with a finite, positive power ratio", usable_decibels, float)
 
 
 def array(item):

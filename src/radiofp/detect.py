@@ -3,17 +3,19 @@
 A moving-average power track is compared against a median noise floor with
 dual open/close thresholds, so noisy burst edges do not chatter. The median
 keeps the floor honest as long as bursts occupy less than half the session.
+It is np.median's value, found without a copy of the track (see _median).
 Detection is batch, over whole recordings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, block_slices, convolve_same
+from .dsp import IqRecording, block_slices, check_decibels, convolve_same
 from .errors import ParameterError, SizeError
 
 __all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
@@ -30,6 +32,8 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if self.window < 4:
             raise ParameterError(f"window must be >= 4, got {self.window}")
+        check_decibels("open_threshold_db", self.open_threshold_db)
+        check_decibels("close_threshold_db", self.close_threshold_db)
         if not self.close_threshold_db < self.open_threshold_db:
             raise ParameterError("close_threshold_db must be below open_threshold_db (hysteresis)")
         if self.min_length < 1:
@@ -88,6 +92,43 @@ def _power_track(samples: np.ndarray, window: int) -> np.ndarray:
     return convolve_same(power, np.full(window, 1.0 / window), out=power)
 
 
+# The median's bounds come from a strided sample of at most this many values of the track.
+MEDIAN_SAMPLE = 4096
+
+
+def _median(p: np.ndarray) -> float:
+    """np.median(p), bit for bit, of a 1-D float array with no NaN, without a copy of p.
+
+    The bounds are the order statistics 3*sqrt(m) + 2 ranks either side of
+    the middle of a sorted strided sample of m <= MEDIAN_SAMPLE values. One
+    pass over p, a block of BLOCK_SAMPLES at a time, counts the values below
+    the lower bound and gathers those between the bounds, so p's middle
+    order statistics are the gathered values' at known ranks. np.partition
+    finds them and np.mean averages them: np.median's own last step. If the
+    bounds miss the middle ranks, np.median(p) decides.
+    """
+    n = p.size
+    sample = np.sort(p[::-(-n // MEDIAN_SAMPLE)])
+    m = sample.size
+    reach = 3 * math.isqrt(m) + 2
+    lo, hi = sample[max(m // 2 - reach, 0)], sample[min(m // 2 + reach, m - 1)]
+    below, between = 0, []
+    for block in block_slices(n):
+        part = p[block]
+        keep = part >= lo
+        below += keep.size - int(np.count_nonzero(keep))
+        keep &= part <= hi
+        between.append(part[keep])
+    middle = np.concatenate(between)
+    del between
+    # The middle order statistics within the gathered values: one for an odd n, two for an even n.
+    ranks = sorted({(n - 1) // 2 - below, n // 2 - below})
+    if ranks[0] < 0 or ranks[-1] >= middle.size:
+        return float(np.median(p))
+    middle.partition(ranks)
+    return float(np.mean(middle[ranks[0]:ranks[-1] + 1]))
+
+
 def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[RegionOfInterest]:
     """Detect burst spans; returned ROIs are disjoint and ascending.
 
@@ -98,7 +139,7 @@ def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[Region
     if n < params.window:
         raise SizeError(f"recording length {n} is shorter than the window {params.window}")
     p = _power_track(recording.samples, params.window)
-    floor = float(np.median(p))
+    floor = _median(p)
 
     if floor > 0:
         open_thr = floor * 10.0 ** (params.open_threshold_db / 10.0)

@@ -15,6 +15,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,20 @@ SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 # file, the detector's power track and crossings, clipping_ratio), so that
 # each holds only its input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
+
+
+def usable_decibels(db) -> bool:
+    """True when the power ratio 10^(db/10) is a finite, positive float (about -3,236 to +3,082 dB)."""
+    try:
+        return 0.0 < 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
+def check_decibels(name: str, db) -> None:
+    """Raise a ParameterError naming `name` unless db is a usable dB value (see usable_decibels)."""
+    if not usable_decibels(db):
+        raise ParameterError(f"{name} must be a dB value with a finite, positive power ratio, got {db}")
 
 
 def block_slices(n: int):
@@ -66,6 +81,12 @@ def seal(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_finite(samples: np.ndarray) -> None:
+    """Raise a ParameterError unless every sample is finite, checked one block of BLOCK_SAMPLES at a time."""
+    if not all(np.isfinite(samples[block]).all() for block in block_slices(samples.size)):
+        raise ParameterError("samples must be finite (no NaN/Inf)")
+
+
 def _sealed(arr) -> bool:
     """True for a complex128 array that nothing can write: it and each array it views are read-only."""
     if not isinstance(arr, np.ndarray) or arr.dtype != np.complex128:
@@ -95,8 +116,7 @@ class IqRecording:
         arr = self.samples if _sealed(self.samples) else np.array(self.samples, dtype=np.complex128)
         if arr.ndim != 1:
             raise SizeError(f"samples must be 1-D, got ndim={arr.ndim}")
-        if not all(np.isfinite(arr[block]).all() for block in block_slices(arr.size)):
-            raise ParameterError("samples must be finite (no NaN/Inf)")
+        check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         if not self.sample_rate_hz > 0:

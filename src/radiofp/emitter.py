@@ -38,6 +38,7 @@ __all__ = [
     "BurstSpan",
     "modulate_ook",
     "apply_impairments",
+    "render_buffer",
     "render_session",
 ]
 
@@ -116,6 +117,10 @@ class TransmissionSchedule:
         object.__setattr__(self, "entries", tuple(normalized))
 
 
+# The most complex128 samples one array can hold: its size in bytes must fit a signed intp.
+_MAX_COMPLEX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
+
 def modulate_ook(bits: Sequence[int], samples_per_symbol: int) -> np.ndarray:
     """On-off keying: each 1-bit becomes samples_per_symbol samples of 1+0j."""
     if samples_per_symbol < 2:
@@ -125,6 +130,9 @@ def modulate_ook(bits: Sequence[int], samples_per_symbol: int) -> np.ndarray:
         raise SizeError("bits must be non-empty")
     if not np.all(np.isin(bit_arr, (0, 1))):
         raise ParameterError("bits must contain only 0 and 1")
+    n = bit_arr.size * int(samples_per_symbol)
+    if n > _MAX_COMPLEX_SAMPLES:  # np.repeat's size would overflow, and it would write past its output
+        raise ParameterError(f"len(bits) x samples_per_symbol = {n} samples is more than one array can hold")
     return np.repeat(bit_arr.astype(np.complex128), samples_per_symbol)
 
 
@@ -181,20 +189,20 @@ def apply_impairments(ideal, profile: EmitterProfile, sample_rate_hz: float, see
     return x
 
 
-def render_session(
+def render_buffer(
     schedule: TransmissionSchedule,
     profiles: Mapping[str, EmitterProfile],
     sample_rate_hz: float,
     samples_per_symbol: int,
     seed: int,
-) -> tuple[IqRecording, list[BurstSpan]]:
-    """Render a full session: every scheduled burst summed into one buffer.
+) -> tuple[np.ndarray, list[BurstSpan]]:
+    """Render a full session into one new, writable buffer: every scheduled burst summed in.
 
     Overlapping bursts superpose additively (interference scenarios).
     Bursts are rendered and summed one at a time in a fixed order (ascending
     start sample, ties by entry index), so renders are bit-reproducible and
-    an error names the first entry in that order. Returns the recording and
-    the exact ground-truth spans in summation order.
+    an error names the first entry in that order. Returns the buffer, which
+    the caller owns, and the exact ground-truth spans in summation order.
     """
     if not sample_rate_hz > 0:
         raise ParameterError("sample_rate_hz must be > 0")
@@ -226,5 +234,16 @@ def render_session(
         buf[start:start + burst.size] += burst
         ground_truth.append(BurstSpan(entry.emitter_id, start, int(burst.size)))
 
-    recording = IqRecording(seal(buf), sample_rate_hz, 0.0, id=f"session-{seed}")
-    return recording, ground_truth
+    return buf, ground_truth
+
+
+def render_session(
+    schedule: TransmissionSchedule,
+    profiles: Mapping[str, EmitterProfile],
+    sample_rate_hz: float,
+    samples_per_symbol: int,
+    seed: int,
+) -> tuple[IqRecording, list[BurstSpan]]:
+    """render_buffer's session as a recording (sealed, see dsp.seal), with its ground truth."""
+    buf, ground_truth = render_buffer(schedule, profiles, sample_rate_hz, samples_per_symbol, seed)
+    return IqRecording(seal(buf), sample_rate_hz, 0.0, id=f"session-{seed}"), ground_truth

@@ -1,10 +1,11 @@
 """Parametric SDR receiver model: the tunable plant of the adaptive loop.
 
-acquire() runs the front-end chain: additive front-end noise (injected
-before the gain stage, so gain trades signal level against the quantization
-floor but cannot buy back front-end SNR), amplifier gain, a fixed 63-tap
-anti-alias lowpass whose bandwidth is the tunable, hard clipping, and a
-uniform mid-tread ADC.
+acquire_in_place() runs the front-end chain on a buffer its caller owns, and
+acquire() runs it on a copy of a recording's samples. The chain: additive
+front-end noise (injected before the gain stage, so gain trades signal level
+against the quantization floor but cannot buy back front-end SNR), amplifier
+gain, a fixed 63-tap anti-alias lowpass whose bandwidth is the tunable, hard
+clipping, and a uniform mid-tread ADC.
 
 The quantizer grid is k * step for |k| <= 2^(bits-1) - 1 with
 step = 2*full_scale / (2^bits - 1): zero is representable (silence stays
@@ -18,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import IqRecording, add_white_noise, as_sum_of_parts, block_slices, design_lowpass, fir_apply, seal
+from .dsp import (IqRecording, add_white_noise, as_sum_of_parts, block_slices, check_decibels, design_lowpass,
+                  fir_apply, seal)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
 
-__all__ = ["ReceiverConfig", "acquire", "add_frontend_noise", "clipping_ratio", "quantization_step",
-           "NUM_FILTER_TAPS"]
+__all__ = ["ReceiverConfig", "acquire", "acquire_in_place", "add_frontend_noise", "clipping_ratio",
+           "quantization_step", "NUM_FILTER_TAPS"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class ReceiverConfig:
     def __post_init__(self) -> None:
         if not self.filter_bw_hz > 0:
             raise ParameterError(f"filter_bw_hz must be > 0, got {self.filter_bw_hz}")
+        check_decibels("gain_db", self.gain_db)
         if not 2 <= int(self.adc_bits) <= 16:
             raise ParameterError(f"adc_bits must lie in [2, 16], got {self.adc_bits}")
         if not self.full_scale > 0:
@@ -74,29 +77,36 @@ def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:
 
 
 def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> IqRecording:
-    """Run the receiver chain over a recording; deterministic given the seed.
+    """Run the receiver chain (acquire_in_place) over a copy of a recording; deterministic given the seed.
 
-    Every stage works in place on one copy of the input: the noise, the
-    gain, the FIR (which filters in blocks, see fir_apply), clipping and the
-    ADC. So a call holds one capture besides its input, plus a few blocks.
+    So a call holds one capture besides its input, plus a few blocks.
     """
-    fs = input_recording.sample_rate_hz
-    if config.filter_bw_hz >= fs:
+    x = acquire_in_place(input_recording.samples.copy(), input_recording.sample_rate_hz, config, seed)
+    return input_recording.replace_samples(seal(x))
+
+
+def acquire_in_place(x: np.ndarray, sample_rate_hz: float, config: ReceiverConfig, seed: int) -> np.ndarray:
+    """Run the receiver chain over the complex128 samples x, in place; returns x.
+
+    Every stage works in place: the noise, the gain, the FIR (which filters
+    in blocks, see fir_apply), clipping and the ADC. So the chain holds a
+    few blocks besides x.
+    """
+    if config.filter_bw_hz >= sample_rate_hz:
         raise ParameterError(
-            f"filter_bw_hz={config.filter_bw_hz} is at or above the sample rate {fs}"
+            f"filter_bw_hz={config.filter_bw_hz} is at or above the sample rate {sample_rate_hz}"
         )
-    x = input_recording.samples.copy()
     add_frontend_noise(x, config.frontend_noise_power, seed)
 
     x *= 10.0 ** (config.gain_db / 20.0)
 
-    taps = design_lowpass(config.filter_bw_hz / (2.0 * fs), NUM_FILTER_TAPS)
+    taps = design_lowpass(config.filter_bw_hz / (2.0 * sample_rate_hz), NUM_FILTER_TAPS)
     fir_apply(x, taps, out=x)
 
     step = quantization_step(config.adc_bits, config.full_scale)
     _clip_and_quantize(x.real, step, config.full_scale)
     _clip_and_quantize(x.imag, step, config.full_scale)
-    return input_recording.replace_samples(seal(as_sum_of_parts(x)))
+    return as_sum_of_parts(x)
 
 
 def clipping_ratio(recording: IqRecording, full_scale: float) -> float:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelSpec, propagate
+from .channel import ChannelSpec, propagate_in_place
 from .config import (
     ANNOTATION,
     CAPTURE,
@@ -48,10 +48,10 @@ from .config import (
     load_json,
     parse,
 )
-from .dsp import IqRecording, as_sum_of_parts, block_slices, seal
-from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
+from .dsp import IqRecording, as_sum_of_parts, block_slices, check_finite, seal
+from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_buffer
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
-from .receiver import ReceiverConfig, acquire
+from .receiver import ReceiverConfig, acquire_in_place
 
 CF32_LE = np.dtype("<c8")  # one cf32_le sample: I then Q, each a little-endian float32
 
@@ -267,15 +267,14 @@ def build_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Each stage holds its input and its output, and its input is dropped once consumed,
-    # so at most two captures are alive at once.
-    rendered, ground_truth = render_session(
-        schedule, profiles, sample_rate_hz, samples_per_symbol, seeds.render
-    )
-    received = propagate(rendered, ground_truth, channel, seeds.channel)
-    del rendered
-    acquired = acquire(received, rx, seeds.frontend)
-    del received
+    # Render, channel and receiver all work on one buffer, so one capture is alive. Each stage's
+    # output is checked as a recording's samples are, and the last one becomes the recording
+    # (sealed: adopted uncopied) with the id and metadata render_session gives.
+    samples, ground_truth = render_buffer(schedule, profiles, sample_rate_hz, samples_per_symbol, seeds.render)
+    check_finite(samples)
+    check_finite(propagate_in_place(samples, ground_truth, channel, seeds.channel))
+    acquire_in_place(samples, sample_rate_hz, rx, seeds.frontend)
+    acquired = IqRecording(seal(samples), sample_rate_hz, 0.0, id=f"session-{seeds.render}")
 
     meta = SessionMeta.for_recording(acquired, ground_truth, description="synthesized session")
     manifest = {

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
-from .dsp import SNR_MIN_SAMPLES, IqRecording, mean_power, runs_power, snr_db_from_powers, union_runs
+from .dsp import SNR_MIN_SAMPLES, IqRecording, check_decibels, mean_power, runs_power, snr_db_from_powers, union_runs
 from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
@@ -51,6 +51,8 @@ class TuningGrid:
                 raise ParameterError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ParameterError(f"{name} must be strictly ascending")
+        for i, gain in enumerate(gains):
+            check_decibels(f"gain_db_values[{i}]", gain)
         object.__setattr__(self, "gain_db_values", gains)
         object.__setattr__(self, "filter_bw_hz_values", bws)
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radiofp.channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss, propagate
+from radiofp.channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss, propagate, propagate_in_place
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording
 from radiofp.emitter import BurstSpan
 from radiofp.errors import ParameterError
@@ -34,6 +34,13 @@ class TestChannelSpec:
     def test_rejects_negative_loss(self):
         with pytest.raises(ParameterError):
             ChannelSpec(path_loss_db=-3.0)
+
+    @pytest.mark.parametrize("field, db", [("snr_db", -1e308), ("snr_db", 1e308), ("snr_db", -math.inf),
+                                           ("snr_db", math.nan), ("path_loss_db", 1e308)])
+    def test_db_without_a_finite_positive_power_ratio_is_named(self, field, db):
+        """The values config.decibels rejects; snr_db = inf stays the no-noise sentinel."""
+        with pytest.raises(ParameterError, match=field):
+            ChannelSpec(**{field: db})
 
 
 class TestMultipath:
@@ -126,6 +133,12 @@ class TestAwgn:
         with pytest.raises(ParameterError):
             add_awgn(rec(np.zeros(8, dtype=complex)), 10.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("snr_db", [-1e308, 1e308, -8000.0])
+    def test_rejects_db_without_a_finite_positive_power_ratio(self, snr_db):
+        """-1e308 divided by zero and 1e308 overflowed in the noise scale."""
+        with pytest.raises(ParameterError, match="snr_db"):
+            add_awgn(rec(np.zeros(8, dtype=complex)), snr_db, 1.0, seed=0)
+
 
 def copying_propagate(x, truth, channel, seed):
     """propagate written with a new array per step: the reference for the blocked chain."""
@@ -143,7 +156,29 @@ def copying_propagate(x, truth, channel, seed):
     return y + scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
 
 
+def forward_multipath(x, taps):
+    """The forward form of the multipath sum: a new zeroed array, each tap's product added in tap order."""
+    y = np.zeros_like(x)
+    for delay, gain in taps:
+        if delay < x.size:
+            y[delay:] += gain * x[:x.size - delay]
+    return y
+
+
 class TestPropagate:
+    @pytest.mark.parametrize("n", [5, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, 3 * BLOCK_SAMPLES + 77])
+    def test_in_place_multipath_gives_the_bits_of_the_forward_sum(self, n):
+        """Delays across block edges, one longer than a block, one past the end, and a short last block."""
+        b = BLOCK_SAMPLES
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x[::7] = complex(-0.0, -0.0)
+        taps = ((0, 0.9 - 0.2j), (1, -0.3j), (b - 2, 0.25), (b + 3, 0.1 + 0.1j), (2 * b + 80, -0.05),
+                (max(n, 2 * b + 80) + 4, 1.0))
+        want = forward_multipath(x, taps)
+        got = propagate_in_place(x.copy(), (), ChannelSpec(multipath_taps=taps), seed=0)
+        assert got.tobytes() == want.tobytes()
+
     def test_blocks_give_the_bits_of_the_copying_form(self):
         """Taps and spans across block edges, overlapping spans and one past the end."""
         n, b = 3 * BLOCK_SAMPLES + 77, BLOCK_SAMPLES

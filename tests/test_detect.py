@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiofp.channel import add_awgn
-from radiofp.detect import DetectorParams, RegionOfInterest, _power_track, _run_starts, detect_bursts, match_rois
+from radiofp.detect import (MEDIAN_SAMPLE, DetectorParams, RegionOfInterest, _median, _power_track, _run_starts,
+                            detect_bursts, match_rois)
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording
 from radiofp.emitter import EmitterProfile, TransmissionSchedule, render_session
 from radiofp.errors import ParameterError, SizeError
@@ -28,6 +30,12 @@ class TestDetectorParams:
     def test_hysteresis_enforced(self):
         with pytest.raises(ParameterError):
             DetectorParams(open_threshold_db=6.0, close_threshold_db=6.0)
+
+    @pytest.mark.parametrize("field, db", [("open_threshold_db", 8000.0), ("close_threshold_db", -8000.0),
+                                           ("open_threshold_db", float("nan"))])
+    def test_threshold_without_a_finite_positive_power_ratio_is_named(self, field, db):
+        with pytest.raises(ParameterError, match=field):
+            DetectorParams(**{field: db})
 
     def test_window_minimum(self):
         with pytest.raises(ParameterError):
@@ -140,7 +148,10 @@ class TestDetectBursts:
             detect_bursts(IqRecording(np.zeros(32, dtype=complex), FS), PARAMS)
 
     def test_peak_memory_is_one_capture_above_the_input(self):
-        """The smoothed power track and one more float array: two halves of a complex capture."""
+        """The smoothed power track (half a complex capture) and one block of its convolution.
+
+        At 2^18 samples that block is 0.125x the capture, which is more than the
+        median's gathered values and masks (about 0.115x) on top of the track."""
         n = 2 ** 18
         rng = np.random.default_rng(9)
         x = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -155,10 +166,45 @@ class TestDetectBursts:
         finally:
             tracemalloc.stop()
         assert len(rois) == 13
-        assert peak <= 1.1 * rec.samples.nbytes
+        assert peak <= 0.65 * rec.samples.nbytes
 
 
 B = BLOCK_SAMPLES
+S = MEDIAN_SAMPLE
+# Sizes at the stride's steps (stride = ceil(n / MEDIAN_SAMPLE)) and at the block edges.
+MEDIAN_SIZES = [1, 2, 3, 4, 5, S - 1, S, S + 1, 2 * S - 1, 2 * S, 2 * S + 1, 3 * S + 2, B - 1, B, B + 1, 2 * B + 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from(MEDIAN_SIZES) | st.integers(1, 200),
+       pool=st.lists(st.floats(min_value=0.0, allow_nan=False) | st.sampled_from([0.0, 5e-324, 2e-308, np.inf]),
+                     min_size=1, max_size=6),
+       tied=st.sampled_from([0.0, 0.5, 0.9, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=B + 1, pool=[0.0], tied=1.0, seed=0)  # all equal: every value is gathered
+@example(n=2 * S, pool=[1e300, np.inf], tied=0.5, seed=1)
+def test_median_has_the_bits_of_np_median(n, pool, tied, seed):
+    """Ties (a share of values from a small pool), zeros, inf, subnormals and odd and even sizes."""
+    rng = np.random.default_rng(seed)
+    p = rng.exponential(rng.choice([1e-310, 1e-3, 1.0, 1e300]), n)
+    ties = rng.random(n) < tied
+    p[ties] = rng.choice(np.array(pool) + 0.0, int(ties.sum()))  # + 0.0: no -0.0, as in a power track
+    with np.errstate(over="ignore"):  # two middle values near the float maximum average to inf
+        want = np.median(p)
+        with mock.patch.object(np, "median", side_effect=AssertionError("fell back")):  # iid values: no fallback
+            got = _median(p)
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_median_falls_back_when_the_sample_misses_the_middle(monkeypatch):
+    """Every sampled value (each stride-th) is large, every other one 0: the bounds miss the middle ranks."""
+    n = 4 * S
+    p = np.zeros(n)
+    p[::4] = 1.0 + np.arange(S)
+    calls = []
+    median = np.median
+    monkeypatch.setattr(np, "median", lambda a: calls.append(a.size) or median(a))
+    assert _median(p) == 0.0
+    assert calls == [n]
 
 
 @pytest.mark.parametrize("window", [4, 17, 64])

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from radiofp.emitter import (
     TransmissionSchedule,
     apply_impairments,
     modulate_ook,
+    render_buffer,
     render_session,
 )
 from radiofp.errors import ParameterError, SizeError
@@ -58,6 +62,18 @@ class TestModulateOok:
     def test_non_binary_bits_raise(self):
         with pytest.raises(ParameterError):
             modulate_ook([0, 2], 2)
+
+
+    def test_a_burst_too_long_for_any_array_raises_before_allocating(self):
+        """16 x 2^62 samples overflowed np.repeat's size: the interpreter died with a segfault.
+
+        Run in a child process, so that the old crash fails this test instead of ending the run."""
+        code = ("from radiofp.emitter import modulate_ook\n"
+                "from radiofp.errors import ParameterError\n"
+                "try:\n    modulate_ook([1] * 16, 2 ** 62)\nexcept ParameterError as exc:\n    print(exc)\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "samples_per_symbol" in done.stdout
 
 
 class TestApplyImpairments:
@@ -138,6 +154,13 @@ class TestApplyImpairments:
 class TestRenderSession:
     def profiles(self):
         return {"a": neutral("a"), "b": neutral("b")}
+
+    def test_buffer_is_the_writable_session(self):
+        sched = TransmissionSchedule((("a", 0.0, (1, 1, 0, 1)), ("b", 0.002, (1, 0, 1))), 0.01)
+        buf, truth = render_buffer(sched, self.profiles(), FS, 4, seed=1)
+        rec, want_truth = render_session(sched, self.profiles(), FS, 4, seed=1)
+        assert buf.flags.writeable and buf.base is None
+        assert buf.tobytes() == rec.samples.tobytes() and truth == want_truth
 
     def test_empty_schedule(self):
         sched = TransmissionSchedule((), 0.01)

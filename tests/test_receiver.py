@@ -55,6 +55,12 @@ class TestReceiverConfig:
         with pytest.raises(ParameterError):
             ReceiverConfig(**kwargs)
 
+    @pytest.mark.parametrize("gain_db", [8000.0, -8000.0, float("nan")])
+    def test_gain_without_a_finite_positive_power_ratio_is_named(self, gain_db):
+        """8000 dB overflowed in acquire's gain; -8000 dB zeroed every sample."""
+        with pytest.raises(ParameterError, match="gain_db"):
+            ReceiverConfig(filter_bw_hz=1e4, gain_db=gain_db)
+
 
 class TestQuantizer:
     def test_two_bit_grid_from_step_formula(self):

@@ -6,17 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radiofp.channel import ChannelSpec
+from radiofp.channel import ChannelSpec, propagate
 from radiofp.config import json_text, schedule_document
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording, seal
-from radiofp.emitter import EmitterProfile, TransmissionSchedule
+from radiofp.emitter import EmitterProfile, TransmissionSchedule, render_session
 from radiofp.errors import (
     ConsistencyError,
     CorruptDataError,
     UnsupportedFormatError,
     ValidationError,
 )
-from radiofp.receiver import ReceiverConfig
+from radiofp.receiver import ReceiverConfig, acquire
 from radiofp.sigmf_io import (
     AnnotationSpan,
     DatasetSeeds,
@@ -253,6 +253,32 @@ class TestBuildDataset:
         recording, meta = read_recording(result.data_file.with_suffix(""))
         assert len(meta.annotations) == 4
         assert len(recording) == int(round(FS * example_schedule(4).session_duration_s))
+
+    def test_one_buffer_gives_the_bytes_of_the_stage_by_stage_chain(self, tmp_path):
+        schedule, profiles, seeds = example_schedule(5), example_profiles(), DatasetSeeds(1, 2, 3)
+        result = build_dataset(schedule, profiles, self.channel(), self.receiver(), seeds, tmp_path / "one", FS, 32)
+        rendered, truth = render_session(schedule, profiles, FS, 32, seeds.render)
+        acquired = acquire(propagate(rendered, truth, self.channel(), seeds.channel), self.receiver(), seeds.frontend)
+        write_recording(acquired, SessionMeta.for_recording(acquired, truth, description="synthesized session"),
+                        tmp_path / "chain")
+        assert result.data_file.read_bytes() == (tmp_path / "chain.sigmf-data").read_bytes()
+        assert result.meta_file.read_bytes() == (tmp_path / "chain.sigmf-meta").read_bytes()
+
+    def test_peak_memory_is_one_capture_and_the_burst_power(self, tmp_path):
+        """Render, channel and receiver on one buffer: the capture, the burst samples' power
+        (a float each, while the AWGN reference is measured) and a few blocks."""
+        n = 2 ** 20  # large against the blocks of BLOCK_SAMPLES
+        entries = tuple((["a", "b", "c"][i % 3], 4096 * i / FS, (1, 0, 1, 1) * 16) for i in range(n // 4096))
+        schedule = TransmissionSchedule(entries, n / FS)  # 2048-sample bursts: half the samples
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_dataset(schedule, example_profiles(), self.channel(), self.receiver(), DatasetSeeds(1, 2, 3),
+                          tmp_path, FS, 32)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * n * 16
 
     def test_annotations_match_ground_truth(self, tmp_path):
         result = build_dataset(

@@ -174,6 +174,10 @@ class TestTuningGrid:
         with pytest.raises(ParameterError):
             TuningGrid((), (1.0,))
 
+    def test_gain_without_a_finite_positive_power_ratio_is_named(self):
+        with pytest.raises(ParameterError, match=r"gain_db_values\[1\]"):
+            TuningGrid((0.0, 8000.0), (1.0,))
+
     def test_size(self):
         assert TuningGrid(GAINS7, BWS7).size == 49
 

@@ -15,8 +15,9 @@ workload, seed and command.
 
 With --rss the script also writes, to standard error, each command's peak
 RSS as perfbench/run.py measures it (the child's own rusage from os.wait4),
-one `peak_rss_mb  workload/seed/command` line per command, so one run gives
-both the byte-identity listing and the per-command memory table.
+one `peak_rss_mb  workload/seed/command` line per command, and at the end
+one `median  max  workload/command` line per command over the seeds, so one
+run gives both the byte-identity listing and the per-command memory table.
 
 Each output is hashed in 1 MiB chunks, never read whole. On Linux a child
 reports a peak RSS (ru_maxrss) no lower than the high-water RSS of the
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
 
-    lines = {}
+    lines, peaks = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads.WORKLOADS:
             for seed in args.seeds:
@@ -87,6 +88,7 @@ def main(argv=None) -> int:
                         sys.exit(f"{workload} seed {seed}: `{name}` exited {code}\n{output}")
                     if args.rss:
                         print(f"{peak_mb:8.1f}  {workload}/{seed}/{name}", file=sys.stderr)
+                        peaks.setdefault(f"{workload}/{name}", []).append(peak_mb)
                 for path in out.rglob("*"):
                     if path.is_file():
                         key = f"{workload}/{seed}/{path.relative_to(out).as_posix()}"
@@ -94,6 +96,12 @@ def main(argv=None) -> int:
     for key in sorted(lines):
         print(f"{lines[key]}  {key}")
     if args.rss:
+        print(f"peak RSS in MB over seeds {args.seeds.start}-{args.seeds.stop - 1}:\n  median      max",
+              file=sys.stderr)
+        for key, mbs in peaks.items():
+            mbs.sort()  # the median is the mean of the middle two (one, for an odd count); no statistics
+            median = (mbs[len(mbs) // 2] + mbs[~(len(mbs) // 2)]) / 2  # import, which would raise the floor
+            print(f"{median:8.1f} {mbs[-1]:8.1f}  {key}", file=sys.stderr)
         floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(f"{floor_mb:8.1f}  (this script's own peak: no command reads below it)", file=sys.stderr)
     return 0
