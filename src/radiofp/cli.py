@@ -18,10 +18,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import ctypes
 import dataclasses
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -43,7 +41,7 @@ from .config import (
     parse,
 )
 from .detect import DetectorParams, detect_bursts
-from .dsp import BLOCK_SAMPLES, seal
+from .dsp import seal
 from .emitter import render_session
 from .errors import ValidationError, WorkbenchError
 from .features import (
@@ -399,38 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's malloc raises its mmap threshold to the size of each mapped block a
-# process frees. So once a command frees its first capture, every later
-# capture-sized array comes from the brk heap, and whether it reuses a freed
-# hole or grows the heap depends on where small allocations happened to land:
-# the same tune peaked at 84.0 or 91.4 MiB with the seed and the install path.
-# Pinned, the threshold maps each array of MMAP_THRESHOLD_BYTES or more on its
-# own and unmaps it when freed, so a command's peak RSS is the peak of its live
-# arrays. Only block-sized scratch (one block of complex128 at most) and small
-# objects stay in the heap, and the trim threshold lets the heap keep that
-# much free at its top, so the scratch is reused from block to block instead
-# of being returned and faulted in again.
-MMAP_THRESHOLD_BYTES = 2 * BLOCK_SAMPLES * 16  # two blocks of complex128
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers in glibc's malloc.h
-
-
-def pin_mmap_threshold() -> bool:
-    """Pin glibc's mmap and trim thresholds; False, changing nothing, on another libc."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError, OSError):  # no confstr (Windows), or no such name
-        libc = ""
-    if not libc.startswith("glibc"):
-        return False
-    mallopt = ctypes.CDLL(None).mallopt
-    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
-            and mallopt(_M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    pin_mmap_threshold()
     try:
         return args.func(args)
     except (WorkbenchError, OSError) as exc:

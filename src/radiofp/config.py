@@ -113,6 +113,9 @@ number = _typed((int, float), "a finite number", lambda v: abs(v) <= sys.float_i
 non_negative = _typed((int, float), "a finite number >= 0", lambda v: 0 <= v <= sys.float_info.max, float)
 positive = _typed((int, float), "a finite number > 0", lambda v: 0 < v <= sys.float_info.max, float)
 _list = _typed(list, "a list")
+# A name joined onto a directory: one that could leave it, or name the directory itself, is refused.
+file_name = _typed(str, "a bare file name (no path separator or NUL, not '', '.' or '..')",
+                   lambda v: v not in ("", ".", "..") and not any(c in v for c in "/\\\0"))
 
 
 decibels = _typed((int, float), "a dB value with a finite, positive power ratio", usable_decibels, float)
@@ -260,7 +263,7 @@ TUNING = {
 EXPERIMENT = {
     "sample_rate_hz": (number, None),
     "samples_per_symbol": (integer, None),
-    "stem": (text, "session"),
+    "stem": (file_name, "session"),
     "seeds": (record(DatasetSeeds, SEEDS), None),
     "profiles": (array(record(EmitterProfile, PROFILE)), None),
     "schedule": (section(SCHEDULE), None),
@@ -277,7 +280,8 @@ MANIFEST = {
     **{name: (convert, REQUIRED) for name, (convert, _) in EXPERIMENT.items()
        if name in ("sample_rate_hz", "samples_per_symbol", "seeds", "channel", "receiver")},
     **required(schedule_document, "schedule"),
-    **required(array(section(required(text, "stem", "data_file", "meta_file"))), "sessions"),
+    **required(array(section({**required(file_name, "stem"), **required(text, "data_file", "meta_file")})),
+               "sessions"),
 }
 
 # SigMF meta, parsed with strict=False throughout. GLOBAL, CAPTURE and

@@ -102,25 +102,27 @@ def _median(p: np.ndarray) -> float:
     The bounds are the order statistics 3*sqrt(m) + 2 ranks either side of
     the middle of a sorted strided sample of m <= MEDIAN_SAMPLE values. One
     pass over p, a block of BLOCK_SAMPLES at a time, counts the values below
-    the lower bound and gathers those between the bounds, so p's middle
-    order statistics are the gathered values' at known ranks. np.partition
-    finds them and np.mean averages them: np.median's own last step. If the
-    bounds miss the middle ranks, np.median(p) decides.
+    the lower bound and those up to the upper one; a second gathers the values
+    between the bounds into one array of that size, so no block's values are
+    held twice. p's middle order statistics are the gathered values' at known
+    ranks. np.partition finds them and np.mean averages them: np.median's own
+    last step. If the bounds miss the middle ranks, np.median(p) decides.
     """
     n = p.size
     sample = np.sort(p[::-(-n // MEDIAN_SAMPLE)])
     m = sample.size
     reach = 3 * math.isqrt(m) + 2
     lo, hi = sample[max(m // 2 - reach, 0)], sample[min(m // 2 + reach, m - 1)]
-    below, between = 0, []
+    below = up_to_hi = 0
+    for block in block_slices(n):
+        below += int(np.count_nonzero(p[block] < lo))
+        up_to_hi += int(np.count_nonzero(p[block] <= hi))
+    middle, filled = np.empty(up_to_hi - below), 0
     for block in block_slices(n):
         part = p[block]
-        keep = part >= lo
-        below += keep.size - int(np.count_nonzero(keep))
-        keep &= part <= hi
-        between.append(part[keep])
-    middle = np.concatenate(between)
-    del between
+        kept = part[(part >= lo) & (part <= hi)]
+        middle[filled:filled + kept.size] = kept
+        filled += kept.size
     # The middle order statistics within the gathered values: one for an odd n, two for an even n.
     ranks = sorted({(n - 1) // 2 - below, n // 2 - below})
     if ranks[0] < 0 or ranks[-1] >= middle.size:

@@ -21,6 +21,7 @@ which the byte-identical dataset can be regenerated.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -188,15 +189,23 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
 
     Unknown metadata fields are ignored so files from other SigMF tools
     still load, but the datatype must be cf32_le and the data size must
-    agree with the metadata.
+    agree with the metadata. The data file is read one block at a time into
+    the one complex128 capture, so no copy of its bytes is held.
     """
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
-    raw = dpath.read_bytes()
-    if len(raw) % CF32_LE.itemsize != 0:
-        raise CorruptDataError(f"{dpath} holds {len(raw)} bytes, not a whole number of cf32 samples")
-    doc = parse(load_json(mpath), META, strict=False)
-
-    samples = as_sum_of_parts(np.frombuffer(raw, CF32_LE).astype(np.complex128))  # the signed zeros of I + 1j*Q
+    with open(dpath, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % CF32_LE.itemsize != 0:
+            raise CorruptDataError(f"{dpath} holds {size} bytes, not a whole number of cf32 samples")
+        doc = parse(load_json(mpath), META, strict=False)
+        samples = np.empty(size // CF32_LE.itemsize, np.complex128)
+        for block in block_slices(samples.size):
+            part = np.fromfile(fh, CF32_LE, block.stop - block.start)
+            if part.size < block.stop - block.start:  # the file shrank after its size was taken
+                raise CorruptDataError(f"{dpath} ended at sample {block.start + part.size} of {samples.size}")
+            samples[block] = part
+            del part  # so that the next block's read is the only one alive
+    as_sum_of_parts(samples)  # the signed zeros of I + 1j*Q
 
     claimed = doc["global"]["workbench:sample_count"]
     if claimed is not None and claimed != samples.size:

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import platform
 import shutil
 import subprocess
 import sys
@@ -118,6 +117,16 @@ class TestSynth:
         assert (out1 / "session.sigmf-data").read_bytes() == (out2 / "session.sigmf-data").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
+    @pytest.mark.parametrize("stem", ["", ".", "..", "../escaped", "{tmp}/escaped/sess", "a\\b", "a\0b"])
+    def test_stem_that_is_not_a_bare_file_name_exits_2_naming_it(self, tmp_path, stem):
+        """A stem is joined onto --out: one that could leave it is refused before anything is written."""
+        config = {**base_config(), "stem": stem.format(tmp=tmp_path)}
+        code, err = run_main(["synth", "--config", write_config(tmp_path, config),
+                              "--out", str(tmp_path / "out" / "data")])
+        assert code == 2, err
+        assert "stem must be a bare file name" in err and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
     def test_seed_override_changes_data(self, tmp_path):
         config_path = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -224,6 +233,24 @@ class TestPipeline:
         assert "truncated.sigmf-data" in err and "every session failed" not in err
         header, rows = read_csv_rows(tmp_path / "feat" / "features.csv")
         assert header[:5] == list(FEATURE_CSV_PREFIX) and rows == []
+
+    @pytest.mark.parametrize("fault", ["missing", "odd-sized", "short read"])
+    def test_an_unreadable_data_file_exits_1_naming_it(self, synth_dataset, tmp_path, monkeypatch, fault):
+        """A short read is a file that shrank after its size was taken: each block comes back one sample short."""
+        config_path, data_dir = synth_dataset
+        data = data_dir / "session.sigmf-data"
+        if fault == "missing":
+            data.unlink()
+        elif fault == "odd-sized":
+            data.write_bytes(data.read_bytes()[:-3])
+        else:
+            fromfile = np.fromfile
+            monkeypatch.setattr(np, "fromfile", lambda fh, dtype, count: fromfile(fh, dtype, count)[:-1])
+        code, err = run_main(["pipeline", "--config", config_path, "--dataset", str(data_dir),
+                              "--out", str(tmp_path / "feat")])
+        assert code == 1, err
+        assert str(data) in err and "every session failed" in err and "Traceback" not in err
+        assert not (tmp_path / "feat").exists()
 
     def test_empty_dataset_dir_exits_2(self, tmp_path):
         config_path = write_config(tmp_path, base_config())
@@ -955,40 +982,6 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
-
-
-MAPPED_AFTER_A_LARGER_FREE = """
-import ctypes, sys
-import numpy as np
-import radiofp.cli
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in
-                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
-libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = MallInfo2
-if sys.argv[1] == "pinned":
-    assert radiofp.cli.pin_mmap_threshold()
-np.ones(2 ** 20, dtype=complex)  # 16 MiB, mapped, then freed
-kept = np.ones(2 ** 19, dtype=complex)  # 8 MiB
-print(libc.mallinfo2().hblkhd >= kept.nbytes)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
-def test_pinned_mmap_threshold_maps_every_capture_sized_array():
-    """Unpinned, glibc puts an array smaller than one it freed in the heap, where its cost depends on layout."""
-    import ctypes
-    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
-        pytest.skip("glibc before 2.33 has no mallinfo2")
-    src = str(Path(__import__("radiofp").__file__).parent.parent)
-    env = {key: value for key, value in os.environ.items()  # glibc's defaults, not tunables set from outside
-           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
-    mapped = {}
-    for mode in ("pinned", "default"):
-        result = subprocess.run([sys.executable, "-c", MAPPED_AFTER_A_LARGER_FREE, mode], capture_output=True,
-                                text=True, env={**env, "PYTHONPATH": src}, check=True)
-        mapped[mode] = result.stdout.strip()
-    assert mapped == {"pinned": "True", "default": "False"}
 
 
 # --- golden bytes: recorded from the copying stages, which the in-place stages must reproduce ----

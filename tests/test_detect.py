@@ -207,6 +207,20 @@ def test_median_falls_back_when_the_sample_misses_the_middle(monkeypatch):
     assert calls == [n]
 
 
+def test_median_holds_the_gathered_values_once():
+    """The values between the bounds (about 9.5 % of the track) are gathered into one array
+    sized by a counting pass, not joined from per-block pieces (0.19x the track)."""
+    p = np.random.default_rng(5).exponential(1.0, 2 ** 21)
+    tracemalloc.start()
+    try:
+        got = _median(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == np.median(p)
+    assert peak <= 0.125 * p.nbytes
+
+
 @pytest.mark.parametrize("window", [4, 17, 64])
 @pytest.mark.parametrize("n", [64, B - 1, B, B + 1, B + 40, 2 * B - 1, 2 * B + 3, 7 * B // 2])
 def test_power_track_blocks_give_the_bits_of_one_whole_convolution(n, window):

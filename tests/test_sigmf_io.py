@@ -128,6 +128,35 @@ class TestWriteReadRecording:
         with pytest.raises(CorruptDataError):
             read_recording(tmp_path / "t")
 
+    def test_read_holds_the_capture_and_one_block(self, tmp_path):
+        """The file is read a block at a time into the capture: the whole file's bytes
+        (0.5 of the capture) are never held beside it."""
+        rec = IqRecording(np.full(2 ** 18, 0.5 - 0.25j), FS, id="r")
+        write_recording(rec, simple_meta(rec), tmp_path / "r")
+        tracemalloc.start()
+        try:
+            loaded, _ = read_recording(tmp_path / "r")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.samples, rec.samples)
+        assert peak <= 1.2 * rec.samples.nbytes
+
+    def test_a_block_that_comes_back_short_names_the_file(self, tmp_path, monkeypatch):
+        """A file that shrinks after its size was taken: the second block ends early."""
+        rec = IqRecording(np.ones(2 * BLOCK_SAMPLES + 5, dtype=complex), FS, id="s")
+        dpath, _ = write_recording(rec, simple_meta(rec), tmp_path / "s")
+        fromfile, calls = np.fromfile, []
+
+        def shrinking(fh, dtype, count):
+            calls.append(count)
+            return fromfile(fh, dtype, count)[:count - 3 * (len(calls) == 2)]
+
+        monkeypatch.setattr(np, "fromfile", shrinking)
+        with pytest.raises(CorruptDataError, match=f"{dpath} ended at sample {2 * BLOCK_SAMPLES - 3} "):
+            read_recording(tmp_path / "s")
+        assert len(calls) == 2
+
     def test_sample_count_mismatch(self, tmp_path):
         rec = IqRecording(np.ones(50, dtype=complex), FS, id="x")
         _, mpath = write_recording(rec, simple_meta(rec), tmp_path / "m")
@@ -309,6 +338,20 @@ class TestBuildDataset:
         second = regenerate_from_manifest(first.manifest_file, tmp_path / "run2")
         assert first.data_file.read_bytes() == second.data_file.read_bytes()
         assert first.meta_file.read_bytes() == second.meta_file.read_bytes()
+
+    @pytest.mark.parametrize("stem", ["", ".", "..", "../escaped", "{tmp}/escaped", "a\\b", "a\0b"])
+    def test_manifest_stem_that_is_not_a_bare_file_name_rejected(self, tmp_path, stem):
+        first = build_dataset(
+            example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+            DatasetSeeds(1, 2, 3), tmp_path / "run1", FS, 32,
+        )
+        doc = json.loads(first.manifest_file.read_text())
+        doc["sessions"][0]["stem"] = stem.format(tmp=tmp_path)
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"sessions\[0\]\.stem must be a bare file name"):
+            regenerate_from_manifest(bad, tmp_path / "run2" / "inner")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad_manifest.json", "run1"]
 
     def test_noiseless_channel_serializes(self, tmp_path):
         channel = ChannelSpec(snr_db=math.inf)

@@ -14,10 +14,12 @@ A command that exits non-zero stops the script with exit 1, naming the
 workload, seed and command.
 
 With --rss the script also writes, to standard error, each command's peak
-RSS as perfbench/run.py measures it (the child's own rusage from os.wait4),
-one `peak_rss_mb  workload/seed/command` line per command, and at the end
-one `median  max  workload/command` line per command over the seeds, so one
-run gives both the byte-identity listing and the per-command memory table.
+RSS as perfbench/run.py measures it and its minor page faults (both from the
+child's own rusage from os.wait4), one `peak_rss_mb  minor_faults
+workload/seed/command` line per command, and at the end one `median  max`
+pair of each per command over the seeds, so one run gives both the
+byte-identity listing and the per-command memory table. The fault counts
+are logged, not checked.
 
 Each output is hashed in 1 MiB chunks, never read whole. On Linux a child
 reports a peak RSS (ru_maxrss) no lower than the high-water RSS of the
@@ -48,14 +50,20 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def run(argv: list[str], env: dict, cwd: str) -> tuple[int, float, str]:
-    """Run one command to completion: its exit code, its peak RSS in MB and its output."""
+def run(argv: list[str], env: dict, cwd: str) -> tuple[int, float, int, str]:
+    """Run one command to completion: its exit code, its peak RSS in MB, its minor page faults and its output."""
     with tempfile.TemporaryFile() as log:
         proc = subprocess.Popen(argv, stdout=log, stderr=subprocess.STDOUT, env=env, cwd=cwd)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         log.seek(0)
-        return proc.returncode, usage.ru_maxrss / 1024.0, log.read().decode(errors="replace")
+        return proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt, log.read().decode(errors="replace")
+
+
+def median(values: list) -> float:
+    """The mean of the middle two of sorted values (one, for an odd count); no statistics import,
+    which would raise this script's own peak, the floor of every reading."""
+    return (values[len(values) // 2] + values[~(len(values) // 2)]) / 2
 
 
 def sha256_of(path: Path) -> str:
@@ -83,12 +91,12 @@ def main(argv=None) -> int:
                 inputs, out = Path(tmp, workload, str(seed), "inputs"), Path(tmp, workload, str(seed), "out")
                 workloads.generate(workload, seed, inputs)
                 for name, command in workloads.commands(workload, inputs, out):
-                    code, peak_mb, output = run([sys.executable, "-m", "radiofp.cli", *command], env, tmp)
+                    code, peak_mb, faults, output = run([sys.executable, "-m", "radiofp.cli", *command], env, tmp)
                     if code != 0:
                         sys.exit(f"{workload} seed {seed}: `{name}` exited {code}\n{output}")
                     if args.rss:
-                        print(f"{peak_mb:8.1f}  {workload}/{seed}/{name}", file=sys.stderr)
-                        peaks.setdefault(f"{workload}/{name}", []).append(peak_mb)
+                        print(f"{peak_mb:8.1f} {faults:8d}  {workload}/{seed}/{name}", file=sys.stderr)
+                        peaks.setdefault(f"{workload}/{name}", []).append((peak_mb, faults))
                 for path in out.rglob("*"):
                     if path.is_file():
                         key = f"{workload}/{seed}/{path.relative_to(out).as_posix()}"
@@ -96,12 +104,11 @@ def main(argv=None) -> int:
     for key in sorted(lines):
         print(f"{lines[key]}  {key}")
     if args.rss:
-        print(f"peak RSS in MB over seeds {args.seeds.start}-{args.seeds.stop - 1}:\n  median      max",
-              file=sys.stderr)
-        for key, mbs in peaks.items():
-            mbs.sort()  # the median is the mean of the middle two (one, for an odd count); no statistics
-            median = (mbs[len(mbs) // 2] + mbs[~(len(mbs) // 2)]) / 2  # import, which would raise the floor
-            print(f"{median:8.1f} {mbs[-1]:8.1f}  {key}", file=sys.stderr)
+        print(f"peak RSS in MB and minor page faults over seeds {args.seeds.start}-{args.seeds.stop - 1}:\n"
+              "  median      max   median      max", file=sys.stderr)
+        for key, runs in peaks.items():
+            mbs, faults = (sorted(column) for column in zip(*runs))
+            print(f"{median(mbs):8.1f} {mbs[-1]:8.1f} {median(faults):8.0f} {faults[-1]:8d}  {key}", file=sys.stderr)
         floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(f"{floor_mb:8.1f}  (this script's own peak: no command reads below it)", file=sys.stderr)
     return 0
