@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, check_decibels, runs_power, seal,
-                  union_runs)
+from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, check_decibels, runs_mean_power, seal,
+                  union_runs, widened)
 from .emitter import BurstSpan
 from .errors import ParameterError
 
@@ -83,7 +83,7 @@ def propagate(recording: IqRecording, ground_truth: Sequence[BurstSpan], channel
     """
     if not channel.multipath_taps and channel.path_loss_db == 0 and _noiseless(channel.snr_db):
         return recording
-    x = propagate_in_place(recording.samples.copy(), ground_truth, channel, seed)
+    x = propagate_in_place(widened(recording.samples, copy=True), ground_truth, channel, seed)
     return recording.replace_samples(seal(x))
 
 
@@ -93,8 +93,7 @@ def propagate_in_place(x: np.ndarray, ground_truth: Sequence[BurstSpan], channel
     The AWGN level references the mean power over the ground-truth burst
     spans, measured after multipath and path loss, so inter-burst silence
     does not skew the target SNR. With no bursts the reference power is 1.0
-    (full scale). The chain holds a few blocks besides x, plus the burst
-    samples' power (a float each) while it measures the reference. Returns x.
+    (full scale). The chain holds a few blocks besides x. Returns x.
     """
     if channel.multipath_taps:
         _multipath_in_place(x, channel.multipath_taps)
@@ -128,9 +127,9 @@ def _multipath_in_place(x: np.ndarray, taps) -> None:
 
 
 def _burst_power(x: np.ndarray, ground_truth: Sequence[BurstSpan]) -> float:
-    """Mean |x|^2 over the union of the spans (one mean over runs_power); 1.0 with no span or no power."""
+    """Mean |x|^2 over the union of the spans (runs_mean_power); 1.0 with no span or no power."""
     runs = union_runs(((span.start_sample, span.start_sample + span.length) for span in ground_truth), x.size)
-    ref = float(np.mean(runs_power(x, runs))) if runs else 0.0
+    ref = runs_mean_power(x, runs) if runs else 0.0
     return ref if ref > 0.0 else 1.0
 
 
@@ -160,5 +159,5 @@ def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, see
     if _noiseless(snr_db):
         return recording
     check_decibels("snr_db", snr_db)
-    noisy = add_white_noise(recording.samples.copy(), _noise_scale(snr_db, signal_power_ref), seed)
+    noisy = add_white_noise(widened(recording.samples, copy=True), _noise_scale(snr_db, signal_power_ref), seed)
     return recording.replace_samples(seal(noisy))

@@ -4,8 +4,10 @@ Power-of-two FFT wrappers, Hamming windowed-sinc lowpass design, linear-phase
 FIR filtering with group-delay compensation, instantaneous amplitude / phase /
 frequency decomposition, the SNR of two mean powers, and what a capture's
 stages share: the one blocked convolution (convolve_same, behind fir_apply and
-the detector's power track), |z|^2 over a union of spans (union_runs,
-runs_power) and the in-place helpers (seal, as_sum_of_parts, add_white_noise).
+the detector's power track), the mean |z|^2 over a union of spans (union_runs,
+runs_mean_power), the complex128 form of a read recording's cf32_le samples
+(widened, widened_blocks) and the in-place helpers (seal, as_sum_of_parts,
+add_white_noise).
 
 convolve_same writes into the out array it is given (which may be its input),
 and the helpers change their argument in place; every other function is
@@ -15,6 +17,8 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,10 +32,11 @@ SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 # The block length of the capture stages that work in blocks (convolve_same,
-# add_white_noise, the channel's multipath, the write of a session's data
-# file, the detector's power track and crossings, clipping_ratio), so that
-# each holds only its input and its output plus a few blocks.
+# add_white_noise, the multipath, a data file's read and write, widened_blocks,
+# the detector's power track and crossings, clipping_ratio, runs_mean_power),
+# so that each holds only its input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
+CF32_LE = np.dtype("<c8")  # one cf32_le sample: I then Q, each a little-endian float32
 
 
 def usable_decibels(db) -> bool:
@@ -88,8 +93,8 @@ def check_finite(samples: np.ndarray) -> None:
 
 
 def _sealed(arr) -> bool:
-    """True for a complex128 array that nothing can write: it and each array it views are read-only."""
-    if not isinstance(arr, np.ndarray) or arr.dtype != np.complex128:
+    """True for a complex128 or cf32_le array that nothing can write: it and each array it views are read-only."""
+    if not isinstance(arr, np.ndarray) or arr.dtype not in (np.complex128, CF32_LE):
         return False
     while isinstance(arr, np.ndarray) and not arr.flags.writeable:
         if arr.base is None:
@@ -102,9 +107,9 @@ def _sealed(arr) -> bool:
 class IqRecording:
     """A complex-baseband capture plus its acquisition metadata.
 
-    samples are dimensionless full-scale units (I + jQ). A sealed complex128
-    array (see seal) is adopted as it is; any other input is copied and the
-    copy frozen, so writing to an array passed in never changes a recording.
+    samples are dimensionless full-scale units (I + jQ). A sealed complex128 or cf32_le array (see seal;
+    stages read cf32_le through widened) is adopted as it is; any other input is copied to complex128 and
+    the copy frozen, so writing to an array passed in never changes a recording.
     """
 
     samples: np.ndarray
@@ -246,14 +251,36 @@ def union_runs(spans, n: int) -> list[list[int]]:
     return runs
 
 
-def runs_power(z: np.ndarray, runs) -> np.ndarray:
-    """|z|^2 over the [start, stop) runs, in order, in one float array: np.abs(z[mask]) ** 2 with no mask or copy."""
-    power = np.empty(sum(stop - start for start, stop in runs))
-    filled = 0
-    for start, stop in runs:
-        np.abs(z[start:stop], out=power[filled:filled + stop - start])
-        filled += stop - start
-    return np.square(power, out=power)
+def _pairwise_sum(lo: int, hi: int, piece_sum) -> float:
+    """Values lo..hi summed in numpy's order, with piece_sum(a, b) adding each piece of at most BLOCK_SAMPLES.
+
+    Above 128 values, numpy's contiguous float64 add.reduce splits at n // 2 rounded down to a multiple of 8."""
+    if hi - lo <= BLOCK_SAMPLES:
+        return piece_sum(lo, hi)
+    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return _pairwise_sum(lo, mid, piece_sum) + _pairwise_sum(mid, hi, piece_sum)
+
+
+def runs_mean_power(z: np.ndarray, runs) -> float:
+    """np.mean(np.abs(widened(z)[mask]) ** 2) over the [start, stop) runs, bit for bit; nan over no sample.
+
+    _pairwise_sum's pieces of |z|^2 are written into one reused buffer, then divided by n as np.mean does."""
+    runs = [(start, stop) for start, stop in runs if stop > start]
+    ends = list(itertools.accumulate(stop - start for start, stop in runs))  # each run's end among the values
+    if not ends:
+        return math.nan
+    buffer = np.empty(min(ends[-1], BLOCK_SAMPLES))
+
+    def piece_sum(lo: int, hi: int) -> float:  # not recursive: no reference cycle keeps z alive
+        at, k = lo, bisect.bisect_right(ends, lo)  # value lo lies in run k
+        while at < hi:
+            count = min(ends[k], hi) - at
+            first = runs[k][1] - (ends[k] - at)  # the sample of value at
+            np.abs(widened(z[first:first + count]), out=buffer[at - lo:at - lo + count])
+            at, k = at + count, k + 1
+        return float(np.add.reduce(np.square(buffer[:hi - lo], out=buffer[:hi - lo])))
+
+    return _pairwise_sum(0, ends[-1], piece_sum) / ends[-1]
 
 
 def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,16 +300,31 @@ def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarra
     return amplitude, phase, frequency_hz
 
 
+def widened(samples: np.ndarray, copy: bool = False) -> np.ndarray:
+    """complex128 samples as they are (a copy if asked); cf32_le ones in a new array with the bits of I + 1j*Q.
+
+    Those bits include as_sum_of_parts's signed zeros: np.angle(-0 + 0j) is pi."""
+    if samples.dtype != np.complex128:
+        return as_sum_of_parts(samples.astype(np.complex128))
+    return samples.copy() if copy else samples
+
+
+def widened_blocks(samples: np.ndarray):
+    """(block, widened(samples[block])) for each block of block_slices: a complex128 input's are views."""
+    return ((block, widened(samples[block])) for block in block_slices(samples.size))
+
+
 def as_sum_of_parts(z: np.ndarray) -> np.ndarray:
     """Give z, in place, the bits of z.real + 1j*z.imag.
 
     That sum differs from the parts only in signed zeros: a -0 real part
     becomes +0 unless the imaginary part's sign bit is set, and a -0
-    imaginary part becomes +0. The sign mask is built one block at a time.
+    imaginary part becomes +0. So the real part gets copysign(0, imag) added
+    (x + -0 is x, x + 0 is x but for -0), those zeros made for BLOCK_SAMPLES // 8 samples (64 KiB) at a time.
     """
-    for block in block_slices(z.size):
-        part = z[block]
-        np.add(part.real, 0.0, out=part.real, where=~np.signbit(part.imag))
+    for start in range(0, z.size, BLOCK_SAMPLES // 8):
+        part = z[start:start + BLOCK_SAMPLES // 8]
+        np.add(part.real, np.copysign(0.0, part.imag), out=part.real)
     z.imag += 0.0
     return z
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (IqRecording, add_white_noise, as_sum_of_parts, block_slices, check_decibels, design_lowpass,
-                  fir_apply, seal)
+from .dsp import (IqRecording, add_white_noise, as_sum_of_parts, check_decibels, design_lowpass, fir_apply, seal,
+                  widened, widened_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -81,7 +81,7 @@ def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> 
 
     So a call holds one capture besides its input, plus a few blocks.
     """
-    x = acquire_in_place(input_recording.samples.copy(), input_recording.sample_rate_hz, config, seed)
+    x = acquire_in_place(widened(input_recording.samples, copy=True), input_recording.sample_rate_hz, config, seed)
     return input_recording.replace_samples(seal(x))
 
 
@@ -114,7 +114,7 @@ def clipping_ratio(recording: IqRecording, full_scale: float) -> float:
 
     A component counts as railed when |v| >= full_scale - eps with
     eps = full_scale * 1e-9. Empty recordings report 0.0. The samples are
-    counted one block of BLOCK_SAMPLES at a time.
+    counted one widened block at a time (dsp.widened_blocks).
     """
     if not full_scale > 0:
         raise ParameterError(f"full_scale must be > 0, got {full_scale}")
@@ -122,6 +122,6 @@ def clipping_ratio(recording: IqRecording, full_scale: float) -> float:
     if z.size == 0:
         return 0.0
     limit = full_scale - full_scale * 1e-9
-    railed = sum(int(np.count_nonzero((np.abs(z[block].real) >= limit) | (np.abs(z[block].imag) >= limit)))
-                 for block in block_slices(z.size))
+    railed = sum(int(np.count_nonzero((np.abs(part.real) >= limit) | (np.abs(part.imag) >= limit)))
+                 for _, part in widened_blocks(z))
     return railed / z.size

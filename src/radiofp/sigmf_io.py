@@ -5,7 +5,8 @@ little-endian 32-bit floats with no header (the SigMF "cf32_le" datatype;
 exactly 8 bytes per complex sample, I first), and <stem>.sigmf-meta is a
 JSON document with "global", "captures", and "annotations" sections using
 SigMF core field names. Ground-truth emitter labels ride in the
-annotations' "core:label" field.
+annotations' "core:label" field. A recording read back holds the file's
+cf32_le samples as they are (dsp.CF32_LE), which stages widen (dsp.widened).
 
 Every document is parsed through the field tables in radiofp.config.
 Session metadata is parsed permissively (unknown fields from other SigMF
@@ -45,16 +46,15 @@ from .config import (
     atomic_write,
     check_below_sample_rate,
     check_session_size,
+    file_name,
     json_text,
     load_json,
     parse,
 )
-from .dsp import IqRecording, as_sum_of_parts, block_slices, check_finite, seal
+from .dsp import CF32_LE, IqRecording, block_slices, check_finite, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_buffer
 from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
 from .receiver import ReceiverConfig, acquire_in_place
-
-CF32_LE = np.dtype("<c8")  # one cf32_le sample: I then Q, each a little-endian float32
 
 __all__ = [
     "DATATYPE",
@@ -189,8 +189,9 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
 
     Unknown metadata fields are ignored so files from other SigMF tools
     still load, but the datatype must be cf32_le and the data size must
-    agree with the metadata. The data file is read one block at a time into
-    the one complex128 capture, so no copy of its bytes is held.
+    agree with the metadata. The data file is read a block at a time into one
+    sealed cf32_le array, the recording's: no complex128 capture is made. It
+    is read, not mapped, so a file cut short is a CorruptDataError, not a SIGBUS.
     """
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
     with open(dpath, "rb") as fh:
@@ -198,14 +199,13 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
         if size % CF32_LE.itemsize != 0:
             raise CorruptDataError(f"{dpath} holds {size} bytes, not a whole number of cf32 samples")
         doc = parse(load_json(mpath), META, strict=False)
-        samples = np.empty(size // CF32_LE.itemsize, np.complex128)
+        samples = np.empty(size // CF32_LE.itemsize, CF32_LE)
         for block in block_slices(samples.size):
             part = np.fromfile(fh, CF32_LE, block.stop - block.start)
             if part.size < block.stop - block.start:  # the file shrank after its size was taken
                 raise CorruptDataError(f"{dpath} ended at sample {block.start + part.size} of {samples.size}")
             samples[block] = part
             del part  # so that the next block's read is the only one alive
-    as_sum_of_parts(samples)  # the signed zeros of I + 1j*Q
 
     claimed = doc["global"]["workbench:sample_count"]
     if claimed is not None and claimed != samples.size:
@@ -271,8 +271,10 @@ def build_dataset(
 
     The manifest embeds the schedule, profiles, channel, receiver config,
     and seeds, so regenerate_from_manifest() reproduces the data files
-    byte-identically. Partial outputs are removed if anything fails.
+    byte-identically. stem must be a bare file name. Partial outputs are
+    removed if anything fails.
     """
+    file_name(stem, "stem")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -300,6 +302,7 @@ def build_dataset(
     }
 
     dpath, mpath = write_recording(acquired, meta, out_dir / stem)  # both files, or neither
+    del samples, acquired  # so that no capture is alive while the manifest text is built
     manifest_file = out_dir / "manifest.json"
     try:
         atomic_write(manifest_file, json_text(manifest))
@@ -311,8 +314,12 @@ def build_dataset(
 
 
 def read_manifest(manifest_path) -> dict:
-    """Load and strictly validate a dataset manifest; returns its parsed fields."""
+    """Load and strictly validate a dataset manifest (each data_file and meta_file the stem's); returns its fields."""
     doc = parse(load_json(manifest_path), MANIFEST)
+    for i, session in enumerate(doc["sessions"]):
+        for name, path in (("data_file", data_path(session["stem"])), ("meta_file", meta_path(session["stem"]))):
+            if session[name] != path.name:
+                raise ValidationError(f"sessions[{i}].{name} must be '{path.name}', got {session[name]!r:.60}")
     check_session_size(doc["schedule"][0].session_duration_s, doc["sample_rate_hz"])
     check_below_sample_rate([doc["receiver"].filter_bw_hz], doc["sample_rate_hz"], "receiver.filter_bw_hz")
     return doc

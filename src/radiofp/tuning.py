@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
-from .dsp import SNR_MIN_SAMPLES, IqRecording, check_decibels, mean_power, runs_power, snr_db_from_powers, union_runs
+from .dsp import (SNR_MIN_SAMPLES, IqRecording, check_decibels, mean_power, runs_mean_power, snr_db_from_powers,
+                  union_runs)
 from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
@@ -90,13 +91,13 @@ class TuningTrace:
 def _noise_power(recording: IqRecording, rois: Sequence[RegionOfInterest]) -> float:
     """mean_power of the samples no ROI covers, or nan when they are too few or all zero.
 
-    One mean over runs_power of the gaps: mean_power's values, with no mask or gathered copy."""
+    runs_mean_power over the gaps: mean_power's value, with no mask and no gathered |z|^2."""
     z, n = recording.samples, len(recording)
     edges = [0, *itertools.chain.from_iterable(union_runs(((r.start_sample, r.end_sample) for r in rois), n)), n]
     gaps = list(zip(edges[::2], edges[1::2]))
     if sum(stop - start for start, stop in gaps) < SNR_MIN_SAMPLES or not any(z[a:b].any() for a, b in gaps):
         return float("nan")
-    return float(np.mean(runs_power(z, gaps)))
+    return runs_mean_power(z, gaps)
 
 
 def acquisition_metrics(

@@ -208,3 +208,20 @@ class TestPropagate:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * recording.samples.nbytes
+
+    def test_in_place_chain_holds_three_blocks_above_its_input(self):
+        """The multipath accumulator and scratch, then the burst power's and the noise's float buffers."""
+        n = 2 ** 20  # large against the blocks of BLOCK_SAMPLES
+        rng = np.random.default_rng(5)
+        x = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        truth = [BurstSpan("a", s, 1000) for s in range(0, n, 2000)]  # half the samples
+        channel = ChannelSpec(snr_db=15.0, path_loss_db=6.0,
+                              multipath_taps=((0, 1.0), (2, 0.3 - 0.1j), (9, 0.05j)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            propagate_in_place(x, truth, channel, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * BLOCK_SAMPLES * x.itemsize  # the burst power gathered was 0.25x the capture

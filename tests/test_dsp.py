@@ -1,13 +1,18 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radiofp import dsp
 from radiofp.dsp import (
     BLOCK_SAMPLES,
+    CF32_LE,
     FirTaps,
     IqRecording,
     add_white_noise,
@@ -20,10 +25,12 @@ from radiofp.dsp import (
     fir_apply,
     instantaneous,
     mean_power,
-    runs_power,
+    runs_mean_power,
     seal,
     snr_db_from_powers,
     union_runs,
+    widened,
+    widened_blocks,
 )
 from radiofp.errors import DegenerateInputError, ParameterError, SizeError
 
@@ -124,7 +131,7 @@ class TestCaptureBufferHelpers:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * BLOCK_SAMPLES  # a few one-byte masks of a block; the whole mask is 2 MiB
+        assert peak <= 4 * BLOCK_SAMPLES  # 64 KiB of float zeros at a time; for the whole array they would be 16 MiB
 
     def test_white_noise_matches_the_complex_expression_bit_for_bit(self):
         n = 2 * BLOCK_SAMPLES + 5000  # past two blocks: the stream runs on from block to block
@@ -347,8 +354,8 @@ spans_and_length = st.integers(0, 300).flatmap(lambda n: st.tuples(
 
 
 @given(spans_and_length)
-def test_runs_power_over_the_union_and_its_complement_is_the_masked_power(spans_n):
-    """union_runs and runs_power give the bits of |z[mask]|^2 for the union's mask and for its complement."""
+def test_runs_mean_power_over_the_union_and_its_complement_is_the_masked_mean(spans_n):
+    """union_runs and runs_mean_power give the bits of np.mean(|z[mask]|^2) for the union's mask and its complement."""
     spans, n = spans_n
     z = np.random.default_rng(n).standard_normal(n) * (1 + 1j)
     mask = np.zeros(n, dtype=bool)
@@ -358,6 +365,81 @@ def test_runs_power_over_the_union_and_its_complement_is_the_masked_power(spans_
     edges = [0, *itertools.chain.from_iterable(runs), n]
     assert edges == sorted(edges) and all(start < stop for start, stop in runs)
     assert all(stop < start for (_, stop), (start, _) in zip(runs, runs[1:]))  # disjoint and not touching
-    assert runs_power(z, runs).tobytes() == (np.abs(z[mask]) ** 2).tobytes()
     gaps = list(zip(edges[::2], edges[1::2]))
-    assert runs_power(z, gaps).tobytes() == (np.abs(z[~mask]) ** 2).tobytes()
+    for part, selected in ((runs, mask), (gaps, ~mask)):
+        if selected.any():
+            assert np.float64(runs_mean_power(z, part)).tobytes() == np.mean(np.abs(z[selected]) ** 2).tobytes()
+        else:
+            assert np.isnan(runs_mean_power(z, part))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=st.sampled_from([128, 136, 200, 1000]),
+       cuts=st.lists(st.integers(0, 5000), max_size=12),
+       narrow=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(block=128, cuts=[0, 5000], narrow=False, seed=0)  # one run over 39 blocks
+@example(block=128, cuts=[7, 7, 9, 9, 135, 1023, 1030, 4097], narrow=True, seed=1)
+def test_runs_mean_power_sums_in_numpy_order_across_blocks(block, cuts, narrow, seed):
+    """Pieces of at most BLOCK_SAMPLES values, runs across block edges, lengths off a multiple of 8,
+    empty runs, and cf32_le samples: the bits of np.mean(np.abs(widened(z)[mask]) ** 2)."""
+    rng = np.random.default_rng(seed)
+    n = 5000
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-4, 4, n)  # order matters
+    z = seal(z.astype(CF32_LE)) if narrow else z
+    edges = sorted(cuts)
+    runs = list(zip(edges[::2], edges[1::2]))  # ascending and disjoint; (a, a) is an empty run
+    mask = np.zeros(n, dtype=bool)
+    for start, stop in runs:
+        mask[start:stop] = True
+    with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
+        got = runs_mean_power(z, runs)
+    if not mask.any():
+        assert np.isnan(got)
+        return
+    want = np.mean(np.abs(widened(z)[mask]) ** 2)
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_runs_mean_power_holds_one_block_of_floats():
+    z = np.full(2 ** 21, 0.5 - 0.5j)
+    runs = [(start, start + 3000) for start in range(0, z.size, 4096)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runs_mean_power(z, runs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # A block of float |z|^2 (half a complex128 block) and the run list; gathered, |z|^2 would be 0.37x the capture.
+    assert peak <= BLOCK_SAMPLES * 16
+
+
+def test_runs_mean_power_keeps_no_reference_to_its_input():
+    """A recursive closure over z would hold it (in tune, a capture) in a reference cycle until a collection."""
+    z = np.ones(3 * BLOCK_SAMPLES, dtype=complex)
+    gc.disable()
+    try:
+        runs_mean_power(z, [(0, z.size)])
+        ref = weakref.ref(z)
+        del z
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+class TestWidened:
+    def test_cf32_le_widens_to_the_bits_of_i_plus_j_q(self):
+        values = np.array([0.0, -0.0, 1.5, -1.5, 1e-45, -3e38], dtype=np.float32)
+        re, im = (a.ravel() for a in np.meshgrid(values, values))
+        narrow = np.empty(re.size, dtype=CF32_LE)
+        narrow.real, narrow.imag = re, im
+        want = re.astype(np.float64) + 1j * im.astype(np.float64)
+        assert widened(narrow).tobytes() == want.tobytes()
+        assert b"".join(part.tobytes() for _, part in widened_blocks(narrow)) == want.tobytes()
+
+    def test_complex128_is_not_copied_unless_asked(self):
+        z = np.arange(2 * BLOCK_SAMPLES + 3) * (1 + 1j)
+        assert widened(z) is z
+        copy = widened(z, copy=True)
+        assert copy is not z and copy.tobytes() == z.tobytes() and copy.flags.writeable
+        assert all(np.shares_memory(part, z) for _, part in widened_blocks(z))

@@ -6,17 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radiofp.channel import ChannelSpec, propagate
+from radiofp.channel import ChannelSpec, add_awgn, propagate
 from radiofp.config import json_text, schedule_document
-from radiofp.dsp import BLOCK_SAMPLES, IqRecording, seal
-from radiofp.emitter import EmitterProfile, TransmissionSchedule, render_session
+from radiofp.detect import DetectorParams, detect_bursts
+from radiofp.dsp import BLOCK_SAMPLES, CF32_LE, IqRecording, seal, widened
+from radiofp.emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
 from radiofp.errors import (
     ConsistencyError,
     CorruptDataError,
     UnsupportedFormatError,
     ValidationError,
 )
-from radiofp.receiver import ReceiverConfig, acquire
+from radiofp.features import extract
+from radiofp.receiver import ReceiverConfig, acquire, clipping_ratio
 from radiofp.sigmf_io import (
     AnnotationSpan,
     DatasetSeeds,
@@ -28,6 +30,7 @@ from radiofp.sigmf_io import (
     schedule_to_doc,
     write_recording,
 )
+from radiofp.tuning import acquisition_metrics
 
 FS = 1.0e5
 
@@ -100,7 +103,9 @@ class TestWriteReadRecording:
         assert dpath.read_bytes() == want.tobytes()
         parts = want.astype(np.float64)
         loaded, _ = read_recording(tmp_path / "big")
-        assert loaded.samples.tobytes() == (parts[0::2] + 1j * parts[1::2]).tobytes()
+        assert loaded.samples.dtype == CF32_LE  # the file's samples as they are
+        assert loaded.samples.tobytes() == want.tobytes()
+        assert widened(loaded.samples).tobytes() == (parts[0::2] + 1j * parts[1::2]).tobytes()
 
     def test_write_holds_one_block_of_float32(self, tmp_path):
         rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="m")
@@ -129,9 +134,9 @@ class TestWriteReadRecording:
             read_recording(tmp_path / "t")
 
     def test_read_holds_the_capture_and_one_block(self, tmp_path):
-        """The file is read a block at a time into the capture: the whole file's bytes
-        (0.5 of the capture) are never held beside it."""
-        rec = IqRecording(np.full(2 ** 18, 0.5 - 0.25j), FS, id="r")
+        """The file is read a block at a time into one cf32_le capture (0.5 of a complex128 one):
+        neither the whole file's bytes nor a complex128 capture is held beside it."""
+        rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="r")  # a block is 1/16 of it
         write_recording(rec, simple_meta(rec), tmp_path / "r")
         tracemalloc.start()
         try:
@@ -140,7 +145,7 @@ class TestWriteReadRecording:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.samples, rec.samples)
-        assert peak <= 1.2 * rec.samples.nbytes
+        assert peak <= 0.55 * rec.samples.nbytes  # 0.5 and one cf32_le block (0.03); 1.03 with a complex128 capture
 
     def test_a_block_that_comes_back_short_names_the_file(self, tmp_path, monkeypatch):
         """A file that shrinks after its size was taken: the second block ends early."""
@@ -191,6 +196,52 @@ class TestWriteReadRecording:
                 sample_rate_hz=FS,
                 annotations=(AnnotationSpan(100, 10, "b"), AnnotationSpan(0, 10, "a")),
             )
+
+
+class TestNarrowRead:
+    """A read recording holds cf32_le samples; every stage gives the bits it gives on the widened twin."""
+
+    def session(self, tmp_path):
+        n = 2 * BLOCK_SAMPLES + 1234  # past two blocks, with a short tail
+        rng = np.random.default_rng(21)
+        x = 0.002 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        truth = [BurstSpan("a", start, 2500) for start in range(3000, n - 3000, 9000)]
+        for span in truth:
+            x[span.start_sample:span.start_sample + span.length] += 0.5 * np.exp(0.02j * np.arange(span.length))
+        x[rng.integers(0, n, 300)] = 1.0 - 1.0j  # railed
+        x[rng.integers(0, n, 300)] = 0.7j  # float32(0.7) is below 0.7's rail in float64, at it in float32
+        for i, (re, im) in enumerate([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]):
+            x[i::97] = complex(re, im)  # signed zeros everywhere, inside the bursts too
+        rec = IqRecording(seal(x.astype(CF32_LE)), FS, id="narrow")
+        write_recording(rec, simple_meta(rec), tmp_path / "narrow")
+        narrow, _ = read_recording(tmp_path / "narrow")
+        assert narrow.samples.dtype == CF32_LE
+        assert np.signbit(narrow.samples.real[narrow.samples.real == 0]).any()
+        wide = IqRecording(seal(widened(narrow.samples)), FS, id="narrow")
+        assert wide.samples.dtype == np.complex128
+        return narrow, wide, truth
+
+    def test_every_stage_gives_the_bits_of_the_widened_twin(self, tmp_path):
+        narrow, wide, truth = self.session(tmp_path)
+        params = DetectorParams(window=32, min_length=64)
+        rois = detect_bursts(narrow, params)
+        assert rois == detect_bursts(wide, params)
+        assert len(rois) >= len(truth)
+        for roi in rois:
+            assert roi.slice_of(narrow).tobytes() == roi.slice_of(wide).tobytes()
+            assert extract(roi, narrow).values.tobytes() == extract(roi, wide).values.tobytes()
+        assert clipping_ratio(narrow, 1.0) == clipping_ratio(wide, 1.0) > 0
+        assert clipping_ratio(narrow, 0.7) == clipping_ratio(wide, 0.7)
+        assert np.array(acquisition_metrics(narrow, rois, 1.0)).tobytes() == \
+               np.array(acquisition_metrics(wide, rois, 1.0)).tobytes()
+        rx = ReceiverConfig(filter_bw_hz=0.4 * FS, gain_db=2.0, adc_bits=10, frontend_noise_power=1e-6)
+        channel = ChannelSpec(snr_db=20.0, multipath_taps=((0, 1 + 0j), (7, 0.1j)), path_loss_db=1.0)
+        for stage in (lambda rec: acquire(rec, rx, seed=4), lambda rec: propagate(rec, truth, channel, seed=5),
+                      lambda rec: propagate(rec, truth, ChannelSpec(path_loss_db=3.0), seed=5),  # keeps signed zeros
+                      lambda rec: add_awgn(rec, 15.0, 0.25, seed=6)):
+            made = stage(narrow)
+            assert made.samples.dtype == np.complex128
+            assert made.samples.tobytes() == stage(wide).samples.tobytes()
 
 
 def example_profiles():
@@ -352,6 +403,30 @@ class TestBuildDataset:
         with pytest.raises(ValidationError, match=r"sessions\[0\]\.stem must be a bare file name"):
             regenerate_from_manifest(bad, tmp_path / "run2" / "inner")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["bad_manifest.json", "run1"]
+
+    @pytest.mark.parametrize("stem", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_a_stem_that_is_not_a_bare_file_name_is_refused(self, tmp_path, stem):
+        out = tmp_path / "out" / "d"
+        with pytest.raises(ValidationError, match=r"^stem must be a bare file name"):
+            build_dataset(example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+                          DatasetSeeds(1, 2, 3), out, FS, 32, stem=stem)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, value", [("data_file", "elsewhere.sigmf-data"), ("meta_file", "session.json"),
+                                             ("data_file", "session.sigmf-meta")])
+    def test_a_data_or_meta_file_that_is_not_the_stems_is_refused(self, tmp_path, name, value):
+        first = build_dataset(
+            example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+            DatasetSeeds(1, 2, 3), tmp_path / "run1", FS, 32,
+        )
+        doc = json.loads(first.manifest_file.read_text())
+        doc["sessions"][0][name] = value
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(doc))
+        want = "session.sigmf-data" if name == "data_file" else "session.sigmf-meta"
+        with pytest.raises(ValidationError, match=rf"^sessions\[0\]\.{name} must be '{want}', got '{value}'$"):
+            regenerate_from_manifest(bad, tmp_path / "run2")
+        assert not (tmp_path / "run2").exists()
 
     def test_noiseless_channel_serializes(self, tmp_path):
         channel = ChannelSpec(snr_db=math.inf)

@@ -9,6 +9,7 @@ from radiofp.errors import ParameterError, SizeError, TuningError
 from radiofp.receiver import ReceiverConfig
 from radiofp.tuning import (
     ObjectiveParams,
+    _noise_power,
     TuningGrid,
     acquisition_metrics,
     objective,
@@ -151,6 +152,24 @@ class TestAcquisitionMetrics:
         finally:
             tracemalloc.stop()
         assert peak <= 0.27 * rec.samples.nbytes
+
+    def test_noise_power_holds_one_block(self):
+        """runs_mean_power over the gaps: one block of float |z|^2, never the complement's."""
+        n = 2 ** 21
+        rec = IqRecording(np.full(n, 0.01 + 0.01j), FS)
+        rois = [RegionOfInterest(start, 4096, 10.0, 1e-3) for start in range(0, n, 8192)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p_noise = _noise_power(rec, rois)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        mask = np.ones(n, dtype=bool)
+        for roi in rois:
+            mask[roi.start_sample:roi.end_sample] = False
+        assert p_noise == mean_power(rec.samples[mask])
+        assert peak <= BLOCK_SAMPLES * rec.samples.itemsize  # the gathered complement's was 0.25x the capture
 
     def test_short_roi_raises_size_error(self):
         rec, rois = self.recording_with_rois([300, 5, 700])
