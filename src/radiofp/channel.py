@@ -4,9 +4,10 @@ Integer-tap multipath (upfade/downfade/nulling via tap interference), scalar
 path loss, and AWGN at a target SNR. The channel is static per recording;
 noise is deterministic given the seed.
 
-propagate_in_place runs the whole chain on a buffer its caller owns;
-propagate runs it on a copy, and apply_multipath and apply_path_loss are
-propagate's one-step cases. Each of these three returns a new recording.
+propagate_in_place runs the whole chain on a buffer its caller owns, and
+propagate runs it on a copy and returns a new recording. One stage alone is
+propagate with a ChannelSpec that sets only that stage, such as
+propagate(rec, (), ChannelSpec(path_loss_db=6.0), seed=0).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, che
 from .emitter import BurstSpan
 from .errors import ParameterError
 
-__all__ = ["ChannelSpec", "propagate", "propagate_in_place", "apply_multipath", "apply_path_loss", "add_awgn"]
+__all__ = ["ChannelSpec", "propagate", "propagate_in_place", "add_awgn"]
 
 
 @dataclass(frozen=True)
@@ -131,19 +132,6 @@ def _burst_power(x: np.ndarray, ground_truth: Sequence[BurstSpan]) -> float:
     runs = union_runs(((span.start_sample, span.start_sample + span.length) for span in ground_truth), x.size)
     ref = runs_mean_power(x, runs) if runs else 0.0
     return ref if ref > 0.0 else 1.0
-
-
-def apply_multipath(recording: IqRecording, taps) -> IqRecording:
-    """y[n] = sum_k gain_k * x[n - delay_k], length preserving.
-
-    Out-of-range history reads as zero. Empty taps are the identity.
-    """
-    return propagate(recording, (), ChannelSpec(multipath_taps=taps), seed=0)
-
-
-def apply_path_loss(recording: IqRecording, loss_db: float) -> IqRecording:
-    """Scale every sample by 10^(-loss_db/20)."""
-    return propagate(recording, (), ChannelSpec(path_loss_db=loss_db), seed=0)
 
 
 def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, seed: int) -> IqRecording:

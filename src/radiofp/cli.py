@@ -62,7 +62,7 @@ from .verify import (
     genuine_impostor_scores,
     load_fingerprint_store,
     save_fingerprint_store,
-    score_vectors,
+    verify,
 )
 
 FEATURE_CSV_PREFIX = ("session", "roi_index", "label", "start_sample", "length")
@@ -92,6 +92,13 @@ def _session_parts(config: dict):
 def _check_window(detector: DetectorParams, n_samples: int) -> None:
     if detector.window > n_samples:  # a config error, caught before detection
         raise ValidationError(f"detector.window {detector.window} exceeds the session's {n_samples} samples")
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an --out that is or lies under something other than a directory."""
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"--out '{out}': '{existing}' is not a directory")
 
 
 def _output(args, name: str) -> Path:
@@ -272,12 +279,13 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--claim '{args.claim}' is not enrolled in {args.store}")
     fp = store[args.claim]
 
-    scores = score_vectors(vectors, fp).tolist()
-    rows = ([vec.roi_ref[0], vec.roi_ref[1], fp.device_id, repr(d2), repr(fp.threshold),
-             int(d2 <= fp.threshold)] for vec, d2 in zip(vectors, scores))  # verify()'s accept rule
+    decisions = (verify(vec, fp) for vec in vectors)
+    rows = ([vec.roi_ref[0], vec.roi_ref[1], d.claimed_id, repr(d.squared_distance), repr(d.threshold_used),
+             int(d.accepted)] for vec, d in zip(vectors, decisions))
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
-    atomic_write(decisions_path, csv_chunks(header, rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf, as in score_vectors
+        atomic_write(decisions_path, csv_chunks(header, rows))
     print(decisions_path)
     return 0
 
@@ -401,6 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,8 +108,8 @@ class IqRecording:
     """A complex-baseband capture plus its acquisition metadata.
 
     samples are dimensionless full-scale units (I + jQ). A sealed complex128 or cf32_le array (see seal;
-    stages read cf32_le through widened) is adopted as it is; any other input is copied to complex128 and
-    the copy frozen, so writing to an array passed in never changes a recording.
+    stages read cf32_le through widened) is adopted as it is; any other input is copied to complex128 (a
+    cf32_le one through widened too) and frozen, so writing to an array passed in never changes a recording.
     """
 
     samples: np.ndarray
@@ -118,7 +118,10 @@ class IqRecording:
     id: str = ""
 
     def __post_init__(self) -> None:
-        arr = self.samples if _sealed(self.samples) else np.array(self.samples, dtype=np.complex128)
+        arr = self.samples
+        if not _sealed(arr):  # a 1-D cf32_le copy gets the bits a stage reads from a sealed one
+            cf32 = isinstance(arr, np.ndarray) and arr.dtype == CF32_LE and arr.ndim == 1
+            arr = widened(arr, copy=True) if cf32 else np.array(arr, dtype=np.complex128)
         if arr.ndim != 1:
             raise SizeError(f"samples must be 1-D, got ndim={arr.ndim}")
         check_finite(arr)

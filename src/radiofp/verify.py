@@ -253,11 +253,6 @@ class EvaluationReport:
     far_at: dict[float, float]
     frr_at: dict[float, float]
 
-    @property
-    def roc(self) -> np.ndarray:
-        """Rows of (FAR, FRR, threshold)."""
-        return np.column_stack([self.far, self.frr, self.thresholds])
-
 
 def evaluate(genuine_d2, impostor_d2) -> EvaluationReport:
     """FAR/FRR curves, EER, and anchored error rates for two score sets.

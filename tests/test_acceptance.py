@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from radiofp.channel import add_awgn, apply_multipath, apply_path_loss
+from radiofp.channel import ChannelSpec, add_awgn, propagate
 from radiofp.detect import DetectorParams, RegionOfInterest, detect_bursts, match_rois
 from radiofp.dsp import IqRecording, fft_forward, fft_inverse, mean_power
 from radiofp.emitter import (
@@ -125,8 +125,8 @@ def burst_vector(profile, snr_db, rx, seed):
     x = np.zeros(burst.size + 2 * PAD, dtype=complex)
     x[PAD:PAD + burst.size] = burst
     rec = IqRecording(x, FS)
-    rec = apply_multipath(rec, CHANNEL_TAPS)
-    rec = apply_path_loss(rec, PATH_LOSS_DB)
+    rec = propagate(rec, (), ChannelSpec(multipath_taps=CHANNEL_TAPS), seed=0)
+    rec = propagate(rec, (), ChannelSpec(path_loss_db=PATH_LOSS_DB), seed=0)
     ref = mean_power(rec.samples[PAD:PAD + burst.size])
     rec = add_awgn(rec, snr_db, ref, seed=seed + 1)
     rec = acquire(rec, rx, seed=seed + 2)
@@ -190,8 +190,8 @@ def verification_tuning_plant():
     entries = tuple((cal.emitter_id, 0.08192 * i + 0.02, PAYLOAD) for i in range(6))
     schedule = TransmissionSchedule(entries, 0.55)
     clean, truth = render_session(schedule, {cal.emitter_id: cal}, FS, SPS, seed=MASTER_SEED + 77)
-    faded = apply_multipath(clean, CHANNEL_TAPS)
-    faded = apply_path_loss(faded, PATH_LOSS_DB)
+    faded = propagate(clean, (), ChannelSpec(multipath_taps=CHANNEL_TAPS), seed=0)
+    faded = propagate(faded, (), ChannelSpec(path_loss_db=PATH_LOSS_DB), seed=0)
     mask = np.zeros(len(faded), dtype=bool)
     for span in truth:
         mask[span.start_sample:span.start_sample + span.length] = True
@@ -337,7 +337,7 @@ def test_c5_adaptive_controller_canonical_plant():
     entries = tuple(("cal", 0.08192 * i + 0.02, PAYLOAD) for i in range(6))
     schedule = TransmissionSchedule(entries, 0.55)
     clean, _ = render_session(schedule, {"cal": profile}, FS, SPS, seed=MASTER_SEED + 7)
-    received = apply_path_loss(clean, 16.0)  # weak input; noise comes from the front end
+    received = propagate(clean, (), ChannelSpec(path_loss_db=16.0), seed=0)  # weak input; noise is the front end's
 
     def plant(config: ReceiverConfig):
         acquired = acquire(received, config, seed=MASTER_SEED + 9)

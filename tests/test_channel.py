@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radiofp.channel import ChannelSpec, add_awgn, apply_multipath, apply_path_loss, propagate, propagate_in_place
+from radiofp.channel import ChannelSpec, add_awgn, propagate, propagate_in_place
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording
 from radiofp.emitter import BurstSpan
 from radiofp.errors import ParameterError
@@ -46,24 +46,26 @@ class TestChannelSpec:
 class TestMultipath:
     def test_identity_tap(self):
         x = np.arange(8, dtype=complex)
-        out = apply_multipath(rec(x), [(0, 1 + 0j)])
+        out = propagate(rec(x), (), ChannelSpec(multipath_taps=[(0, 1 + 0j)]), seed=0)
         np.testing.assert_array_equal(out.samples, x)
 
     def test_empty_taps_identity(self):
         x = np.arange(8, dtype=complex)
-        out = apply_multipath(rec(x), [])
+        out = propagate(rec(x), (), ChannelSpec(multipath_taps=[]), seed=0)
         np.testing.assert_array_equal(out.samples, x)
 
     def test_impulse_response(self):
-        out = apply_multipath(rec([1, 0, 0, 0]), [(0, 1 + 0j), (2, 0.5 + 0j)])
+        out = propagate(rec([1, 0, 0, 0]), (), ChannelSpec(multipath_taps=[(0, 1 + 0j), (2, 0.5 + 0j)]), seed=0)
         np.testing.assert_array_equal(out.samples, [1, 0, 0.5, 0])
 
     def test_nulling(self):
-        out = apply_multipath(rec(np.ones(6, dtype=complex)), [(0, 1 + 0j), (1, -1 + 0j)])
+        taps = [(0, 1 + 0j), (1, -1 + 0j)]
+        out = propagate(rec(np.ones(6, dtype=complex)), (), ChannelSpec(multipath_taps=taps), seed=0)
         np.testing.assert_array_equal(out.samples, [1, 0, 0, 0, 0, 0])
 
     def test_length_preserved(self):
-        out = apply_multipath(rec(np.ones(10, dtype=complex)), [(0, 1 + 0j), (7, 1j)])
+        out = propagate(rec(np.ones(10, dtype=complex)), (), ChannelSpec(multipath_taps=[(0, 1 + 0j), (7, 1j)]),
+                        seed=0)
         assert len(out) == 10
 
     def test_linearity(self):
@@ -72,34 +74,36 @@ class TestMultipath:
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         a, b = 1.5 - 2j, 0.25j
-        lhs = apply_multipath(rec(a * x + b * y), taps).samples
-        rhs = a * apply_multipath(rec(x), taps).samples + b * apply_multipath(rec(y), taps).samples
+        channel = ChannelSpec(multipath_taps=taps)
+        lhs = propagate(rec(a * x + b * y), (), channel, seed=0).samples
+        rhs = a * propagate(rec(x), (), channel, seed=0).samples + b * propagate(rec(y), (), channel, seed=0).samples
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestPathLoss:
     def test_zero_db_unchanged(self):
         x = np.ones(4, dtype=complex)
-        np.testing.assert_array_equal(apply_path_loss(rec(x), 0.0).samples, x)
+        np.testing.assert_array_equal(propagate(rec(x), (), ChannelSpec(path_loss_db=0.0), seed=0).samples, x)
 
     def test_twenty_db(self):
-        out = apply_path_loss(rec(np.ones(4, dtype=complex)), 20.0)
+        out = propagate(rec(np.ones(4, dtype=complex)), (), ChannelSpec(path_loss_db=20.0), seed=0)
         np.testing.assert_allclose(np.abs(out.samples), 0.1, atol=1e-12)
 
     def test_six_db_halves_amplitude(self):
-        out = apply_path_loss(rec(np.ones(4, dtype=complex)), 6.0206)
+        out = propagate(rec(np.ones(4, dtype=complex)), (), ChannelSpec(path_loss_db=6.0206), seed=0)
         np.testing.assert_allclose(np.abs(out.samples), 0.5, atol=1e-4)
 
     def test_composition(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        two_step = apply_path_loss(apply_path_loss(rec(x), 7.5), 4.5).samples
-        one_step = apply_path_loss(rec(x), 12.0).samples
+        first = propagate(rec(x), (), ChannelSpec(path_loss_db=7.5), seed=0)
+        two_step = propagate(first, (), ChannelSpec(path_loss_db=4.5), seed=0).samples
+        one_step = propagate(rec(x), (), ChannelSpec(path_loss_db=12.0), seed=0).samples
         np.testing.assert_allclose(two_step, one_step, atol=1e-12)
 
     def test_negative_loss_raises(self):
         with pytest.raises(ParameterError):
-            apply_path_loss(rec(np.ones(4, dtype=complex)), -1.0)
+            propagate(rec(np.ones(4, dtype=complex)), (), ChannelSpec(path_loss_db=-1.0), seed=0)
 
 
 class TestAwgn:

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiofp.channel import propagate
-from radiofp.cli import FEATURE_CSV_PREFIX, _read_feature_table, main
+from radiofp.cli import COMMANDS, FEATURE_CSV_PREFIX, _read_feature_table, main
 from radiofp.config import EXPERIMENT, build_schedule, parse
 from radiofp.detect import detect_bursts
 from radiofp.emitter import render_session
@@ -618,6 +618,22 @@ def test_unreadable_data_file_exits_1(workspace, tmp_path, capsys):
     data.write_bytes(data.read_bytes()[:7])
     assert main(command_argv("pipeline", tmp_path)) == 1
     assert "session.sigmf-data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_out_that_is_not_a_directory_exits_2_before_any_work(workspace, tmp_path, capsys, command, below):
+    """--out naming a file, or a path under one, exited 1 ('[Errno 17] File exists') once the work was done."""
+    shutil.copytree(workspace, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "out").write_text("a file")
+    argv = command_argv(command, tmp_path)
+    argv[argv.index("--out") + 1] = str(tmp_path / "out" / below)
+    tree = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"--out '{tmp_path / 'out' / below}'" in err and "is not a directory" in err
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == tree
 
 
 # --- property: one field at a time of a small README-style config ----------------

@@ -94,6 +94,14 @@ class TestIqRecording:
         assert IqRecording(inner, 1.0).samples is inner
         assert IqRecording(seal(np.ones(3)), 1.0).samples.dtype == np.complex128  # not complex128: copied
 
+    def test_an_unsealed_cf32_le_array_gets_the_bits_a_sealed_one_is_read_with(self):
+        """A plain complex128 copy kept the -0 real part of (-0, +0), whose phase is pi, not 0."""
+        narrow = np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 1.5 - 0j], dtype=CF32_LE)
+        copied = IqRecording(narrow, 1.0).samples
+        assert copied.dtype == np.complex128
+        assert copied.tobytes() == widened(IqRecording(seal(narrow.copy()), 1.0).samples).tobytes()
+        assert np.angle(copied[0]) == 0.0
+
 
 class TestCaptureBufferHelpers:
     def test_sum_of_parts_matches_the_complex_expression_bit_for_bit(self):

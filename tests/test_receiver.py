@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radiofp.dsp import BLOCK_SAMPLES, IqRecording, design_lowpass, fir_apply
+from radiofp.dsp import BLOCK_SAMPLES, IqRecording, as_sum_of_parts, design_lowpass, fir_apply
 from radiofp.errors import ParameterError
 from radiofp.receiver import (
     NUM_FILTER_TAPS,
     ReceiverConfig,
+    _adc,
     acquire,
     add_frontend_noise,
     clipping_ratio,
@@ -41,6 +44,17 @@ def copying_acquire(x, config, seed):
     fsd, step = config.full_scale, quantization_step(config.adc_bits, config.full_scale)
     i, q = (np.clip(step * np.round(np.clip(part, -fsd, fsd) / step), -fsd, fsd) for part in (x.real, x.imag))
     return i + 1j * q
+
+
+def per_component_adc(x, step, full_scale):
+    """The ADC one whole component at a time, then the signed zeros of I + 1j*Q: the reference for _adc."""
+    for part in (x.real, x.imag):
+        np.clip(part, -full_scale, full_scale, out=part)
+        part /= step
+        np.round(part, out=part)
+        part *= step
+        np.clip(part, -full_scale, full_scale, out=part)
+    return as_sum_of_parts(x)
 
 
 class TestReceiverConfig:
@@ -102,6 +116,30 @@ class TestQuantizer:
         ref = np.clip(step * np.round(np.clip(x.real, -1, 1) / step), -1, 1)
         err = np.abs(ref - x.real)
         assert np.max(err) <= step / 2 + 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_SAMPLES // 8 - 1, BLOCK_SAMPLES // 8, BLOCK_SAMPLES // 8 + 1,
+                                   3 * (BLOCK_SAMPLES // 8) + 5])
+    @settings(max_examples=30, deadline=None)
+    @given(bits=st.sampled_from([2, 16]) | st.integers(2, 16), full_scale=st.sampled_from([1.0, 0.25, 3.0]),
+           stride=st.integers(1, 3), data=st.data())
+    def test_one_pass_gives_the_bits_of_the_per_component_form(self, n, bits, full_scale, stride, data):
+        """Every block of the one pass, a short last one and a strided view included."""
+        step = quantization_step(bits, full_scale)
+        top = 2 ** (bits - 1)
+        pool = data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, full_scale, -full_scale, 2.0 * full_scale, -1e300]),
+            st.integers(-top, top - 1).map(lambda k: (k + 0.5) * step),  # half-step ties
+            st.floats(-1.5 * full_scale, 1.5 * full_scale),
+        ), min_size=1, max_size=32))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # Components drawn from the pool, -0 kept: built as float pairs, not as I + 1j*Q.
+        buffer = rng.choice(np.array(pool), size=(n * stride, 2)).view(np.complex128).ravel()
+        others = np.delete(buffer, np.s_[::stride]).tobytes()
+        x = buffer[::stride]
+        want = per_component_adc(x.copy(), step, full_scale)
+        assert _adc(x, step, full_scale) is x
+        assert x.tobytes() == want.tobytes()
+        assert np.delete(buffer, np.s_[::stride]).tobytes() == others
 
 
 class TestAcquire:

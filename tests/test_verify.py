@@ -293,7 +293,7 @@ class TestEvaluate:
 
     def test_roc_rows_shape(self):
         report = evaluate([1.0, 2.0], [3.0, 4.0])
-        roc = report.roc
+        roc = np.column_stack([report.far, report.frr, report.thresholds])
         assert roc.shape == (4, 3)
         np.testing.assert_array_equal(roc[:, 2], report.thresholds)
 
