@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, as_sum_of_parts, check_decibels, design_lowpass,
-                  fir_apply, seal, widened, widened_blocks)
+from .dsp import (IqRecording, add_white_noise, as_sum_of_parts, check_decibels, design_lowpass, fir_apply, seal,
+                  widened, widened_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -56,18 +56,15 @@ def quantization_step(adc_bits: int, full_scale: float) -> float:
 
 
 def _adc(x: np.ndarray, step: float, full_scale: float) -> np.ndarray:
-    """The ADC over x, in place, one block of BLOCK_SAMPLES // 8 samples at a time: clip I and Q to the rails,
-    round them to the grid, clip them again, then give the block the bits of I + 1j*Q. Returns x."""
-    for start in range(0, x.size, BLOCK_SAMPLES // 8):
-        block = x[start:start + BLOCK_SAMPLES // 8]
-        for part in (block.real, block.imag):
-            np.clip(part, -full_scale, full_scale, out=part)
-            part /= step
-            np.round(part, out=part)
-            part *= step
-            np.clip(part, -full_scale, full_scale, out=part)
-        as_sum_of_parts(block)
-    return x
+    """The ADC over x, in place: clip I and Q to the rails, round them to the grid and clip them again, then
+    give x the bits of I + 1j*Q. Returns x."""
+    for part in (x.real, x.imag):
+        np.clip(part, -full_scale, full_scale, out=part)
+        part /= step
+        np.round(part, out=part)
+        part *= step
+        np.clip(part, -full_scale, full_scale, out=part)
+    return as_sum_of_parts(x)
 
 
 def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:
@@ -95,8 +92,8 @@ def acquire_in_place(x: np.ndarray, sample_rate_hz: float, config: ReceiverConfi
     """Run the receiver chain over the complex128 samples x, in place; returns x.
 
     Every stage works in place: the noise, the gain, the FIR (which filters
-    in blocks, see fir_apply) and the ADC (clipping included, one pass in
-    blocks, see _adc). So the chain holds a few blocks besides x.
+    in blocks, see fir_apply) and the ADC (clipping included, see _adc). So
+    the chain holds a few blocks besides x.
     """
     if config.filter_bw_hz >= sample_rate_hz:
         raise ParameterError(

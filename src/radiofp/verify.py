@@ -193,7 +193,7 @@ def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> Verificatio
 
 
 def score_vectors(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> np.ndarray:
-    """Squared distances of many probes against one fingerprint; every probe score comes from here."""
+    """Squared distances of many probes against one fingerprint, each from verify()."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
         return np.array([verify(v, fingerprint).squared_distance for v in vectors])
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiofp.dsp import BLOCK_SAMPLES, IqRecording, as_sum_of_parts, design_lowpass, fir_apply
+from radiofp.dsp import BLOCK_SAMPLES, IqRecording, design_lowpass, fir_apply
 from radiofp.errors import ParameterError
 from radiofp.receiver import (
     NUM_FILTER_TAPS,
@@ -41,20 +41,13 @@ def copying_acquire(x, config, seed):
         x = x + scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
     x = x * 10.0 ** (config.gain_db / 20.0)
     x = fir_apply(x, design_lowpass(config.filter_bw_hz / (2.0 * FS), NUM_FILTER_TAPS))
-    fsd, step = config.full_scale, quantization_step(config.adc_bits, config.full_scale)
+    return copying_adc(x, quantization_step(config.adc_bits, config.full_scale), config.full_scale)
+
+
+def copying_adc(x, step, fsd):
+    """The ADC written with a new array per step and the sum I + 1j*Q: the reference for _adc."""
     i, q = (np.clip(step * np.round(np.clip(part, -fsd, fsd) / step), -fsd, fsd) for part in (x.real, x.imag))
     return i + 1j * q
-
-
-def per_component_adc(x, step, full_scale):
-    """The ADC one whole component at a time, then the signed zeros of I + 1j*Q: the reference for _adc."""
-    for part in (x.real, x.imag):
-        np.clip(part, -full_scale, full_scale, out=part)
-        part /= step
-        np.round(part, out=part)
-        part *= step
-        np.clip(part, -full_scale, full_scale, out=part)
-    return as_sum_of_parts(x)
 
 
 class TestReceiverConfig:
@@ -122,8 +115,8 @@ class TestQuantizer:
     @settings(max_examples=30, deadline=None)
     @given(bits=st.sampled_from([2, 16]) | st.integers(2, 16), full_scale=st.sampled_from([1.0, 0.25, 3.0]),
            stride=st.integers(1, 3), data=st.data())
-    def test_one_pass_gives_the_bits_of_the_per_component_form(self, n, bits, full_scale, stride, data):
-        """Every block of the one pass, a short last one and a strided view included."""
+    def test_adc_gives_the_bits_of_the_copying_form(self, n, bits, full_scale, stride, data):
+        """Lengths about as_sum_of_parts's chunk of BLOCK_SAMPLES // 8, a short last one and a strided view included."""
         step = quantization_step(bits, full_scale)
         top = 2 ** (bits - 1)
         pool = data.draw(st.lists(st.one_of(
@@ -136,7 +129,7 @@ class TestQuantizer:
         buffer = rng.choice(np.array(pool), size=(n * stride, 2)).view(np.complex128).ravel()
         others = np.delete(buffer, np.s_[::stride]).tobytes()
         x = buffer[::stride]
-        want = per_component_adc(x.copy(), step, full_scale)
+        want = copying_adc(x, step, full_scale)
         assert _adc(x, step, full_scale) is x
         assert x.tobytes() == want.tobytes()
         assert np.delete(buffer, np.s_[::stride]).tobytes() == others

@@ -10,10 +10,8 @@ workloads when their listings are:
     python tools/output_hashes.py --src src > change.txt
     diff parent.txt change.txt
 
---workloads NAME[,NAME] runs only the named workloads (all three by
-default), e.g. `--workloads tune-sweep,score-fleet`; an unknown name exits 2
-and lists the known ones. A command that exits non-zero stops the script
-with exit 1, naming the workload, seed and command.
+A command that exits non-zero stops the script with exit 1, naming the
+workload, seed and command.
 
 With --rss the script also writes, to standard error, each command's peak
 RSS as perfbench/run.py measures it and its minor page faults (both from the
@@ -52,16 +50,6 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def workload_names(text: str) -> list[str]:
-    """'tune-sweep' or a comma-separated list of names from workloads.WORKLOADS."""
-    names = text.split(",")
-    unknown = [name for name in names if name not in workloads.WORKLOADS]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown workload {', '.join(map(repr, unknown))}; "
-                                         f"known: {', '.join(workloads.WORKLOADS)}")
-    return names
-
-
 def run(argv: list[str], env: dict, cwd: str) -> tuple[int, float, int, str]:
     """Run one command to completion: its exit code, its peak RSS in MB, its minor page faults and its output."""
     with tempfile.TemporaryFile() as log:
@@ -91,8 +79,6 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="the src directory of the tree to run")
     parser.add_argument("--seeds", type=seed_range, default=range(16),
                         help="inclusive seed range such as 0-15 (the default), or one seed")
-    parser.add_argument("--workloads", type=workload_names, default=workloads.WORKLOADS, metavar="NAME[,NAME]",
-                        help="comma-separated workloads to run (default: all)")
     parser.add_argument("--rss", action="store_true",
                         help="also write each command's peak RSS in MB to standard error")
     args = parser.parse_args(argv)
@@ -100,7 +86,7 @@ def main(argv=None) -> int:
 
     lines, peaks = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in args.workloads:
+        for workload in workloads.WORKLOADS:
             for seed in args.seeds:
                 inputs, out = Path(tmp, workload, str(seed), "inputs"), Path(tmp, workload, str(seed), "out")
                 workloads.generate(workload, seed, inputs)
