@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, block_slices, check_decibels, runs_mean_power, seal,
-                  union_runs, widened)
+from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, as_complex_array, block_slices, check_decibels,
+                  runs_mean_power, seal, union_runs)
 from .emitter import BurstSpan
 from .errors import ParameterError
 
@@ -31,7 +31,7 @@ class ChannelSpec:
     """A static channel: tapped delay line + flat loss + AWGN level.
 
     snr_db = math.inf means no noise is added. Any other dB value, the loss
-    included, must have a finite, positive power ratio (dsp.usable_decibels).
+    included, must have a finite, positive power ratio (dsp.check_decibels).
     """
 
     snr_db: float = math.inf
@@ -84,7 +84,7 @@ def propagate(recording: IqRecording, ground_truth: Sequence[BurstSpan], channel
     """
     if not channel.multipath_taps and channel.path_loss_db == 0 and _noiseless(channel.snr_db):
         return recording
-    x = propagate_in_place(widened(recording.samples, copy=True), ground_truth, channel, seed)
+    x = propagate_in_place(as_complex_array(recording.samples, copy=True), ground_truth, channel, seed)
     return recording.replace_samples(seal(x))
 
 
@@ -147,5 +147,5 @@ def add_awgn(recording: IqRecording, snr_db: float, signal_power_ref: float, see
     if _noiseless(snr_db):
         return recording
     check_decibels("snr_db", snr_db)
-    noisy = add_white_noise(widened(recording.samples, copy=True), _noise_scale(snr_db, signal_power_ref), seed)
-    return recording.replace_samples(seal(noisy))
+    x = as_complex_array(recording.samples, copy=True)
+    return recording.replace_samples(seal(add_white_noise(x, _noise_scale(snr_db, signal_power_ref), seed)))

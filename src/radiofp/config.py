@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .channel import ChannelSpec
 from .detect import DetectorParams
-from .dsp import usable_decibels
 from .emitter import EmitterProfile, ScheduledBurst, TransmissionSchedule
 from .errors import ParameterError, TuningError, UnsupportedFormatError, ValidationError
 from .features import ExtractionConfig
@@ -116,9 +115,6 @@ _list = _typed(list, "a list")
 # A name joined onto a directory: one that could leave it, or name the directory itself, is refused.
 file_name = _typed(str, "a bare file name (no path separator or NUL, not '', '.' or '..')",
                    lambda v: v not in ("", ".", "..") and not any(c in v for c in "/\\\0"))
-
-
-decibels = _typed((int, float), "a dB value with a finite, positive power ratio", usable_decibels, float)
 
 
 def array(item):
@@ -248,20 +244,20 @@ SCHEDULE = {
 }
 SCHEDULE_DOCUMENT = {**SCHEDULE, **required(format_of(SCHEDULE_FORMAT), "format"),
                      **required(array(record(EmitterProfile, PROFILE)), "profiles")}
-CHANNEL = table_of(ChannelSpec, all_required=True, multipath_taps=array(tap), path_loss_db=decibels,
-                   snr_db=lambda value, where: math.inf if value == "inf" else decibels(value, where))
-RECEIVER = table_of(ReceiverConfig, all_required=True, gain_db=decibels)
+CHANNEL = table_of(ChannelSpec, all_required=True, multipath_taps=array(tap),
+                   snr_db=lambda value, where: math.inf if value == "inf" else number(value, where))
+RECEIVER = table_of(ReceiverConfig, all_required=True)
 SEEDS = table_of(DatasetSeeds)
 ENROLLMENT = {"ridge_lambda": (number, DEFAULT), "keep_features": (nullable(integer), None)}
 TUNING = {
-    **required(array(decibels), "gain_db_values"), **required(array(number), "filter_bw_hz_values"),
+    **required(array(number), "gain_db_values", "filter_bw_hz_values"),
     "strategy": (text, DEFAULT), "budget": (nullable(integer), DEFAULT), "max_rounds": (integer, DEFAULT),
     "objective": (section(dict.fromkeys(("clip_weight", "no_roi_penalty"), (number, DEFAULT))), {}),
 }
 
 # The experiment config. A section a command does not use may be absent (None).
 EXPERIMENT = {
-    "sample_rate_hz": (number, None),
+    "sample_rate_hz": (positive, None),
     "samples_per_symbol": (integer, None),
     "stem": (file_name, "session"),
     "seeds": (record(DatasetSeeds, SEEDS), None),
@@ -269,8 +265,7 @@ EXPERIMENT = {
     "schedule": (section(SCHEDULE), None),
     "channel": (record(ChannelSpec, CHANNEL), None),
     "receiver": (record(ReceiverConfig, RECEIVER), None),
-    "detector": (record(DetectorParams, table_of(DetectorParams, open_threshold_db=decibels,
-                                                  close_threshold_db=decibels)), DetectorParams()),
+    "detector": (record(DetectorParams, table_of(DetectorParams)), DetectorParams()),
     "extraction": (record(ExtractionConfig, table_of(ExtractionConfig)), ExtractionConfig()),
     "enrollment": (section(ENROLLMENT), {"keep_features": None}),
     "tuning": (section(TUNING), None),

@@ -4,7 +4,7 @@ A moving-average power track is compared against a median noise floor with
 dual open/close thresholds, so noisy burst edges do not chatter. The median
 keeps the floor honest as long as bursts occupy less than half the session.
 It is np.median's value, found without a copy of the track (see _median).
-Detection is batch, over whole recordings, widened a block at a time.
+Detection is batch, over whole recordings, read as complex128 a block at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, block_slices, check_decibels, convolve_same, widened, widened_blocks
+from .dsp import IqRecording, as_complex_array, block_slices, check_decibels, convolve_same, widened_blocks
 from .errors import ParameterError, SizeError
 
 __all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
@@ -64,7 +64,7 @@ class RegionOfInterest:
     def slice_of(self, recording: IqRecording) -> np.ndarray:
         if self.end_sample > len(recording):
             raise ParameterError("ROI extends past the end of the recording")
-        return widened(recording.samples[self.start_sample:self.end_sample])
+        return as_complex_array(recording.samples[self.start_sample:self.end_sample])
 
 
 class MatchReport(NamedTuple):
@@ -86,7 +86,7 @@ def _run_starts(track: np.ndarray, test, threshold: float) -> np.ndarray:
 def _power_track(samples: np.ndarray, window: int) -> np.ndarray:
     """The mode="same" np.convolve of |samples|^2 and a window-long 1/window boxcar, bit for bit.
 
-    |samples| is widened a block at a time, then squared and smoothed in place (convolve_same): one array."""
+    |samples| is taken a complex128 block at a time, then squared and smoothed in place (convolve_same): one array."""
     power = np.empty(samples.size)
     for block, part in widened_blocks(samples):
         np.square(np.abs(part, out=power[block]), out=power[block])

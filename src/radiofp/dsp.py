@@ -5,9 +5,9 @@ FIR filtering with group-delay compensation, instantaneous amplitude / phase /
 frequency decomposition, the SNR of two mean powers, and what a capture's
 stages share: the one blocked convolution (convolve_same, behind fir_apply and
 the detector's power track), the mean |z|^2 over a union of spans (union_runs,
-runs_mean_power), the complex128 form of a read recording's cf32_le samples
-(widened, widened_blocks) and the in-place helpers (seal, as_sum_of_parts,
-add_white_noise).
+runs_mean_power), the one rule by which samples become complex128
+(as_complex_array, and widened_blocks a block at a time) and the in-place
+helpers (seal, as_sum_of_parts, add_white_noise).
 
 convolve_same writes into the out array it is given (which may be its input),
 and the helpers change their argument in place; every other function is
@@ -39,17 +39,14 @@ BLOCK_SAMPLES = 2 ** 16
 CF32_LE = np.dtype("<c8")  # one cf32_le sample: I then Q, each a little-endian float32
 
 
-def usable_decibels(db) -> bool:
-    """True when the power ratio 10^(db/10) is a finite, positive float (about -3,236 to +3,082 dB)."""
-    try:
-        return 0.0 < 10.0 ** (db / 10.0) < math.inf
-    except OverflowError:
-        return False
-
-
 def check_decibels(name: str, db) -> None:
-    """Raise a ParameterError naming `name` unless db is a usable dB value (see usable_decibels)."""
-    if not usable_decibels(db):
+    """Raise a ParameterError naming `name` unless the power ratio 10^(db/10) is a finite, positive float
+    (db from about -3,236 to +3,082): the one dB rule, which every dB field of a config meets."""
+    try:
+        usable = 0.0 < 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        usable = False
+    if not usable:
         raise ParameterError(f"{name} must be a dB value with a finite, positive power ratio, got {db}")
 
 
@@ -58,12 +55,20 @@ def block_slices(n: int):
     return (slice(start, min(start + BLOCK_SAMPLES, n)) for start in range(0, n, BLOCK_SAMPLES))
 
 
-def as_complex_array(samples) -> np.ndarray:
-    """Coerce input to a 1-D complex128 array (copying if needed)."""
-    arr = np.asarray(samples, dtype=np.complex128)
+def as_complex_array(samples, copy: bool = False) -> np.ndarray:
+    """The 1-D complex128 form of samples: the only way any input becomes complex128.
+
+    A complex128 array is returned as it is (a copy if asked). Any other
+    input, cf32_le samples included, goes into a new array with the bits of
+    I + 1j*Q: as_sum_of_parts's signed zeros, since np.angle(-0 + 0j) is pi.
+    """
+    wide = isinstance(samples, np.ndarray) and samples.dtype == np.complex128
+    arr = samples if wide else np.array(samples, dtype=np.complex128)
     if arr.ndim != 1:
         raise SizeError(f"expected a 1-D sample sequence, got ndim={arr.ndim}")
-    return arr
+    if not wide:
+        return as_sum_of_parts(arr)
+    return arr.copy() if copy else arr
 
 
 def mean_power(samples) -> float:
@@ -93,8 +98,8 @@ def check_finite(samples: np.ndarray) -> None:
 
 
 def _sealed(arr) -> bool:
-    """True for a complex128 or cf32_le array that nothing can write: it and each array it views are read-only."""
-    if not isinstance(arr, np.ndarray) or arr.dtype not in (np.complex128, CF32_LE):
+    """True for a 1-D complex128 or cf32_le array that nothing can write: it and each array it views are read-only."""
+    if not isinstance(arr, np.ndarray) or arr.dtype not in (np.complex128, CF32_LE) or arr.ndim != 1:
         return False
     while isinstance(arr, np.ndarray) and not arr.flags.writeable:
         if arr.base is None:
@@ -107,9 +112,9 @@ def _sealed(arr) -> bool:
 class IqRecording:
     """A complex-baseband capture plus its acquisition metadata.
 
-    samples are dimensionless full-scale units (I + jQ). A sealed complex128 or cf32_le array (see seal;
-    stages read cf32_le through widened) is adopted as it is; any other input is copied to complex128 (a
-    cf32_le one through widened too) and frozen, so writing to an array passed in never changes a recording.
+    samples are dimensionless full-scale units (I + jQ). A sealed 1-D complex128 or cf32_le array (see
+    seal) is adopted as it is; any other input is copied by as_complex_array, the one widening every stage
+    reads samples through, and frozen, so writing to an array passed in never changes a recording.
     """
 
     samples: np.ndarray
@@ -118,12 +123,7 @@ class IqRecording:
     id: str = ""
 
     def __post_init__(self) -> None:
-        arr = self.samples
-        if not _sealed(arr):  # a 1-D cf32_le copy gets the bits a stage reads from a sealed one
-            cf32 = isinstance(arr, np.ndarray) and arr.dtype == CF32_LE and arr.ndim == 1
-            arr = widened(arr, copy=True) if cf32 else np.array(arr, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise SizeError(f"samples must be 1-D, got ndim={arr.ndim}")
+        arr = self.samples if _sealed(self.samples) else as_complex_array(self.samples, copy=True)
         check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -265,7 +265,7 @@ def _pairwise_sum(lo: int, hi: int, piece_sum) -> float:
 
 
 def runs_mean_power(z: np.ndarray, runs) -> float:
-    """np.mean(np.abs(widened(z)[mask]) ** 2) over the [start, stop) runs, bit for bit; nan over no sample.
+    """np.mean(np.abs(as_complex_array(z)[mask]) ** 2) over the [start, stop) runs, bit for bit; nan over no sample.
 
     _pairwise_sum's pieces of |z|^2 are written into one reused buffer, then divided by n as np.mean does."""
     runs = [(start, stop) for start, stop in runs if stop > start]
@@ -279,7 +279,7 @@ def runs_mean_power(z: np.ndarray, runs) -> float:
         while at < hi:
             count = min(ends[k], hi) - at
             first = runs[k][1] - (ends[k] - at)  # the sample of value at
-            np.abs(widened(z[first:first + count]), out=buffer[at - lo:at - lo + count])
+            np.abs(as_complex_array(z[first:first + count]), out=buffer[at - lo:at - lo + count])
             at, k = at + count, k + 1
         return float(np.add.reduce(np.square(buffer[:hi - lo], out=buffer[:hi - lo])))
 
@@ -303,18 +303,9 @@ def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarra
     return amplitude, phase, frequency_hz
 
 
-def widened(samples: np.ndarray, copy: bool = False) -> np.ndarray:
-    """complex128 samples as they are (a copy if asked); cf32_le ones in a new array with the bits of I + 1j*Q.
-
-    Those bits include as_sum_of_parts's signed zeros: np.angle(-0 + 0j) is pi."""
-    if samples.dtype != np.complex128:
-        return as_sum_of_parts(samples.astype(np.complex128))
-    return samples.copy() if copy else samples
-
-
 def widened_blocks(samples: np.ndarray):
-    """(block, widened(samples[block])) for each block of block_slices: a complex128 input's are views."""
-    return ((block, widened(samples[block])) for block in block_slices(samples.size))
+    """(block, as_complex_array(samples[block])) for each block of block_slices: a complex128 input's are views."""
+    return ((block, as_complex_array(samples[block])) for block in block_slices(samples.size))
 
 
 def as_sum_of_parts(z: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, seal
+from .dsp import IqRecording, as_complex_array, seal
 from .errors import ParameterError, SizeError
 
 __all__ = [
@@ -154,7 +154,7 @@ def apply_impairments(ideal, profile: EmitterProfile, sample_rate_hz: float, see
     numbers). Neutral stages are skipped so a fully neutral profile returns
     the input exactly.
     """
-    x = np.array(ideal, dtype=np.complex128, copy=True)
+    x = as_complex_array(ideal, copy=True)
     if x.size == 0:
         raise SizeError("ideal burst must be non-empty")
     if not sample_rate_hz > 0:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (IqRecording, add_white_noise, as_sum_of_parts, check_decibels, design_lowpass, fir_apply, seal,
-                  widened, widened_blocks)
+from .dsp import (IqRecording, add_white_noise, as_complex_array, as_sum_of_parts, check_decibels, design_lowpass,
+                  fir_apply, seal, widened_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -84,8 +84,8 @@ def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> 
 
     So a call holds one capture besides its input, plus a few blocks.
     """
-    x = acquire_in_place(widened(input_recording.samples, copy=True), input_recording.sample_rate_hz, config, seed)
-    return input_recording.replace_samples(seal(x))
+    x = as_complex_array(input_recording.samples, copy=True)
+    return input_recording.replace_samples(seal(acquire_in_place(x, input_recording.sample_rate_hz, config, seed)))
 
 
 def acquire_in_place(x: np.ndarray, sample_rate_hz: float, config: ReceiverConfig, seed: int) -> np.ndarray:
@@ -114,7 +114,7 @@ def clipping_ratio(recording: IqRecording, full_scale: float) -> float:
 
     A component counts as railed when |v| >= full_scale - eps with
     eps = full_scale * 1e-9. Empty recordings report 0.0. The samples are
-    counted one widened block at a time (dsp.widened_blocks).
+    counted one complex128 block at a time (dsp.widened_blocks).
     """
     if not full_scale > 0:
         raise ParameterError(f"full_scale must be > 0, got {full_scale}")

@@ -6,7 +6,8 @@ exactly 8 bytes per complex sample, I first), and <stem>.sigmf-meta is a
 JSON document with "global", "captures", and "annotations" sections using
 SigMF core field names. Ground-truth emitter labels ride in the
 annotations' "core:label" field. A recording read back holds the file's
-cf32_le samples as they are (dsp.CF32_LE), which stages widen (dsp.widened).
+cf32_le samples as they are (dsp.CF32_LE), which stages read through the one
+widening to complex128, dsp.as_complex_array.
 
 Every document is parsed through the field tables in radiofp.config.
 Session metadata is parsed permissively (unknown fields from other SigMF

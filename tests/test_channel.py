@@ -38,7 +38,7 @@ class TestChannelSpec:
     @pytest.mark.parametrize("field, db", [("snr_db", -1e308), ("snr_db", 1e308), ("snr_db", -math.inf),
                                            ("snr_db", math.nan), ("path_loss_db", 1e308)])
     def test_db_without_a_finite_positive_power_ratio_is_named(self, field, db):
-        """The values config.decibels rejects; snr_db = inf stays the no-noise sentinel."""
+        """The values dsp.check_decibels rejects; snr_db = inf stays the no-noise sentinel."""
         with pytest.raises(ParameterError, match=field):
             ChannelSpec(**{field: db})
 

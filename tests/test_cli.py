@@ -580,6 +580,11 @@ PROBES = {
                             "detector.window"),
     "tuned-window-over-session": ("tune", setting("detector", "window", value=10 ** 8), None,
                                   "detector.window"),
+    # A non-positive sample rate was blamed on receiver.filter_bw_hz or detector.window.
+    "sample-rate-hz-0": ("synth", setting("sample_rate_hz", value=0), None,
+                         "sample_rate_hz must be a finite number > 0"),
+    "tuned-sample-rate-hz-minus-1e5": ("tune", setting("sample_rate_hz", value=-1e5), None,
+                                       "sample_rate_hz must be a finite number > 0"),
 }
 
 

@@ -16,6 +16,7 @@ from radiofp.dsp import (
     FirTaps,
     IqRecording,
     add_white_noise,
+    as_complex_array,
     as_sum_of_parts,
     block_slices,
     convolve_same,
@@ -29,7 +30,6 @@ from radiofp.dsp import (
     seal,
     snr_db_from_powers,
     union_runs,
-    widened,
     widened_blocks,
 )
 from radiofp.errors import DegenerateInputError, ParameterError, SizeError
@@ -99,7 +99,7 @@ class TestIqRecording:
         narrow = np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 1.5 - 0j], dtype=CF32_LE)
         copied = IqRecording(narrow, 1.0).samples
         assert copied.dtype == np.complex128
-        assert copied.tobytes() == widened(IqRecording(seal(narrow.copy()), 1.0).samples).tobytes()
+        assert copied.tobytes() == as_complex_array(IqRecording(seal(narrow.copy()), 1.0).samples).tobytes()
         assert np.angle(copied[0]) == 0.0
 
 
@@ -389,7 +389,7 @@ def test_runs_mean_power_over_the_union_and_its_complement_is_the_masked_mean(sp
 @example(block=128, cuts=[7, 7, 9, 9, 135, 1023, 1030, 4097], narrow=True, seed=1)
 def test_runs_mean_power_sums_in_numpy_order_across_blocks(block, cuts, narrow, seed):
     """Pieces of at most BLOCK_SAMPLES values, runs across block edges, lengths off a multiple of 8,
-    empty runs, and cf32_le samples: the bits of np.mean(np.abs(widened(z)[mask]) ** 2)."""
+    empty runs, and cf32_le samples: the bits of np.mean(np.abs(as_complex_array(z)[mask]) ** 2)."""
     rng = np.random.default_rng(seed)
     n = 5000
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-4, 4, n)  # order matters
@@ -404,7 +404,7 @@ def test_runs_mean_power_sums_in_numpy_order_across_blocks(block, cuts, narrow, 
     if not mask.any():
         assert np.isnan(got)
         return
-    want = np.mean(np.abs(widened(z)[mask]) ** 2)
+    want = np.mean(np.abs(as_complex_array(z)[mask]) ** 2)
     assert np.float64(got).tobytes() == want.tobytes()
 
 
@@ -442,12 +442,29 @@ class TestWidened:
         narrow = np.empty(re.size, dtype=CF32_LE)
         narrow.real, narrow.imag = re, im
         want = re.astype(np.float64) + 1j * im.astype(np.float64)
-        assert widened(narrow).tobytes() == want.tobytes()
+        assert as_complex_array(narrow).tobytes() == want.tobytes()
         assert b"".join(part.tobytes() for _, part in widened_blocks(narrow)) == want.tobytes()
 
     def test_complex128_is_not_copied_unless_asked(self):
         z = np.arange(2 * BLOCK_SAMPLES + 3) * (1 + 1j)
-        assert widened(z) is z
-        copy = widened(z, copy=True)
+        assert as_complex_array(z) is z
+        copy = as_complex_array(z, copy=True)
         assert copy is not z and copy.tobytes() == z.tobytes() and copy.flags.writeable
         assert all(np.shares_memory(part, z) for _, part in widened_blocks(z))
+
+    def test_every_other_input_gets_the_bits_of_i_plus_j_q(self):
+        """Real arrays and lists go through the one rule, whose sum turns a -0 real part beside a +0
+        imaginary one into +0; an input that is not 1-D, sealed or not, is a SizeError."""
+        re = np.array([0.0, -0.0, -0.0, 1.5])
+        im = np.array([0.0, 0.0, -0.0, -0.0])
+        pairs = [complex(a, b) for a, b in zip(re, im)]
+        for samples, want in ((re, re + 1j * 0.0), (re.astype(np.float32), re + 1j * 0.0), (list(re), re + 1j * 0.0),
+                              (pairs, re + 1j * im), (np.array(pairs, dtype=CF32_LE), re + 1j * im)):
+            got = as_complex_array(samples)
+            assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+        assert not np.signbit(as_complex_array(re).real).any()
+        for samples in (np.zeros((2, 2), dtype=np.complex128), np.zeros((2, 2)), 1.0 + 0j, [[1.0]]):
+            with pytest.raises(SizeError):
+                as_complex_array(samples)
+        with pytest.raises(SizeError):
+            IqRecording(seal(np.zeros((2, 2), dtype=np.complex128)), 1.0)

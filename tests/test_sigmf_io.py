@@ -9,7 +9,7 @@ import pytest
 from radiofp.channel import ChannelSpec, add_awgn, propagate
 from radiofp.config import json_text, schedule_document
 from radiofp.detect import DetectorParams, detect_bursts
-from radiofp.dsp import BLOCK_SAMPLES, CF32_LE, IqRecording, seal, widened
+from radiofp.dsp import BLOCK_SAMPLES, CF32_LE, IqRecording, as_complex_array, instantaneous, seal
 from radiofp.emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_session
 from radiofp.errors import (
     ConsistencyError,
@@ -17,7 +17,7 @@ from radiofp.errors import (
     UnsupportedFormatError,
     ValidationError,
 )
-from radiofp.features import extract
+from radiofp.features import extract, instantaneous_stats, spectral_features, transient_features, wpd_energies
 from radiofp.receiver import ReceiverConfig, acquire, clipping_ratio
 from radiofp.sigmf_io import (
     AnnotationSpan,
@@ -105,7 +105,7 @@ class TestWriteReadRecording:
         loaded, _ = read_recording(tmp_path / "big")
         assert loaded.samples.dtype == CF32_LE  # the file's samples as they are
         assert loaded.samples.tobytes() == want.tobytes()
-        assert widened(loaded.samples).tobytes() == (parts[0::2] + 1j * parts[1::2]).tobytes()
+        assert as_complex_array(loaded.samples).tobytes() == (parts[0::2] + 1j * parts[1::2]).tobytes()
 
     def test_write_holds_one_block_of_float32(self, tmp_path):
         rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="m")
@@ -199,7 +199,8 @@ class TestWriteReadRecording:
 
 
 class TestNarrowRead:
-    """A read recording holds cf32_le samples; every stage gives the bits it gives on the widened twin."""
+    """A read recording holds cf32_le samples; every stage, and every feature family on a plain slice of
+    them, gives the bits it gives on the widened twin."""
 
     def session(self, tmp_path):
         n = 2 * BLOCK_SAMPLES + 1234  # past two blocks, with a short tail
@@ -217,7 +218,7 @@ class TestNarrowRead:
         narrow, _ = read_recording(tmp_path / "narrow")
         assert narrow.samples.dtype == CF32_LE
         assert np.signbit(narrow.samples.real[narrow.samples.real == 0]).any()
-        wide = IqRecording(seal(widened(narrow.samples)), FS, id="narrow")
+        wide = IqRecording(seal(as_complex_array(narrow.samples)), FS, id="narrow")
         assert wide.samples.dtype == np.complex128
         return narrow, wide, truth
 
@@ -227,9 +228,18 @@ class TestNarrowRead:
         rois = detect_bursts(narrow, params)
         assert rois == detect_bursts(wide, params)
         assert len(rois) >= len(truth)
+        families = (lambda z: instantaneous(z, FS), lambda z: instantaneous_stats(z, FS), transient_features,
+                    lambda z: wpd_energies(z, 4), lambda z: spectral_features(z, FS))
         for roi in rois:
             assert roi.slice_of(narrow).tobytes() == roi.slice_of(wide).tobytes()
             assert extract(roi, narrow).values.tobytes() == extract(roi, wide).values.tobytes()
+            # A plain slice of the cf32_le samples is widened as a ROI's slice is: a (-0, +0) sample has phase 0.
+            plain = narrow.samples[roi.start_sample:roi.end_sample]
+            for family in families:
+                got, want = family(plain), family(roi.slice_of(narrow))
+                if isinstance(got, dict):
+                    got, want = list(got.values()), list(want.values())
+                assert np.concatenate(got, axis=None).tobytes() == np.concatenate(want, axis=None).tobytes()
         assert clipping_ratio(narrow, 1.0) == clipping_ratio(wide, 1.0) > 0
         assert clipping_ratio(narrow, 0.7) == clipping_ratio(wide, 0.7)
         assert np.array(acquisition_metrics(narrow, rois, 1.0)).tobytes() == \

@@ -45,9 +45,12 @@ import workloads  # noqa: E402
 
 
 def seed_range(text: str) -> range:
-    """'0-15' or a single seed such as '3'."""
+    """'0-15' or a single seed such as '3'; an empty range such as '5-3' would check nothing, so it is an error."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} is an empty seed range")
+    return seeds
 
 
 def run(argv: list[str], env: dict, cwd: str) -> tuple[int, float, int, str]:
