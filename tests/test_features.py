@@ -301,6 +301,36 @@ class TestExtract:
         assert catalog_version(ExtractionConfig(wpd_depth=3)) != catalog_version()
 
 
+class TestZeroSamples:
+    """The sign bit of a zero component carries no phase, and a sample that is exactly 0 has none of its own."""
+
+    @staticmethod
+    def features(z):
+        return extract(RegionOfInterest(0, z.size, peak_metric=30.0, noise_floor=1e-6), IqRecording(z, FS)).values
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), zero_share=st.sampled_from([0.02, 0.1, 0.3]),
+           flip_share=st.sampled_from([0.5, 1.0]))
+    def test_flipping_the_sign_of_zero_components_keeps_every_feature_bit(self, seed, zero_share, flip_share):
+        """np.angle reads pi for (-0, +0): at the parent a flipped zero moved the phase features."""
+        rng = np.random.default_rng(seed)
+        parts = tone(700.0, 512)[:, None].view(np.float64) + 0.2 * rng.standard_normal((512, 2))
+        parts[rng.random((512, 2)) < zero_share] = 0.0  # zero components
+        parts[rng.random(512) < zero_share] = 0.0  # samples that are exactly 0
+        flipped = parts.copy()
+        zeros = flipped == 0
+        flipped[zeros & (rng.random(zeros.shape) < flip_share)] = -0.0
+        assert np.signbit(flipped[zeros]).any()
+        z, z_flipped = (a.view(np.complex128).ravel() for a in (parts, flipped))
+        assert self.features(z_flipped).tobytes() == self.features(z).tobytes()
+
+    def test_an_interior_with_zero_runs_gives_finite_features(self):
+        z = noisy_tone(5, 2048, cfo_hz=300.0, noise=0.05)
+        for start, stop in ((500, 540), (1200, 1201), (1600, 1700)):
+            z[start:stop] = complex(-0.0, 0.0)
+        assert np.all(np.isfinite(self.features(z)))
+
+
 class TestFeatureVector:
     def test_rejects_nonfinite(self):
         with pytest.raises(FeatureError):

@@ -45,9 +45,11 @@ def copying_acquire(x, config, seed):
 
 
 def copying_adc(x, step, fsd):
-    """The ADC written with a new array per step and the sum I + 1j*Q: the reference for _adc."""
-    i, q = (np.clip(step * np.round(np.clip(part, -fsd, fsd) / step), -fsd, fsd) for part in (x.real, x.imag))
-    return i + 1j * q
+    """The ADC written with a new array per step, the result built from its parts I and Q: the reference for _adc."""
+    out = np.empty(x.size, dtype=np.complex128)
+    out.real, out.imag = (np.clip(step * np.round(np.clip(part, -fsd, fsd) / step), -fsd, fsd)
+                          for part in (x.real, x.imag))
+    return out
 
 
 class TestReceiverConfig:
@@ -116,7 +118,7 @@ class TestQuantizer:
     @given(bits=st.sampled_from([2, 16]) | st.integers(2, 16), full_scale=st.sampled_from([1.0, 0.25, 3.0]),
            stride=st.integers(1, 3), data=st.data())
     def test_adc_gives_the_bits_of_the_copying_form(self, n, bits, full_scale, stride, data):
-        """Lengths about as_sum_of_parts's chunk of BLOCK_SAMPLES // 8, a short last one and a strided view included."""
+        """Empty, short and longer inputs and strided views, signed zeros included: the bits of each part kept."""
         step = quantization_step(bits, full_scale)
         top = 2 ** (bits - 1)
         pool = data.draw(st.lists(st.one_of(

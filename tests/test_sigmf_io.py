@@ -101,11 +101,12 @@ class TestWriteReadRecording:
         want = np.empty(2 * n, dtype="<f4")
         want[0::2], want[1::2] = samples.real, samples.imag
         assert dpath.read_bytes() == want.tobytes()
-        parts = want.astype(np.float64)
+        widened = np.empty(n, dtype=np.complex128)
+        widened.real, widened.imag = want[0::2], want[1::2]  # each float32 part widened, its sign bit kept
         loaded, _ = read_recording(tmp_path / "big")
         assert loaded.samples.dtype == CF32_LE  # the file's samples as they are
         assert loaded.samples.tobytes() == want.tobytes()
-        assert as_complex_array(loaded.samples).tobytes() == (parts[0::2] + 1j * parts[1::2]).tobytes()
+        assert as_complex_array(loaded.samples).tobytes() == widened.tobytes()
 
     def test_write_holds_one_block_of_float32(self, tmp_path):
         rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="m")

@@ -154,9 +154,11 @@ class TestAcquisitionMetrics:
         assert peak <= 0.27 * rec.samples.nbytes
 
     def test_noise_power_holds_one_block(self):
-        """runs_mean_power over the gaps: one block of float |z|^2, never the complement's."""
+        """runs_mean_power over the gaps, 16 blocks of them: one block of float |z|^2, never the complement's,
+        and mean_power's value within the float contract (1e-12 relative)."""
         n = 2 ** 21
-        rec = IqRecording(np.full(n, 0.01 + 0.01j), FS)
+        rng = np.random.default_rng(9)
+        rec = IqRecording(0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), FS)
         rois = [RegionOfInterest(start, 4096, 10.0, 1e-3) for start in range(0, n, 8192)]
         tracemalloc.start()
         try:
@@ -168,7 +170,8 @@ class TestAcquisitionMetrics:
         mask = np.ones(n, dtype=bool)
         for roi in rois:
             mask[roi.start_sample:roi.end_sample] = False
-        assert p_noise == mean_power(rec.samples[mask])
+        want = mean_power(rec.samples[mask])
+        assert abs(p_noise - want) <= 1e-12 * want
         assert peak <= BLOCK_SAMPLES * rec.samples.itemsize  # the gathered complement's was 0.25x the capture
 
     def test_short_roi_raises_size_error(self):
