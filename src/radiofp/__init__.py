@@ -8,14 +8,7 @@ tunes receiver parameters for feature quality.
 
 from .channel import ChannelSpec, add_awgn, propagate
 from .detect import DetectorParams, MatchReport, RegionOfInterest, detect_bursts, match_rois
-from .dsp import (
-    FirTaps,
-    IqRecording,
-    design_lowpass,
-    fft_forward,
-    fft_inverse,
-    instantaneous,
-)
+from .dsp import FirTaps, IqRecording, design_lowpass, instantaneous
 from .emitter import (
     BurstSpan,
     EmitterProfile,

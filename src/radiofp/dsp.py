@@ -1,20 +1,20 @@
 """Complex-baseband signal primitives shared by the whole pipeline.
 
-Power-of-two FFT wrappers, Hamming windowed-sinc lowpass design, linear-phase
-FIR filtering with group-delay compensation, instantaneous amplitude / phase /
-frequency decomposition, the SNR of two mean powers, and what a capture's
-stages share: the one blocked convolution (convolve_same, behind fir_apply and
-the detector's power track), the mean |z|^2 over a union of spans (union_runs,
-runs_mean_power), the one rule by which samples become complex128
-(as_complex_array, and widened_blocks a block at a time) and the in-place
-helpers (seal, add_white_noise). instantaneous owns the one phase rule: the
-sign bit of a zero component carries no phase, and a sample that is exactly 0
-has none of its own.
+Hamming windowed-sinc lowpass design, linear-phase FIR filtering with
+group-delay compensation (fir_apply, an overlap-save FFT convolution),
+instantaneous amplitude / phase / frequency decomposition, the SNR of two mean
+powers, and what a capture's stages share: the exact blocked convolution of
+the detector's power track (convolve_same), the mean |z|^2 over a union of
+spans (union_runs, runs_mean_power), the one rule by which samples become
+complex128 (as_complex_array, and widened_blocks a block at a time) and the
+in-place helpers (seal, add_white_noise). instantaneous owns the one phase
+rule: the sign bit of a zero component carries no phase, and a sample that is
+exactly 0 has none of its own.
 
-convolve_same writes into the out array it is given (which may be its input),
-and the helpers change their argument in place; every other function is
-pure. Recordings and tap sets are immutable after construction, so values
-can be shared freely across threads.
+fir_apply and convolve_same write into the out array they are given (which
+may be their input), and the helpers change their argument in place; every
+other function is pure. Recordings and tap sets are immutable after
+construction, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 # the detector's power track and crossings, clipping_ratio, runs_mean_power),
 # so that each holds only its input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
+# fir_apply's overlap-save runs FFT_FRAMES frames of FFT_LENGTH samples at a time: about 0.5 MiB of scratch,
+# 4 arrays of 128 KiB (its inputs, their spectra, the inverse FFT and its outputs).
+FFT_LENGTH = 2 ** 11
+FFT_FRAMES = 4
 CF32_LE = np.dtype("<c8")  # one cf32_le sample: I then Q, each a little-endian float32
 
 
@@ -158,25 +162,6 @@ class FirTaps:
         return int(self.coefficients.size)
 
 
-def _require_power_of_two(n: int) -> None:
-    if n < 2 or (n & (n - 1)) != 0:
-        raise SizeError(f"FFT length must be a power of two >= 2, got {n}")
-
-
-def fft_forward(samples) -> np.ndarray:
-    """Forward DFT of a power-of-two-length sequence."""
-    x = as_complex_array(samples)
-    _require_power_of_two(x.size)
-    return np.fft.fft(x)
-
-
-def fft_inverse(spectrum) -> np.ndarray:
-    """Inverse DFT; fft_inverse(fft_forward(x)) reconstructs x."""
-    spec = as_complex_array(spectrum)
-    _require_power_of_two(spec.size)
-    return np.fft.ifft(spec)
-
-
 def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     """Hamming windowed-sinc lowpass with DC gain exactly 1.
 
@@ -194,8 +179,29 @@ def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     return FirTaps(taps, normalized_cutoff)
 
 
+def _write_in_blocks(out: np.ndarray, starts: list[int], back: int, outputs) -> np.ndarray:
+    """Write outputs(start, stop), the outputs [start, stop) of one block, into out for each block, in order.
+
+    The blocks run from each of starts (ascending, from 0) to the next, the
+    last one to out.size. A block's outputs are written at once, except its
+    last back samples: the next block reads the inputs there, so they are
+    held (copied) until it has, and out may be the input. One block's
+    outputs are alive at a time.
+    """
+    held = slice(0, 0), out[:0]  # the last block's last back outputs, until the next block reads its inputs
+    for start, stop in zip(starts, starts[1:] + [out.size]):
+        block = outputs(start, stop)
+        out[held[0]] = held[1]
+        split = max(stop - back, start)
+        out[start:split] = block[:split - start]
+        held = slice(split, stop), block[split - start:].copy()
+        del block  # so that the next block's outputs are the only ones alive
+    out[held[0]] = held[1]
+    return out
+
+
 def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The mode="same" np.convolve of x and kernel, bit for bit, written into out.
+    """The mode="same" np.convolve of x and kernel, bit for bit, written into out: the detector's power track.
 
     With m = len(kernel), output k is "full" output k + reach, reach =
     (m - 1) // 2, also for an x shorter than the kernel. out (a new array
@@ -204,9 +210,8 @@ def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = No
     if longer; a short tail joins the block before it), each over its own
     samples plus back = m - 1 - reach before and reach after them, zero
     padding only at the array's ends: every output is the whole-array dot
-    product. A block's output is written at once, except its last back
-    samples: the next block reads the inputs there, so they are held
-    (copied) until it has. One block's convolution is alive at a time.
+    product, so exact silence stays exactly 0. The blocks are written as
+    _write_in_blocks writes them.
     """
     out = np.empty_like(x) if out is None else out
     n, m = x.size, kernel.size
@@ -214,18 +219,12 @@ def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = No
         return out
     reach, back = (m - 1) // 2, m // 2  # back = m - 1 - reach
     step = max(BLOCK_SAMPLES, m)
-    starts = list(range(0, n - step + 1, step)) or [0]
-    held = slice(0, 0), x[:0]  # the last block's last back outputs, until the next block reads its inputs
-    for start, stop in zip(starts, starts[1:] + [n]):
+
+    def outputs(start: int, stop: int) -> np.ndarray:
         lo = max(start - back, 0)
-        block = np.convolve(x[lo:min(stop + reach, n)], kernel, mode="full")[start + reach - lo:stop + reach - lo]
-        out[held[0]] = held[1]
-        split = max(stop - back, start)
-        out[start:split] = block[:split - start]
-        held = slice(split, stop), block[split - start:].copy()
-        del block  # so that the next block's convolution is the only one alive
-    out[held[0]] = held[1]
-    return out
+        return np.convolve(x[lo:min(stop + reach, n)], kernel, mode="full")[start + reach - lo:stop + reach - lo]
+
+    return _write_in_blocks(out, list(range(0, n - step + 1, step)) or [0], back, outputs)
 
 
 def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarray:
@@ -234,9 +233,41 @@ def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarr
     (num_taps - 1) / 2 samples are dropped from each end of the full
     convolution, so the output stays aligned with the input and downstream
     sample indices remain valid. out (a new array by default) may be the
-    input itself, or an array of its shape that shares no memory with it (see convolve_same).
+    input itself, or an array of its shape that shares no memory with it.
+
+    The convolution is overlap-save (Stockham 1966): each block of outputs
+    takes its inputs, zero padded only at the array's ends, as FFT_FRAMES
+    frames of N = FFT_LENGTH samples (more for taps longer than FFT_LENGTH / 2)
+    at a hop of N - m + 1, and runs them through one 2-D FFT, a product with
+    the taps' spectrum and one inverse FFT; each frame's last hop outputs are
+    exact linear convolution. The blocks are written as _write_in_blocks
+    writes them. The result is not np.convolve's bits: every output lies
+    within 1e-13 * sum(|h|) * max(|x|) of the exact dot product, 500 times
+    the largest error measured (2e-16 of that scale). For an input within
+    the receiver's full scale (and its 63 taps, sum(|h|) < 2.3) that is 3e7
+    times below a 16-bit ADC's half step, so the ADC absorbs it: exact
+    silence comes out as values within the bound of 0, which it rounds to 0.
     """
-    return convolve_same(as_complex_array(samples), taps.coefficients, out)
+    x = as_complex_array(samples)
+    out = np.empty_like(x) if out is None else out
+    m = taps.coefficients.size
+    back = m // 2
+    frame = max(FFT_LENGTH, 1 << (2 * m - 2).bit_length())
+    hop = frame - m + 1
+    spectrum = np.fft.fft(taps.coefficients, frame)
+    padded = np.empty(FFT_FRAMES * hop + m - 1, dtype=np.complex128)  # one block's inputs
+    frames = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop]  # FFT_FRAMES views into padded
+
+    def outputs(start: int, stop: int) -> np.ndarray:
+        lo, hi = start - back, min(stop + back, x.size)
+        padded[:max(-lo, 0)] = 0
+        padded[max(-lo, 0):hi - lo] = x[max(lo, 0):hi]
+        padded[hi - lo:] = 0
+        spec = np.fft.fft(frames[:math.ceil((stop - start) / hop)], axis=1)
+        spec *= spectrum
+        return np.fft.ifft(spec, axis=1)[:, m - 1:].ravel()[:stop - start]
+
+    return _write_in_blocks(out, list(range(0, x.size, FFT_FRAMES * hop)), back, outputs)
 
 
 def union_runs(spans, n: int) -> list[list[int]]:

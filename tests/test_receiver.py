@@ -200,6 +200,21 @@ class TestAcquire:
         assert np.signbit(want.view(np.float64)[want.view(np.float64) == 0]).any()
         assert acquire(rec(x), config, seed=5).samples.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("adc_bits, gain_db", [(16, 0.0), (16, 40.0), (12, -30.0)])
+    def test_exact_silence_comes_out_as_zeros(self, adc_bits, gain_db):
+        """The FIR turns exact silence into values within its error bound of 0 (see fir_apply), which the ADC
+        rounds to 0: the detector's noise floor sees silence as 0."""
+        n = 3 * BLOCK_SAMPLES // 4
+        rng = np.random.default_rng(21)
+        x = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        quiet = slice(1000, n - 1000)
+        x[quiet] = 0.0
+        config = transparent_config(gain_db=gain_db, adc_bits=adc_bits, filter_bw_hz=0.3 * FS)
+        out = acquire(rec(x), config, seed=3).samples
+        inner = slice(quiet.start + NUM_FILTER_TAPS // 2, quiet.stop - NUM_FILTER_TAPS // 2)
+        assert np.count_nonzero(out[inner]) == 0
+        assert np.count_nonzero(out[quiet.start - 1]) and np.count_nonzero(out[quiet.stop])
+
     def test_peak_memory_is_one_capture_above_the_input(self):
         """The noisy copy, filtered in place a block at a time: one capture and a few blocks."""
         n = 2 ** 21  # large against the blocks of BLOCK_SAMPLES that the noise and the FIR work in
