@@ -16,6 +16,7 @@ deterministic and output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import csv
 import dataclasses
@@ -23,6 +24,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .emitter import render_session
 from .errors import ValidationError, WorkbenchError
 from .features import (
     ExtractionConfig,
-    FeatureVector,
     catalog_names,
     catalog_version_of,
     extract,
@@ -136,13 +137,13 @@ def _feature_rows_for_session(stem: Path, detector: DetectorParams, extraction: 
     rows, dropped = [], []
     for i, roi in enumerate(rois):
         try:
-            vec = extract(roi, recording, extraction)
+            row = extract(roi, recording, extraction)
         except WorkbenchError as exc:
             dropped.append(type(exc).__name__)
             continue
         overlap = np.minimum(ends, roi.end_sample) - np.maximum(starts, roi.start_sample)
         label = labels[int(np.argmax(np.append(0, overlap)))]
-        rows.append((stem.name, i, label, roi.start_sample, roi.length, vec))
+        rows.append((stem.name, i, label, roi.start_sample, roi.length, row))
     return rows, dropped
 
 
@@ -174,8 +175,8 @@ def cmd_pipeline(args) -> int:
         print("error: every session failed", file=sys.stderr)
         return 2 if all(isinstance(exc, ValidationError) for _, exc in failures) else 1
 
-    rows = ([session, idx, label, start, length] + [repr(float(v)) for v in vec.values]
-            for session, idx, label, start, length, vec in all_rows)
+    rows = ([session, idx, label, start, length, *map(repr, row.tolist())]
+            for session, idx, label, start, length, row in all_rows)
     features_path = _output(args, "features.csv")
     atomic_write(features_path, csv_chunks(FEATURE_CSV_PREFIX + catalog_names(extraction), rows))
     print(features_path)
@@ -210,37 +211,49 @@ def _csv_rows(path: str):
             raise ValidationError(f"{path}, row {row}: not UTF-8 text") from None
 
 
-def _read_feature_table(path: str) -> tuple[tuple[str, ...], list[str], list[FeatureVector]]:
-    """(feature_names, labels, vectors) from a pipeline CSV, whose header must be
-    FEATURE_CSV_PREFIX followed by the full catalog of one wavelet depth."""
+class FeatureTable(NamedTuple):
+    """A pipeline CSV: its catalog names, each row's session, start sample and label, and the
+    read-only N x F array of feature values."""
+
+    names: tuple[str, ...]
+    sessions: list[str]
+    starts: list[int]
+    labels: list[str]
+    values: np.ndarray
+
+
+def _read_feature_table(path: str) -> FeatureTable:
+    """The feature table of a pipeline CSV, whose header must be FEATURE_CSV_PREFIX followed by
+    the full catalog of one wavelet depth. The first bad cell, in row order, is an error naming it."""
     with contextlib.closing(_csv_rows(path)) as rows:
         header = next(rows, [])
         prefix, names = tuple(header[:len(FEATURE_CSV_PREFIX)]), tuple(header[len(FEATURE_CSV_PREFIX):])
-        version = catalog_version_of(names) if prefix == FEATURE_CSV_PREFIX else None
-        if version is None:
+        if prefix != FEATURE_CSV_PREFIX or catalog_version_of(names) is None:
             raise ValidationError(
                 f"'{path}' is not a feature table: the header must be "
                 f"{','.join(FEATURE_CSV_PREFIX)} followed by the feature catalog in order"
             )
-        labels, vectors = [], []
+        sessions, starts, labels, cells = [], [], [], array.array("d")  # cells: the values, row-major
         for line, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise ValidationError(f"{path}, row {line}: {len(row)} columns, expected {len(header)}")
             try:
                 if any(int(row[col]) < least for col, least in INTEGER_COLUMNS.items()):
                     raise ValueError("integer cell out of range")
-                vectors.append(FeatureVector(
-                    names=names,
-                    values=[float(v) for v in row[len(FEATURE_CSV_PREFIX):]],
-                    roi_ref=(row[0], int(row[3])),  # session, start_sample
-                    catalog_version=version,
-                ))
-            except ValueError:  # a bad or out-of-range cell; FeatureError for a non-finite one
+                row_values = [float(v) for v in row[len(FEATURE_CSV_PREFIX):]]
+                if not all(map(math.isfinite, row_values)):
+                    raise ValueError("non-finite feature cell")
+            except ValueError:
                 raise _cell_error(path, line, header, row) from None
+            sessions.append(row[0])
+            starts.append(int(row[3]))
             labels.append(row[2])
-    if not vectors:
+            cells.extend(row_values)
+    if not labels:
         raise ValidationError(f"feature table '{path}' has no rows")
-    return names, labels, vectors
+    values = np.frombuffer(cells, dtype=np.float64).reshape(len(labels), len(names))
+    values.setflags(write=False)
+    return FeatureTable(names, sessions, starts, labels, values)
 
 
 def cmd_enroll(args) -> int:
@@ -248,40 +261,41 @@ def cmd_enroll(args) -> int:
     enrollment = dict(config["enrollment"])
     keep = enrollment.pop("keep_features")
 
-    names, labels, vectors = _read_feature_table(args.features)
-    labeled = [(v, l) for v, l in zip(vectors, labels) if l]
+    table = _read_feature_table(args.features)
+    labeled = [i for i, label in enumerate(table.labels) if label]
     if not labeled:
         raise ValidationError("feature table has no labeled rows to enroll from")
-    vecs = [v for v, _ in labeled]
-    labs = [l for _, l in labeled]
+    labels = [table.labels[i] for i in labeled]
 
-    k = len(names) if keep is None else keep
-    if not 1 <= k <= len(names):
-        raise ValidationError(f"enrollment.keep_features must lie in [1, {len(names)}], got {k}")
-    selection = fisher_select(vecs, labs, k)
+    n_features = len(table.names)
+    k = n_features if keep is None else keep
+    if not 1 <= k <= n_features:
+        raise ValidationError(f"enrollment.keep_features must lie in [1, {n_features}], got {k}")
+    selection = fisher_select(table.values[labeled], labels, k)
 
+    version = catalog_version_of(table.names)
     fingerprints = []
-    for device in sorted(set(labs)):
-        device_vecs = [v for v, l in zip(vecs, labs) if l == device]
+    for device in sorted(set(labels)):
+        rows = table.values[[i for i, label in enumerate(table.labels) if label == device]]
         with fields("enrollment"):
-            fingerprints.append(enroll(device, device_vecs, selection, **enrollment))
+            fingerprints.append(enroll(device, rows, selection, version, **enrollment))
 
     store_path = _output(args, "fingerprints.json")
-    save_fingerprint_store(fingerprints, store_path, catalog_names=names)
+    save_fingerprint_store(fingerprints, store_path, catalog_names=table.names)
     print(store_path)
     return 0
 
 
 def cmd_verify(args) -> int:
-    names, _labels, vectors = _read_feature_table(args.features)
-    store = load_fingerprint_store(args.store, names)
+    table = _read_feature_table(args.features)
+    store = load_fingerprint_store(args.store, table.names)
     if args.claim not in store:
         raise ValidationError(f"--claim '{args.claim}' is not enrolled in {args.store}")
     fp = store[args.claim]
 
-    decisions = (verify(vec, fp) for vec in vectors)
-    rows = ([vec.roi_ref[0], vec.roi_ref[1], d.claimed_id, repr(d.squared_distance), repr(d.threshold_used),
-             int(d.accepted)] for vec, d in zip(vectors, decisions))
+    decisions = (verify(x, fp) for x in table.values)
+    rows = ([session, start, d.claimed_id, repr(d.squared_distance), repr(d.threshold_used), int(d.accepted)]
+            for session, start, d in zip(table.sessions, table.starts, decisions))
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf, as in score_vectors
@@ -298,9 +312,9 @@ def _repr_rows(*columns: np.ndarray):
 
 
 def cmd_evaluate(args) -> int:
-    names, labels, vectors = _read_feature_table(args.features)
-    store = load_fingerprint_store(args.store, names)
-    genuine, impostor = genuine_impostor_scores(vectors, labels, store)
+    table = _read_feature_table(args.features)
+    store = load_fingerprint_store(args.store, table.names)
+    genuine, impostor = genuine_impostor_scores(table.values, table.labels, store)
     if genuine.size == 0 or impostor.size == 0:
         raise ValidationError("need both genuine and impostor scores; check labels vs store")
     report = evaluate(genuine, impostor)

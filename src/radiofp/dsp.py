@@ -158,9 +158,6 @@ class FirTaps:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def __len__(self) -> int:
-        return int(self.coefficients.size)
-
 
 def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     """Hamming windowed-sinc lowpass with DC gain exactly 1.

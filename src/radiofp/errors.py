@@ -27,7 +27,7 @@ class FeatureError(WorkbenchError, ValueError):
 
 
 class CatalogMismatchError(WorkbenchError, ValueError):
-    """Feature vectors from different catalog versions were mixed."""
+    """A feature row is not of the fingerprint's catalog version (its length is another catalog's)."""
 
 
 class EnrollmentError(WorkbenchError, ValueError):

@@ -24,11 +24,12 @@ The catalog concatenates four families, in this fixed order:
 Moment conventions: population (divide by n) variance, skewness
 E[(x-u)^3]/s^3 and excess kurtosis E[(x-u)^4]/s^4 - 3 (Gaussian -> 0).
 Zero-variance sequences inside the extractors take skew = kurt = 0 so clean
-synthetic bursts still produce finite vectors; the standalone moments()
+synthetic bursts still produce finite rows; the standalone moments()
 helper raises instead.
 
 Changing the catalog (names, order, or WPD depth) changes the catalog
-version string, which enrollment and verification check.
+version string. Its length alone tells the six versions apart, so a row's
+size is its catalog.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 from .detect import RegionOfInterest
 from .dsp import IqRecording, as_complex_array, instantaneous
 from .errors import (
-    CatalogMismatchError,
     DegenerateInputError,
     FeatureError,
     ParameterError,
@@ -52,7 +52,6 @@ from .errors import (
 
 __all__ = [
     "ExtractionConfig",
-    "FeatureVector",
     "FeatureSelection",
     "Moments",
     "catalog_names",
@@ -117,40 +116,12 @@ def catalog_version_of(names: Sequence[str]) -> str | None:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Named features extracted from one ROI."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    roi_ref: tuple[str, int]
-    catalog_version: str
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        names = tuple(self.names)
-        if values.ndim != 1 or values.size != len(names):
-            raise ParameterError("values must be 1-D and match names length")
-        if len(set(names)) != len(names):
-            raise ParameterError("feature names must be unique")
-        if not np.all(np.isfinite(values)):
-            bad = names[int(np.flatnonzero(~np.isfinite(values))[0])]
-            raise FeatureError(f"non-finite value for feature '{bad}'")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "roi_ref", (str(self.roi_ref[0]), int(self.roi_ref[1])))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True, eq=False)
 class FeatureSelection:
     """Indices kept after dimension reduction plus the per-feature scores."""
 
     kept_indices: tuple[int, ...]
     scores: np.ndarray
-    index: np.ndarray = field(init=False, repr=False)  # kept_indices as an array, for apply()
+    index: np.ndarray = field(init=False, repr=False)  # kept_indices as an array, to index a row
 
     def __post_init__(self) -> None:
         kept = tuple(int(i) for i in self.kept_indices)
@@ -167,9 +138,6 @@ class FeatureSelection:
         object.__setattr__(self, "kept_indices", kept)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "index", index)
-
-    def apply(self, vector: FeatureVector) -> np.ndarray:
-        return vector.values[self.index]
 
 
 class Moments(NamedTuple):
@@ -355,42 +323,42 @@ def extract(
     roi: RegionOfInterest,
     recording: IqRecording,
     config: ExtractionConfig = ExtractionConfig(),
-) -> FeatureVector:
-    """Extract the full catalog for one ROI of a recording: the families' values in catalog order."""
+) -> np.ndarray:
+    """The full catalog for one ROI of a recording: a 1-D float64 row of the families' values in
+    catalog order. A non-finite value raises FeatureError naming the first such feature."""
     z, fs = roi.slice_of(recording), recording.sample_rate_hz
-    values = [*instantaneous_stats(z, fs).values(), *transient_features(z).values(),
-              *wpd_energies(z, config.wpd_depth), *spectral_features(z, fs).values()]
-    return FeatureVector(  # raises FeatureError for a non-finite value
-        names=catalog_names(config),
-        values=values,
-        roi_ref=(recording.id, roi.start_sample),
-        catalog_version=catalog_version(config),
-    )
+    row = np.array([*instantaneous_stats(z, fs).values(), *transient_features(z).values(),
+                    *wpd_energies(z, config.wpd_depth), *spectral_features(z, fs).values()], dtype=np.float64)
+    finite = np.isfinite(row)
+    if not finite.all():
+        raise FeatureError(f"non-finite value for feature '{catalog_names(config)[int(np.argmin(finite))]}'")
+    return row
 
 
-def fisher_select(vectors: Sequence[FeatureVector], labels: Sequence[str], k: int) -> FeatureSelection:
-    """Keep the top-k features by Fisher score.
+def fisher_select(values, labels: Sequence[str], k: int) -> FeatureSelection:
+    """Keep the top-k features of an N x F array of rows by Fisher score.
 
     Score per feature = population variance of the class means divided by
     the mean within-class (population) variance, floored at 1e-12. Ties
     break toward the lower catalog index; kept_indices come back ascending.
     """
-    if len(vectors) != len(labels):
-        raise ParameterError("vectors and labels must have the same length")
-    if not vectors:
-        raise ParameterError("need at least one vector")
-    version = vectors[0].catalog_version
-    if any(v.catalog_version != version for v in vectors):
-        raise CatalogMismatchError("vectors span multiple catalog versions")
+    X = np.asarray(values, dtype=np.float64)
+    if X.ndim != 2:
+        raise ParameterError(f"values must be an N x F array, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ParameterError("values must be finite")
+    if len(X) != len(labels):
+        raise ParameterError("values and labels must have the same number of rows")
+    if not len(X):
+        raise ParameterError("need at least one row")
 
-    X = np.vstack([v.values for v in vectors])
     y = np.asarray(labels)
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ParameterError(f"need >= 2 devices, got {len(classes)}")
     counts = {c: int(np.sum(y == c)) for c in classes}
     if min(counts.values()) < 2:
-        raise ParameterError("need >= 2 vectors per device")
+        raise ParameterError("need >= 2 rows per device")
     n_features = X.shape[1]
     if not 1 <= k <= n_features:
         raise ParameterError(f"k must lie in [1, {n_features}], got {k}")

@@ -33,7 +33,7 @@ from .config import (
     parse,
 )
 from .errors import CatalogMismatchError, EnrollmentError, ParameterError, ValidationError
-from .features import FeatureSelection, FeatureVector, catalog_version_of
+from .features import FeatureSelection, catalog_version_of
 
 __all__ = [
     "DeviceFingerprint",
@@ -103,12 +103,6 @@ class DeviceFingerprint:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def with_threshold(self, threshold: float) -> "DeviceFingerprint":
-        return DeviceFingerprint(
-            self.device_id, self.catalog_version, self.selection,
-            self.mean, self.covariance, self.ridge_lambda, threshold, self.n_enrolled,
-        )
-
 
 @dataclass(frozen=True)
 class VerificationDecision:
@@ -120,31 +114,35 @@ class VerificationDecision:
 
 def enroll(
     device_id: str,
-    vectors: Sequence[FeatureVector],
+    rows,
     selection: FeatureSelection,
+    catalog_version: str,
     ridge_lambda: float = 1e-3,
 ) -> DeviceFingerprint:
-    """Build a device fingerprint from labeled enrollment vectors.
+    """Build a device fingerprint from its enrollment rows, an n x F array of catalog_version's features.
 
-    Requires n >= max(8, dim + 1) vectors sharing one catalog version.
-    Covariance is the sample covariance (divisor n-1) plus
-    ridge_lambda * diag(sample variances floored at 1e-12); the result must
-    be positive definite or enrollment fails. The initial threshold is the
-    chi-square-like default 3 * dim and is meant to be recalibrated.
+    Requires n >= max(8, dim + 1) rows. Covariance is the sample covariance
+    (divisor n-1) plus ridge_lambda * diag(sample variances floored at 1e-12);
+    the result must be positive definite or enrollment fails. The initial
+    threshold is the chi-square-like default 3 * dim and is meant to be
+    recalibrated.
     """
     if ridge_lambda < 0:
         raise ParameterError("ridge_lambda must be >= 0")
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != selection.scores.size:
+        raise ParameterError(f"rows must be an n x {selection.scores.size} array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ParameterError("rows must be finite")
     d = len(selection.kept_indices)
     n_min = max(8, d + 1)
-    if len(vectors) < n_min:
+    if len(rows) < n_min:
         raise EnrollmentError(
-            f"need at least {n_min} vectors for dimension {d}, got {len(vectors)}"
+            f"need at least {n_min} rows for dimension {d}, got {len(rows)}"
         )
-    version = vectors[0].catalog_version
-    if any(v.catalog_version != version for v in vectors):
-        raise CatalogMismatchError("enrollment vectors span multiple catalog versions")
 
-    X = np.vstack([selection.apply(v) for v in vectors])
+    # np.take keeps the selected columns C-contiguous, and np.cov's bits depend on the layout.
+    X = np.take(rows, selection.index, axis=1)
     mean = X.mean(axis=0)
     cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
     diag = np.maximum(X.var(axis=0, ddof=1), 1e-12)
@@ -152,8 +150,8 @@ def enroll(
     cov = (cov + cov.T) / 2.0
 
     try:  # positive definiteness is the only check these fields can fail
-        return DeviceFingerprint(device_id, version, selection, mean, cov, float(ridge_lambda),
-                                 threshold=3.0 * d, n_enrolled=len(vectors))
+        return DeviceFingerprint(device_id, catalog_version, selection, mean, cov, float(ridge_lambda),
+                                 threshold=3.0 * d, n_enrolled=len(rows))
     except ParameterError:
         raise EnrollmentError(
             f"covariance for '{device_id}' is not positive definite; "
@@ -176,14 +174,16 @@ def mahalanobis_squared(x: np.ndarray, fingerprint: DeviceFingerprint) -> float:
     return d2
 
 
-def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> VerificationDecision:
-    """Score a probe against the claimed identity's reference model."""
-    if vector.catalog_version != fingerprint.catalog_version:
-        raise CatalogMismatchError(
-            f"probe catalog '{vector.catalog_version}' does not match "
-            f"fingerprint catalog '{fingerprint.catalog_version}'"
-        )
-    d2 = mahalanobis_squared(fingerprint.selection.apply(vector), fingerprint)
+def verify(x, fingerprint: DeviceFingerprint) -> VerificationDecision:
+    """Score one probe row, all of the catalog's features, against the claimed identity's model.
+
+    A row of another size is of another catalog, since each catalog version has its own length.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != fingerprint.selection.scores.shape:
+        raise CatalogMismatchError(f"probe of shape {x.shape} is not a row of fingerprint "
+                                   f"catalog '{fingerprint.catalog_version}' ({fingerprint.selection.scores.size})")
+    d2 = mahalanobis_squared(x[fingerprint.selection.index], fingerprint)
     return VerificationDecision(
         claimed_id=fingerprint.device_id,
         squared_distance=d2,
@@ -192,10 +192,10 @@ def verify(vector: FeatureVector, fingerprint: DeviceFingerprint) -> Verificatio
     )
 
 
-def score_vectors(vectors: Sequence[FeatureVector], fingerprint: DeviceFingerprint) -> np.ndarray:
-    """Squared distances of many probes against one fingerprint, each from verify()."""
+def score_vectors(values, fingerprint: DeviceFingerprint) -> np.ndarray:
+    """Squared distances of the rows of an N x F array of probes against one fingerprint, each from verify()."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
-        return np.array([verify(v, fingerprint).squared_distance for v in vectors])
+        return np.array([verify(x, fingerprint).squared_distance for x in values])
 
 
 def _curves(genuine, impostor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,8 +215,8 @@ def calibrate_threshold(genuine_d2, impostor_d2, policy: str = "eer", max_far: f
 
     policy="eer": the midpoint of the interval where FAR and FRR cross over
     the sorted union of scores. policy="target_far": the largest threshold
-    whose FAR stays at or below max_far (a value just below the smallest
-    score if even that is too permissive).
+    whose FAR stays at or below max_far (the float just below the smallest
+    score if even that is too permissive, so it accepts no score).
     """
     union, far, frr = _curves(genuine_d2, impostor_d2)
 
@@ -235,7 +235,7 @@ def calibrate_threshold(genuine_d2, impostor_d2, policy: str = "eer", max_far: f
             raise ParameterError("target_far policy needs max_far in [0, 1]")
         ok = np.flatnonzero(far <= max_far)
         if ok.size == 0:
-            return float(union[0] - 1.0)
+            return float(np.nextafter(union[0], -np.inf))
         return float(union[ok[-1]])
 
     raise ParameterError(f"unknown policy '{policy}'")
@@ -340,19 +340,19 @@ def load_fingerprint_store(path, catalog_names: Sequence[str] | None = None) -> 
 
 
 def genuine_impostor_scores(
-    probes: Sequence[FeatureVector],
+    values,
     labels: Sequence[str],
     store: Mapping[str, DeviceFingerprint],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every probe against every enrolled device.
+    """Score every probe, one row of the N x F array values, against every enrolled device.
 
     Each device's column of scores is split by a label mask: a probe scored
     against the fingerprint of its own label contributes a genuine score,
     against any other fingerprint an impostor score. Scores come out
     device-major.
     """
-    if len(probes) != len(labels):
-        raise ParameterError("probes and labels must have the same length")
+    if len(values) != len(labels):
+        raise ParameterError("values and labels must have the same number of rows")
     own = np.asarray(labels, dtype=str) == np.asarray(list(store), dtype=str)[:, None]
-    scores = np.array([score_vectors(probes, fp) for fp in store.values()]).reshape(own.shape)
+    scores = np.array([score_vectors(values, fp) for fp in store.values()]).reshape(own.shape)
     return scores[own], scores[~own]

@@ -40,7 +40,7 @@ from radiofp.emitter import (
     modulate_ook,
     render_session,
 )
-from radiofp.features import ExtractionConfig, catalog_names, extract, fisher_select, moments, wpd_energies
+from radiofp.features import ExtractionConfig, catalog_names, catalog_version, extract, fisher_select, moments, wpd_energies
 from radiofp.receiver import ReceiverConfig, acquire
 from radiofp.sigmf_io import (
     DatasetSeeds,
@@ -118,8 +118,8 @@ def draw_profiles(seed=MASTER_SEED):
     return profiles
 
 
-def burst_vector(profile, snr_db, rx, seed):
-    """One burst through impairments, channel, and receiver, to features."""
+def burst_row(profile, snr_db, rx, seed):
+    """One burst through impairments, channel, and receiver, to its row of features."""
     ideal = modulate_ook(PAYLOAD, SPS)
     burst = apply_impairments(ideal, profile, FS, seed=seed)
     x = np.zeros(burst.size + 2 * PAD, dtype=complex)
@@ -141,28 +141,27 @@ def run_verification(snr_db, rx):
     score arrays).
     """
     profiles = draw_profiles()
-    enroll_vecs, enroll_labels, probe_vecs, probe_labels = [], [], [], []
+    enroll_rows, enroll_labels, probe_rows, probe_labels = [], [], [], []
     for i, prof in enumerate(profiles):
         for b in range(N_ENROLL):
             seed = MASTER_SEED + 1000 * i + 10 * b
-            enroll_vecs.append(burst_vector(prof, snr_db, rx, seed))
+            enroll_rows.append(burst_row(prof, snr_db, rx, seed))
             enroll_labels.append(prof.emitter_id)
         for b in range(N_PROBE):
             seed = MASTER_SEED + 1000 * i + 10 * (N_ENROLL + b) + 5
-            probe_vecs.append(burst_vector(prof, snr_db, rx, seed))
+            probe_rows.append(burst_row(prof, snr_db, rx, seed))
             probe_labels.append(prof.emitter_id)
 
-    selection = fisher_select(enroll_vecs, enroll_labels, k=12)
+    enroll_rows, probe_rows = np.array(enroll_rows), np.array(probe_rows)
+    enroll_labels, probe_labels = np.array(enroll_labels), np.array(probe_labels)
+    selection = fisher_select(enroll_rows, enroll_labels, k=12)
     per_device = {}
     genuine_all, impostor_all = [], []
     for prof in profiles:
         dev = prof.emitter_id
-        vecs = [v for v, l in zip(enroll_vecs, enroll_labels) if l == dev]
-        fp = enroll(dev, vecs, selection, ridge_lambda=1e-3)
-        own = [v for v, l in zip(probe_vecs, probe_labels) if l == dev]
-        other = [v for v, l in zip(probe_vecs, probe_labels) if l != dev]
-        g = score_vectors(own, fp)
-        imp = score_vectors(other, fp)
+        fp = enroll(dev, enroll_rows[enroll_labels == dev], selection, catalog_version(EXTRACTION), ridge_lambda=1e-3)
+        g = score_vectors(probe_rows[probe_labels == dev], fp)
+        imp = score_vectors(probe_rows[probe_labels != dev], fp)
         per_device[dev] = (g, imp)
         genuine_all.extend(g)
         impostor_all.extend(imp)
@@ -262,7 +261,7 @@ def test_c2_impairment_observability():
             rec = IqRecording(burst, FS)
             rec = add_awgn(rec, 30.0, mean_power(burst), seed=seed0 + 3 * b + 1)
             roi = RegionOfInterest(0, probe.size, peak_metric=30.0, noise_floor=1e-9)
-            values.append(extract(roi, rec, EXTRACTION).values[idx])
+            values.append(extract(roi, rec, EXTRACTION)[idx])
         return np.asarray(values)
 
     neutral = EmitterProfile("x")

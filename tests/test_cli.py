@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -986,12 +988,12 @@ def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     _, decisions = read_csv_rows(tmp_path / "out" / "decisions.csv")
     assert len(decisions) == len(rows)
     assert (decisions[0][3], decisions[0][5]) == ("inf", "0")
-    names, _labels, vectors = _read_feature_table(str(tmp_path / "features.csv"))
-    fp = load_fingerprint_store(small_store, names)["dev-0"]
+    table = _read_feature_table(str(tmp_path / "features.csv"))
+    fp = load_fingerprint_store(small_store, table.names)["dev-0"]
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = [verify(v, fp) for v in vectors]
-    assert decisions == [[v.roi_ref[0], str(v.roi_ref[1]), d.claimed_id, repr(d.squared_distance),
-                          repr(d.threshold_used), str(int(d.accepted))] for v, d in zip(vectors, expected)]
+        expected = [verify(x, fp) for x in table.values]
+    assert decisions == [[session, str(start), d.claimed_id, repr(d.squared_distance), repr(d.threshold_used),
+                          str(int(d.accepted))] for session, start, d in zip(table.sessions, table.starts, expected)]
     assert any(d.accepted for d in expected)
     assert run_main(command_argv("evaluate", tmp_path)) == (0, "")
 
@@ -1054,3 +1056,24 @@ def test_readme_walkthrough_runs_each_command(tmp_path, monkeypatch):
         code, err = run_main(argv[1:])
         assert code == 0, (argv, err)
     assert (tmp_path / "tuned" / "best_config.json").exists()
+
+
+def test_readme_library_use_runs_against_the_exports():
+    """The README "Library use" example runs as written, and the names it imports plus the ones its
+    public-API paragraph lists are exactly what `radiofp` exports."""
+    import radiofp
+
+    block = readme_block("## Library use", "python")
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["values"].shape == (20, len(catalog_names()))
+    assert namespace["decision"].claimed_id == "dev-a" and not namespace["decision"].accepted
+
+    imported = re.search(r"from radiofp import \(([^)]*)\)", block).group(1)
+    text = README.read_text()
+    start = text.index("The public API is what `radiofp` exports")
+    listed = re.findall(r"`([A-Za-z_]\w*)`", text[start:text.index("\n\n", start)])
+    named = ({name.strip() for name in imported.split(",") if name.strip()} | set(listed)) - {"radiofp"}
+    exported = {name for name, value in vars(radiofp).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert named == exported

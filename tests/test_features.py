@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,7 +22,6 @@ from radiofp.errors import (
 )
 from radiofp.features import (
     ExtractionConfig,
-    FeatureVector,
     Moments,
     catalog_names,
     catalog_version,
@@ -34,6 +33,7 @@ from radiofp.features import (
     transient_features,
     wpd_energies,
 )
+from radiofp import features
 from radiofp.features import _normalized_moments
 
 FS = 1.0e5
@@ -57,12 +57,6 @@ def outside_tolerance(names, got, want):
     """Mask of the values of `got` farther from `want` than the README's tolerance."""
     floor = np.array([1.0 if name in NEAR_ZERO else 0.0 for name in names])
     return np.abs(got - want) > 1e-12 * np.maximum(np.abs(want), floor)
-
-
-def make_vector(values, names=None):
-    values = np.asarray(values, dtype=float)
-    names = tuple(names or (f"f{i}" for i in range(values.size)))
-    return FeatureVector(names=names, values=values, roi_ref=("r", 0), catalog_version="fc1-test")
 
 
 class TestMoments:
@@ -271,23 +265,32 @@ class TestExtract:
 
     def test_clean_burst_gives_finite_catalog_vector(self):
         rec, roi = self.recording_with_burst(EmitterProfile("dev", ramp_up_samples=50))
-        vec = extract(roi, rec)
-        assert vec.names == catalog_names()
-        assert len(vec) == len(catalog_names())
-        assert np.all(np.isfinite(vec.values))
-        assert vec.catalog_version == catalog_version()
+        row = extract(roi, rec)
+        assert (row.dtype, row.shape) == (np.float64, (len(catalog_names()),))
+        assert np.all(np.isfinite(row))
+
+    def test_rejects_nonfinite(self, monkeypatch):
+        """A non-finite value raises FeatureError naming the first such feature in catalog order."""
+        rec, roi = self.recording_with_burst(EmitterProfile("dev", ramp_up_samples=50))
+        monkeypatch.setattr(features, "transient_features",
+                            lambda z: {"rise_time_samples": np.nan, "fall_time_samples": np.inf})
+        with pytest.raises(FeatureError, match="'rise_time_samples'"):
+            extract(roi, rec)
+
+    def test_catalog_names_are_unique(self):
+        for depth in range(1, 7):
+            names = catalog_names(ExtractionConfig(wpd_depth=depth))
+            assert len(set(names)) == len(names)
 
     def test_deterministic(self):
         rec, roi = self.recording_with_burst(EmitterProfile("dev", cfo_hz=120.0), snr_db=25.0)
-        v1 = extract(roi, rec)
-        v2 = extract(roi, rec)
-        np.testing.assert_array_equal(v1.values, v2.values)
+        np.testing.assert_array_equal(extract(roi, rec), extract(roi, rec))
 
     def test_cfo_difference_shows_up(self):
         rec_a, roi = self.recording_with_burst(EmitterProfile("dev", cfo_hz=100.0), seed=1, snr_db=30.0)
         rec_b, _ = self.recording_with_burst(EmitterProfile("dev", cfo_hz=600.0), seed=1, snr_db=30.0)
         idx = catalog_names().index("cfo_est_hz")
-        diff = extract(roi, rec_b).values[idx] - extract(roi, rec_a).values[idx]
+        diff = extract(roi, rec_b)[idx] - extract(roi, rec_a)[idx]
         assert diff == pytest.approx(500.0, abs=5.0)
 
     def test_roi_outside_recording_raises(self):
@@ -306,7 +309,7 @@ class TestZeroSamples:
 
     @staticmethod
     def features(z):
-        return extract(RegionOfInterest(0, z.size, peak_metric=30.0, noise_floor=1e-6), IqRecording(z, FS)).values
+        return extract(RegionOfInterest(0, z.size, peak_metric=30.0, noise_floor=1e-6), IqRecording(z, FS))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), zero_share=st.sampled_from([0.02, 0.1, 0.3]),
@@ -331,24 +334,10 @@ class TestZeroSamples:
         assert np.all(np.isfinite(self.features(z)))
 
 
-class TestFeatureVector:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(FeatureError):
-            make_vector([1.0, np.inf])
-
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(ParameterError):
-            make_vector([1.0, 2.0], names=("a", "a"))
-
-
 class TestFisherSelect:
-    def vectors_for(self, matrix, labels):
-        return [make_vector(row) for row in matrix], list(labels)
-
     def test_constant_feature_scores_zero(self):
         X = np.array([[1.0, 0.1], [1.0, 0.2], [1.0, 1.1], [1.0, 1.2]])
-        vecs, labels = self.vectors_for(X, ["a", "a", "b", "b"])
-        sel = fisher_select(vecs, labels, k=2)
+        sel = fisher_select(X, ["a", "a", "b", "b"], k=2)
         assert sel.scores[0] == 0.0
         assert sel.scores[1] > 0.0
 
@@ -356,15 +345,13 @@ class TestFisherSelect:
         # Class means 0 and 1, within-class population variance 0.01 each:
         # score = var({0,1}) / 0.01 = 0.25 / 0.01 = 25.
         X = np.array([[-0.1], [0.1], [0.9], [1.1]])
-        vecs, labels = self.vectors_for(X, ["a", "a", "b", "b"])
-        sel = fisher_select(vecs, labels, k=1)
+        sel = fisher_select(X, ["a", "a", "b", "b"], k=1)
         assert sel.scores[0] == pytest.approx(25.0, abs=1e-9)
 
     def test_keep_all(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((8, 5))
-        vecs, labels = self.vectors_for(X, ["a"] * 4 + ["b"] * 4)
-        sel = fisher_select(vecs, labels, k=5)
+        sel = fisher_select(X, ["a"] * 4 + ["b"] * 4, k=5)
         assert sel.kept_indices == (0, 1, 2, 3, 4)
 
     def test_keeps_top_k_ascending(self):
@@ -375,8 +362,7 @@ class TestFisherSelect:
             [0.3, 5.1, 0.1],
         ])
         # Scores: f0 = 0.25, f1 = 2500 (dominant), f2 = 0 (equal class means).
-        vecs, labels = self.vectors_for(X, ["a", "a", "b", "b"])
-        sel = fisher_select(vecs, labels, k=2)
+        sel = fisher_select(X, ["a", "a", "b", "b"], k=2)
         assert sel.kept_indices == (0, 1)
         assert np.argmax(sel.scores) == 1
 
@@ -384,25 +370,27 @@ class TestFisherSelect:
         rng = np.random.default_rng(8)
         X = np.vstack([rng.normal(0, 1, (6, 4)), rng.normal(1.5, 1, (6, 4))])
         labels = ["a"] * 6 + ["b"] * 6
-        vecs, _ = self.vectors_for(X, labels)
-        sel1 = fisher_select(vecs, labels, k=2)
+        sel1 = fisher_select(X, labels, k=2)
         scale = np.array([10.0, 0.01, 3.0, 100.0])
-        vecs2, _ = self.vectors_for(X * scale, labels)
-        sel2 = fisher_select(vecs2, labels, k=2)
+        sel2 = fisher_select(X * scale, labels, k=2)
         assert sel1.kept_indices == sel2.kept_indices
         np.testing.assert_allclose(sel1.scores, sel2.scores, rtol=1e-9)
 
     def test_insufficient_classes_raise(self):
         X = np.ones((4, 2))
-        vecs, labels = self.vectors_for(X, ["a"] * 4)
         with pytest.raises(ParameterError):
-            fisher_select(vecs, labels, k=1)
+            fisher_select(X, ["a"] * 4, k=1)
+
+    def test_non_finite_values_rejected(self):
+        X = np.random.default_rng(0).standard_normal((4, 2))
+        X[2, 0] = np.inf
+        with pytest.raises(ParameterError, match="values must be finite"):
+            fisher_select(X, ["a", "a", "b", "b"], k=1)
 
     def test_k_out_of_range(self):
         X = np.random.default_rng(0).standard_normal((4, 2))
-        vecs, labels = self.vectors_for(X, ["a", "a", "b", "b"])
         with pytest.raises(ParameterError):
-            fisher_select(vecs, labels, k=3)
+            fisher_select(X, ["a", "a", "b", "b"], k=3)
 
 
 class TestGoldenFeatures:
@@ -429,13 +417,13 @@ class TestGoldenFeatures:
 # --- properties: each array-first rewrite against the per-loop form it replaced ------
 
 def power_moments(x):
-    """Population moments with centered ** 3 and ** 4."""
+    """Population moments with the standardized (centered / sigma) ** 3 and ** 4. Standardizing
+    first keeps the powers of a tiny-scale sequence out of the subnormal range."""
     mean = float(np.mean(x))
     centered = x - mean
     variance = float(np.mean(centered ** 2))
-    sigma = math.sqrt(variance)
-    return Moments(mean, variance, float(np.mean(centered ** 3)) / sigma ** 3,
-                   float(np.mean(centered ** 4)) / sigma ** 4 - 3.0)
+    z = centered / math.sqrt(variance)
+    return Moments(mean, variance, float(np.mean(z ** 3)), float(np.mean(z ** 4)) - 3.0)
 
 
 def tree_energies(x, depth):
@@ -469,9 +457,11 @@ class TestRewritesMatchLoopForms:
     @settings(max_examples=100, deadline=None)
     @given(x=arrays(np.float64, st.integers(4, 400),
                     elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    @example(x=np.array([9.54e-80, 0.0, 0.0, 0.0]))  # centered ** 4 is subnormal: a reference that
+    # raised it before standardizing read an excess kurtosis of -0.6666689, not the exact -2/3
     def test_multiply_moments_match_power_moments(self, x):
         centered = x - np.mean(x)
-        assume(math.sqrt(np.mean(centered ** 2)) ** 4 > 0)  # else the ** form divides by 0
+        assume(math.sqrt(np.mean(centered ** 2)) ** 4 > 0)  # else the reference's squares lose bits to underflow
         want, got = power_moments(x), _normalized_moments(x)
         assert (got.mean, got.variance) == (want.mean, want.variance)
         for g, w in [(got.skewness, want.skewness), (got.excess_kurtosis, want.excess_kurtosis)]:

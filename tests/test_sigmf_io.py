@@ -233,7 +233,7 @@ class TestNarrowRead:
                     lambda z: wpd_energies(z, 4), lambda z: spectral_features(z, FS))
         for roi in rois:
             assert roi.slice_of(narrow).tobytes() == roi.slice_of(wide).tobytes()
-            assert extract(roi, narrow).values.tobytes() == extract(roi, wide).values.tobytes()
+            assert extract(roi, narrow).tobytes() == extract(roi, wide).tobytes()
             # A plain slice of the cf32_le samples is widened as a ROI's slice is: a (-0, +0) sample has phase 0.
             plain = narrow.samples[roi.start_sample:roi.end_sample]
             for family in families:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from radiofp.errors import (
     UnsupportedFormatError,
     ValidationError,
 )
-from radiofp.features import FeatureSelection, FeatureVector
+from radiofp.features import FeatureSelection
 from radiofp.verify import (
     DeviceFingerprint,
     calibrate_threshold,
@@ -30,19 +31,13 @@ from radiofp.verify import (
 CATALOG = "fc1-test"
 
 
-def vec(values, version=CATALOG):
-    values = np.asarray(values, dtype=float)
-    names = tuple(f"f{i}" for i in range(values.size))
-    return FeatureVector(names=names, values=values, roi_ref=("r", 0), catalog_version=version)
-
-
 def full_selection(dim):
     return FeatureSelection(tuple(range(dim)), np.zeros(dim))
 
 
 def enroll_gaussian(rng, mean, dim=2, n=100, ridge_lambda=1e-6, device_id="dev"):
-    vectors = [vec(rng.normal(mean, 1.0, dim)) for _ in range(n)]
-    return enroll(device_id, vectors, full_selection(dim), ridge_lambda)
+    rows = np.array([rng.normal(mean, 1.0, dim) for _ in range(n)])
+    return enroll(device_id, rows, full_selection(dim), CATALOG, ridge_lambda)
 
 
 def eer_bruteforce(genuine, impostor):
@@ -70,30 +65,37 @@ class TestEnroll:
         np.testing.assert_allclose(fp.mean, mu, atol=0.05)
 
     def test_repeated_vectors_need_ridge(self):
-        constant = [vec([1.0, 2.0]) for _ in range(20)]
+        constant = np.tile([1.0, 2.0], (20, 1))
         with pytest.raises(EnrollmentError):
-            enroll("dev", constant, full_selection(2), ridge_lambda=0.0)
-        fp = enroll("dev", constant, full_selection(2), ridge_lambda=1e-3)
+            enroll("dev", constant, full_selection(2), CATALOG, ridge_lambda=0.0)
+        fp = enroll("dev", constant, full_selection(2), CATALOG, ridge_lambda=1e-3)
         assert fp.n_enrolled == 20
 
     def test_too_few_vectors(self):
         rng = np.random.default_rng(1)
-        vectors = [vec(rng.normal(0, 1, 2)) for _ in range(7)]
+        rows = rng.normal(0, 1, (7, 2))
         with pytest.raises(EnrollmentError):
-            enroll("dev", vectors, full_selection(2))
+            enroll("dev", rows, full_selection(2), CATALOG)
 
     def test_n_min_scales_with_dimension(self):
         rng = np.random.default_rng(2)
         dim = 12
-        vectors = [vec(rng.normal(0, 1, dim)) for _ in range(dim)]  # dim < dim+1
+        rows = rng.normal(0, 1, (dim, dim))  # dim < dim+1
         with pytest.raises(EnrollmentError):
-            enroll("dev", vectors, full_selection(dim), ridge_lambda=0.0)
+            enroll("dev", rows, full_selection(dim), CATALOG, ridge_lambda=0.0)
 
-    def test_mixed_catalogs_rejected(self):
+    def test_rows_of_another_catalog_rejected(self):
+        """Rows whose width is not the selection's catalog length belong to another catalog."""
         rng = np.random.default_rng(3)
-        vectors = [vec(rng.normal(0, 1, 2)) for _ in range(7)] + [vec(np.zeros(2), version="other")]
-        with pytest.raises(CatalogMismatchError):
-            enroll("dev", vectors, full_selection(2))
+        for rows in (rng.normal(0, 1, (20, 3)), rng.normal(0, 1, 40)):
+            with pytest.raises(ParameterError, match="rows must be an n x 2 array"):
+                enroll("dev", rows, full_selection(2), CATALOG)
+
+    def test_non_finite_rows_rejected(self):
+        rows = np.random.default_rng(3).normal(0, 1, (20, 2))
+        rows[7, 1] = np.nan
+        with pytest.raises(ParameterError, match="rows must be finite"):
+            enroll("dev", rows, full_selection(2), CATALOG)
 
     def test_default_threshold(self):
         rng = np.random.default_rng(4)
@@ -105,7 +107,7 @@ class TestVerify:
     def test_probe_at_mean_accepted_with_zero_distance(self):
         rng = np.random.default_rng(5)
         fp = enroll_gaussian(rng, np.array([1.0, 2.0]))
-        decision = verify(vec(fp.mean), fp)
+        decision = verify(fp.mean, fp)
         assert decision.squared_distance == pytest.approx(0.0, abs=1e-12)
         assert decision.accepted
 
@@ -120,15 +122,17 @@ class TestVerify:
         assert mahalanobis_squared(np.array([2.0, 0.0]), fp) == pytest.approx(1.0, abs=1e-12)
 
     def test_catalog_mismatch_rejected(self):
+        """A probe whose shape is not one row of the fingerprint's catalog is of another catalog."""
         rng = np.random.default_rng(6)
         fp = enroll_gaussian(rng, np.zeros(2))
-        with pytest.raises(CatalogMismatchError):
-            verify(vec(np.zeros(2), version="other"), fp)
+        for probe in (np.zeros(3), np.zeros(1), np.zeros((1, 2)), 0.0):
+            with pytest.raises(CatalogMismatchError, match="fc1-test"):
+                verify(probe, fp)
 
     def test_decision_consistent_with_threshold(self):
         rng = np.random.default_rng(7)
-        fp = enroll_gaussian(rng, np.zeros(2)).with_threshold(1e-9)
-        decision = verify(vec([5.0, 5.0]), fp)
+        fp = dataclasses.replace(enroll_gaussian(rng, np.zeros(2)), threshold=1e-9)
+        decision = verify([5.0, 5.0], fp)
         assert not decision.accepted
         assert decision.squared_distance > decision.threshold_used
 
@@ -141,16 +145,16 @@ class TestVerify:
         b = rng.normal(0, 1, dim)
 
         sel = full_selection(dim)
-        fp1 = enroll("dev", [vec(row) for row in X], sel, ridge_lambda=0.0)
+        fp1 = enroll("dev", X, sel, CATALOG, ridge_lambda=0.0)
         d1 = mahalanobis_squared(probe, fp1)
-        fp2 = enroll("dev", [vec(row @ A.T + b) for row in X], sel, ridge_lambda=0.0)
+        fp2 = enroll("dev", X @ A.T + b, sel, CATALOG, ridge_lambda=0.0)
         d2 = mahalanobis_squared(probe @ A.T + b, fp2)
         assert d2 == pytest.approx(d1, rel=1e-6)
 
     def test_positive_for_probe_off_mean(self):
         rng = np.random.default_rng(9)
         fp = enroll_gaussian(rng, np.zeros(2))
-        assert verify(vec([0.1, -0.2]), fp).squared_distance > 0
+        assert verify([0.1, -0.2], fp).squared_distance > 0
 
 
 def small_store(rng):
@@ -162,7 +166,7 @@ def small_store(rng):
 class TestGenuineImpostorScores:
     def probes(self, rng, store, per_device=4):
         labels = [d for d in store for _ in range(per_device)]
-        return [vec(store[d].mean + rng.normal(0.0, 1.0, 2)) for d in labels], labels
+        return np.array([store[d].mean + rng.normal(0.0, 1.0, 2) for d in labels]), labels
 
     def test_multisets_match_a_per_pair_loop(self):
         rng = np.random.default_rng(20)
@@ -181,20 +185,20 @@ class TestGenuineImpostorScores:
     def test_unlabeled_probe_is_only_an_impostor(self):
         rng = np.random.default_rng(21)
         store = small_store(rng)
-        genuine, impostor = genuine_impostor_scores([vec([1.0, 1.0])], [""], store)
+        genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), [""], store)
         assert genuine.size == 0
         np.testing.assert_array_equal(
-            np.sort(impostor), np.sort([verify(vec([1.0, 1.0]), fp).squared_distance for fp in store.values()]))
+            np.sort(impostor), np.sort([verify([1.0, 1.0], fp).squared_distance for fp in store.values()]))
 
     def test_empty_store_gives_two_empty_sets(self):
-        genuine, impostor = genuine_impostor_scores([vec([1.0, 1.0])], ["a"], {})
+        genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), ["a"], {})
         assert genuine.shape == impostor.shape == (0,)
         with pytest.raises(ParameterError):
             evaluate(genuine, impostor)
 
     def test_label_count_must_match(self):
         with pytest.raises(ParameterError):
-            genuine_impostor_scores([vec([1.0, 1.0])], [], {})
+            genuine_impostor_scores(np.array([[1.0, 1.0]]), [], {})
 
 
 class TestCalibrateThreshold:
@@ -235,8 +239,12 @@ class TestCalibrateThreshold:
             assert far_next > 0.25
 
     def test_target_far_impossible_falls_below_min(self):
-        t = calibrate_threshold([5.0], [1.0, 1.5], policy="target_far", max_far=0.1)
-        assert t < 1.0
+        cases = [([5.0], [1.0, 1.5], 0.1),
+                 ([2e17, 3e17], [1e17, 4e17], 0.0)]  # at 2^53 and above, subtracting 1.0 changes nothing
+        for genuine, impostor, max_far in cases:
+            t = calibrate_threshold(genuine, impostor, policy="target_far", max_far=max_far)
+            assert t < min(genuine + impostor)
+            assert sum(1 for s in impostor if s <= t) == 0
 
     def test_empty_inputs_raise(self):
         with pytest.raises(ParameterError):
@@ -311,7 +319,7 @@ class TestStore:
         rng = np.random.default_rng(16)
         fps = [
             enroll_gaussian(rng, np.array([0.0, 1.0]), device_id="a"),
-            enroll_gaussian(rng, np.array([5.0, -2.0]), device_id="b").with_threshold(7.25),
+            dataclasses.replace(enroll_gaussian(rng, np.array([5.0, -2.0]), device_id="b"), threshold=7.25),
         ]
         path = tmp_path / "store.json"
         save_fingerprint_store(fps, path)
@@ -362,7 +370,7 @@ class TestStore:
         path = tmp_path / "store.json"
         save_fingerprint_store([fp], path)
         reloaded = load_fingerprint_store(path)["dev"]
-        probe = vec([1.3, 0.7])
+        probe = np.array([1.3, 0.7])
         assert verify(probe, fp).squared_distance == verify(probe, reloaded).squared_distance
 
 
@@ -414,8 +422,9 @@ class TestWhitenedScoring:
     @given(fp=fingerprints, threshold=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
     def test_with_threshold_scores_identically(self, fp, threshold, seed):
         x = fp.mean + np.random.default_rng(seed).normal(0.0, 1.0, fp.mean.size)
-        moved = fp.with_threshold(threshold)
+        moved = dataclasses.replace(fp, threshold=threshold)
         assert moved.threshold == threshold
+        assert moved.whitening.tobytes() == fp.whitening.tobytes()
         assert mahalanobis_squared(x, moved) == mahalanobis_squared(x, fp)
 
     def test_whitening_is_read_only_and_not_persisted(self, tmp_path):
@@ -427,12 +436,11 @@ class TestWhitenedScoring:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_finite_probe_is_rejected(self):
         fp = random_fingerprint(6, 3)
-        far = vec([1e200, 0.0, 0.0])
-        assert mahalanobis_squared(far.values, fp) == np.inf
+        far = np.array([1e200, 0.0, 0.0])
+        assert mahalanobis_squared(far, fp) == np.inf
         decision = verify(far, fp)
         assert decision.squared_distance == np.inf and not decision.accepted
-        near = vec(fp.mean)
-        np.testing.assert_array_equal(score_vectors([far, near], fp), [np.inf, 0.0])
+        np.testing.assert_array_equal(score_vectors(np.array([far, fp.mean]), fp), [np.inf, 0.0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_nan_from_overflow_scores_inf(self):
