@@ -22,7 +22,7 @@ from .features import (
     fisher_select,
 )
 from .receiver import ReceiverConfig, acquire
-from .sigmf_io import SessionMeta, read_recording, write_recording
+from .sigmf_io import SessionMeta, read_recording, regenerate_from_manifest, write_recording
 from .verify import (
     DeviceFingerprint,
     VerificationDecision,

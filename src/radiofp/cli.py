@@ -175,8 +175,7 @@ def cmd_pipeline(args) -> int:
         print("error: every session failed", file=sys.stderr)
         return 2 if all(isinstance(exc, ValidationError) for _, exc in failures) else 1
 
-    rows = ([session, idx, label, start, length, *map(repr, row.tolist())]
-            for session, idx, label, start, length, row in all_rows)
+    rows = ([session, idx, label, start, length, *row.tolist()] for session, idx, label, start, length, row in all_rows)
     features_path = _output(args, "features.csv")
     atomic_write(features_path, csv_chunks(FEATURE_CSV_PREFIX + catalog_names(extraction), rows))
     print(features_path)
@@ -294,7 +293,7 @@ def cmd_verify(args) -> int:
     fp = store[args.claim]
 
     decisions = (verify(x, fp) for x in table.values)
-    rows = ([session, start, d.claimed_id, repr(d.squared_distance), repr(d.threshold_used), int(d.accepted)]
+    rows = ([session, start, d.claimed_id, d.squared_distance, d.threshold_used, int(d.accepted)]
             for session, start, d in zip(table.sessions, table.starts, decisions))
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
@@ -304,11 +303,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _repr_rows(*columns: np.ndarray):
-    """Rows of repr(float) cells from equal-length columns; tolist() per 4,096-row block is fast
+def _float_rows(*columns: np.ndarray):
+    """Rows of Python floats from equal-length columns; tolist() per 4,096-row block is fast
     and keeps few Python floats alive."""
     for start in range(0, columns[0].size, 4096):
-        yield from zip(*(map(repr, column[start:start + 4096].tolist()) for column in columns))
+        yield from zip(*(column[start:start + 4096].tolist() for column in columns))
 
 
 def cmd_evaluate(args) -> int:
@@ -320,7 +319,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(genuine, impostor)
     eer_threshold = calibrate_threshold(genuine, impostor, policy="eer")
 
-    roc = _repr_rows(report.far, report.frr, report.thresholds)
+    roc = _float_rows(report.far, report.frr, report.thresholds)
     atomic_write(_output(args, "roc.csv"), csv_chunks(["far", "frr", "threshold"], roc))
 
     metrics = {
@@ -346,7 +345,7 @@ def cmd_tune(args) -> int:
     with fields("tuning"):
         grid = TuningGrid(tuple(tuning.pop("gain_db_values")), tuple(tuning.pop("filter_bw_hz_values")))
     check_below_sample_rate(grid.filter_bw_hz_values, sample_rate, "tuning.filter_bw_hz_values")
-    obj_params = ObjectiveParams(**tuning.pop("objective"), full_scale=rx_template.full_scale)
+    obj_params = ObjectiveParams(**tuning.pop("objective"))
 
     # The plant is synthesized once, front-end noise included: that noise comes
     # before the gain stage, so one draw serves every grid point, and each
@@ -364,7 +363,7 @@ def cmd_tune(args) -> int:
         quiet = dataclasses.replace(rx_config, frontend_noise_power=0.0)
         acquired = acquire(noisy, quiet, seeds.frontend)
         rois = detect_bursts(acquired, config["detector"])
-        return acquired, rois, objective(acquired, rois, obj_params)
+        return acquired, rois, objective(acquired, rois, quiet, obj_params)
 
     with fields("tuning"):
         trace = tune(plant, grid, config_template=rx_template, **tuning)

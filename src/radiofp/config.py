@@ -279,9 +279,10 @@ MANIFEST = {
                "sessions"),
 }
 
-# SigMF meta, parsed with strict=False throughout. GLOBAL, CAPTURE and
-# ANNOTATION list their fields in SessionMeta, CaptureInfo and AnnotationSpan
-# order, so sigmf_io converts between the two by position.
+# SigMF meta, parsed with strict=False throughout. CAPTURE and ANNOTATION list
+# their fields in CaptureInfo and AnnotationSpan order, so sigmf_io converts
+# between the two by position. Of GLOBAL, SessionMeta holds the description and
+# version; the rate, id and sample count are the recording's.
 GLOBAL = {
     "core:sample_rate": (positive, REQUIRED), "core:description": (text, ""),
     "core:datatype": (format_of(DATATYPE), REQUIRED), "core:version": (text, SIGMF_VERSION),

@@ -208,13 +208,15 @@ def render_buffer(
         raise ParameterError("sample_rate_hz must be > 0")
     total = int(round(schedule.session_duration_s * sample_rate_hz))
 
-    # Each burst spans [round(start * fs), + len(bits) * sps), checked before anything is allocated;
-    # a start past the end counts as total + 1, so an infinite one is never rounded.
+    # Each entry needs a profile, and its burst spans [round(start * fs), + len(bits) * sps), checked
+    # before anything is allocated; a start past the end counts as total + 1, so an infinite one is never rounded.
     entries = schedule.entries
     starts = [int(round(min(entry.start_time_s * sample_rate_hz, total + 1))) for entry in entries]
     order = sorted(range(len(entries)), key=starts.__getitem__)  # stable: ties by entry index
     for k in order:
         emitter_id, start_s, bits = entries[k]
+        if emitter_id not in profiles:
+            raise ParameterError(f"schedule.entries[{k}].emitter_id '{emitter_id}' has no profile")
         if starts[k] + len(bits) * samples_per_symbol > total:
             raise ParameterError(f"schedule.entries[{k}] ('{emitter_id}' at t={start_s}s) overruns the session end "
                                  f"({len(bits)} bits x samples_per_symbol {samples_per_symbol})")
@@ -225,12 +227,8 @@ def render_buffer(
     ground_truth: list[BurstSpan] = []
     for k in order:
         entry, start = entries[k], starts[k]
-        try:
-            profile = profiles[entry.emitter_id]
-        except KeyError:
-            raise KeyError(f"schedule references unknown emitter_id '{entry.emitter_id}'") from None
         ideal = modulate_ook(entry.payload_bits, samples_per_symbol)
-        burst = apply_impairments(ideal, profile, sample_rate_hz, int(child_seeds[k]))
+        burst = apply_impairments(ideal, profiles[entry.emitter_id], sample_rate_hz, int(child_seeds[k]))
         buf[start:start + burst.size] += burst
         ground_truth.append(BurstSpan(entry.emitter_id, start, int(burst.size)))
 

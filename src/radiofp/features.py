@@ -23,9 +23,8 @@ The catalog concatenates four families, in this fixed order:
 
 Moment conventions: population (divide by n) variance, skewness
 E[(x-u)^3]/s^3 and excess kurtosis E[(x-u)^4]/s^4 - 3 (Gaussian -> 0).
-Zero-variance sequences inside the extractors take skew = kurt = 0 so clean
-synthetic bursts still produce finite rows; the standalone moments()
-helper raises instead.
+Zero-variance sequences take skew = kurt = 0 so clean synthetic bursts
+still produce finite rows.
 
 Changing the catalog (names, order, or WPD depth) changes the catalog
 version string. Its length alone tells the six versions apart, so a row's
@@ -57,7 +56,6 @@ __all__ = [
     "catalog_names",
     "catalog_version",
     "catalog_version_of",
-    "moments",
     "instantaneous_stats",
     "transient_features",
     "wpd_energies",
@@ -162,23 +160,6 @@ def _normalized_moments(x: np.ndarray) -> Moments:
     z = c / sigma  # standardized first, so sigma^3 and sigma^4 cannot underflow
     z2 = z * z
     return Moments(mean, variance, float(np.mean(z2 * z)), float(np.mean(z2 * z2)) - 3.0)
-
-
-def moments(x) -> Moments:
-    """Population mean/variance/skewness/excess-kurtosis of a real sequence.
-
-    Raises for an all-equal sequence. A spread below ~1e-154 leaves the
-    variance subnormal or 0.0, but skewness and kurtosis stay exact.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 4:
-        raise SizeError(f"need a 1-D sequence of length >= 4, got shape {arr.shape}")
-    result = _normalized_moments(arr)
-    if not np.any(arr - result.mean):  # all equal: the centered sequence is all zero
-        raise DegenerateInputError(
-            f"zero variance (mean={result.mean}); skewness/kurtosis are undefined"
-        )
-    return result
 
 
 def _interior(z: np.ndarray) -> np.ndarray:
@@ -352,19 +333,20 @@ def fisher_select(values, labels: Sequence[str], k: int) -> FeatureSelection:
     if not len(X):
         raise ParameterError("need at least one row")
 
-    y = np.asarray(labels)
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ParameterError(f"need >= 2 devices, got {len(classes)}")
-    counts = {c: int(np.sum(y == c)) for c in classes}
-    if min(counts.values()) < 2:
+    # Each row's class index, found by Python str equality: numpy's <U strings drop a trailing NUL.
+    code = {label: i for i, label in enumerate(classes)}
+    y = np.array([code[label] for label in labels])
+    if np.bincount(y).min() < 2:
         raise ParameterError("need >= 2 rows per device")
     n_features = X.shape[1]
     if not 1 <= k <= n_features:
         raise ParameterError(f"k must lie in [1, {n_features}], got {k}")
 
-    class_means = np.vstack([X[y == c].mean(axis=0) for c in classes])
-    class_vars = np.vstack([X[y == c].var(axis=0) for c in classes])
+    class_means = np.vstack([X[y == i].mean(axis=0) for i in range(len(classes))])
+    class_vars = np.vstack([X[y == i].var(axis=0) for i in range(len(classes))])
     between = class_means.var(axis=0)
     within = np.maximum(class_vars.mean(axis=0), 1e-12)
     scores = between / within

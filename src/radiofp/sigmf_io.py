@@ -24,9 +24,9 @@ which the byte-identical dataset can be regenerated.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .config import (
     CAPTURE,
     DATATYPE,
     ENTRY,
-    GLOBAL,
     MANIFEST,
     MANIFEST_FORMAT,
     META,
@@ -54,7 +53,7 @@ from .config import (
 )
 from .dsp import CF32_LE, IqRecording, block_slices, check_finite, seal
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_buffer
-from .errors import ConsistencyError, CorruptDataError, UnsupportedFormatError, ValidationError
+from .errors import ConsistencyError, CorruptDataError, ValidationError
 from .receiver import ReceiverConfig, acquire_in_place
 
 __all__ = [
@@ -91,47 +90,26 @@ class AnnotationSpan:
             raise ValidationError("annotation must have sample_start >= 0 and sample_count > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionMeta:
-    """The metadata half of a session file pair."""
+    """The metadata half of a session file pair, less what its recording holds.
 
-    sample_rate_hz: float
+    The file's core:sample_rate, workbench:recording_id and workbench:sample_count
+    are the recording's, and its core:datatype is DATATYPE.
+    """
+
     description: str = ""
-    datatype: str = DATATYPE
     version: str = SIGMF_VERSION
-    recording_id: str = ""
-    sample_count: int | None = None
-    captures: tuple[CaptureInfo, ...] = field(default_factory=tuple)
-    annotations: tuple[AnnotationSpan, ...] = field(default_factory=tuple)
+    captures: tuple[CaptureInfo, ...] = ()
+    annotations: tuple[AnnotationSpan, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.datatype != DATATYPE:
-            raise UnsupportedFormatError(f"datatype must be '{DATATYPE}', got '{self.datatype}'")
         anns = tuple(self.annotations)
         starts = [a.sample_start for a in anns]
         if any(b < a for a, b in zip(starts, starts[1:])):
             raise ValidationError("annotations must be sorted by sample_start")
         object.__setattr__(self, "captures", tuple(self.captures))
         object.__setattr__(self, "annotations", anns)
-
-    @staticmethod
-    def for_recording(
-        recording: IqRecording,
-        ground_truth: Sequence[BurstSpan] = (),
-        description: str = "",
-    ) -> "SessionMeta":
-        anns = tuple(
-            AnnotationSpan(span.start_sample, span.length, span.emitter_id)
-            for span in sorted(ground_truth, key=lambda s: (s.start_sample, s.emitter_id))
-        )
-        return SessionMeta(
-            sample_rate_hz=recording.sample_rate_hz,
-            description=description,
-            recording_id=recording.id,
-            sample_count=len(recording),
-            captures=(CaptureInfo(0, recording.center_freq_hz),),
-            annotations=anns,
-        )
 
 
 def _check_annotation_bounds(meta: SessionMeta, n_samples: int) -> None:
@@ -159,14 +137,12 @@ def write_recording(recording: IqRecording, meta: SessionMeta, path_stem) -> tup
     block of BLOCK_SAMPLES at a time, so no interleaved copy of the whole
     capture is made. If the meta write fails, the data file is removed.
     """
-    if meta.sample_rate_hz != recording.sample_rate_hz:
-        raise ValidationError(
-            f"meta sample_rate_hz {meta.sample_rate_hz} != recording {recording.sample_rate_hz}"
-        )
     _check_annotation_bounds(meta, len(recording))
-    meta = replace(meta, sample_count=len(recording), recording_id=meta.recording_id or recording.id)
-
-    global_section = dict(zip(GLOBAL, astuple(meta)))
+    global_section = {
+        "core:sample_rate": recording.sample_rate_hz, "core:description": meta.description,
+        "core:datatype": DATATYPE, "core:version": meta.version,
+        "workbench:recording_id": recording.id, "workbench:sample_count": len(recording),
+    }
     captures = [  # an empty core:datetime is left out
         {key: value for key, value in zip(CAPTURE, astuple(cap)) if value != ""}
         for cap in (meta.captures or (CaptureInfo(0, recording.center_freq_hz),))
@@ -208,17 +184,19 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
             samples[block] = part
             del part  # so that the next block's read is the only one alive
 
-    claimed = doc["global"]["workbench:sample_count"]
+    info = doc["global"]
+    claimed = info["workbench:sample_count"]
     if claimed is not None and claimed != samples.size:
         raise ConsistencyError(f"meta claims {claimed} samples but data holds {samples.size}")
 
     captures = tuple(CaptureInfo(*c.values()) for c in doc["captures"])
     annotations = tuple(AnnotationSpan(*a.values()) for a in doc["annotations"])
-    meta = SessionMeta(*list(doc["global"].values())[:-1], samples.size, captures, annotations)
+    meta = SessionMeta(description=info["core:description"], version=info["core:version"],
+                       captures=captures, annotations=annotations)
     _check_annotation_bounds(meta, samples.size)
 
     center = captures[0].center_freq_hz if captures else 0.0
-    recording = IqRecording(seal(samples), meta.sample_rate_hz, center, meta.recording_id)
+    recording = IqRecording(seal(samples), info["core:sample_rate"], center, info["workbench:recording_id"])
     return recording, meta
 
 
@@ -235,10 +213,6 @@ def schedule_to_doc(schedule: TransmissionSchedule, profiles: Mapping[str, Emitt
     for key, profile in profiles.items():
         if key != profile.emitter_id:
             raise ValidationError(f"profile map key '{key}' != emitter_id '{profile.emitter_id}'")
-    known = set(profiles.keys())
-    for entry in schedule.entries:
-        if entry.emitter_id not in known:
-            raise ValidationError(f"schedule references unknown emitter_id '{entry.emitter_id}'")
     return {
         "format": SCHEDULE_FORMAT,
         "session_duration_s": schedule.session_duration_s,
@@ -288,7 +262,9 @@ def build_dataset(
     acquire_in_place(samples, sample_rate_hz, rx, seeds.frontend)
     acquired = IqRecording(seal(samples), sample_rate_hz, 0.0, id=f"session-{seeds.render}")
 
-    meta = SessionMeta.for_recording(acquired, ground_truth, description="synthesized session")
+    annotations = [AnnotationSpan(span.start_sample, span.length, span.emitter_id)
+                   for span in sorted(ground_truth, key=lambda s: (s.start_sample, s.emitter_id))]
+    meta = SessionMeta(description="synthesized session", annotations=annotations)
     manifest = {
         "format": MANIFEST_FORMAT,
         "sample_rate_hz": sample_rate_hz,

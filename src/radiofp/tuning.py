@@ -66,7 +66,6 @@ class TuningGrid:
 class ObjectiveParams:
     clip_weight: float = 0.5
     no_roi_penalty: float = 100.0
-    full_scale: float = 1.0
 
 
 class TuningStep(NamedTuple):
@@ -130,14 +129,17 @@ def acquisition_metrics(
 def objective(
     recording: IqRecording,
     rois: Sequence[RegionOfInterest],
+    config: ReceiverConfig,
     params: ObjectiveParams = ObjectiveParams(),
 ) -> float:
     """Acquisition-quality score: mean ROI SNR minus a clipping penalty.
 
-    No detected ROI (or no usable noise-floor region to reference the SNR
-    against) earns the flat penalty -no_roi_penalty.
+    config is the receiver config the recording was acquired with; clipping
+    is measured against its full_scale, as tune measures it. No detected ROI
+    (or no usable noise-floor region to reference the SNR against) earns the
+    flat penalty -no_roi_penalty.
     """
-    snr_est, clip = acquisition_metrics(recording, rois, params.full_scale)
+    snr_est, clip = acquisition_metrics(recording, rois, config.full_scale)
     if not np.isfinite(snr_est):
         return -params.no_roi_penalty
     return snr_est - params.clip_weight * 100.0 * clip
@@ -224,8 +226,8 @@ def tune(
 def write_trace_csv(trace: TuningTrace, path) -> None:
     """Export a tuning trace for offline plotting (atomic write)."""
     rows = (
-        [i, repr(step.config.gain_db), repr(step.config.filter_bw_hz), repr(step.objective_value),
-         repr(step.snr_est_db), repr(step.clip_ratio), step.n_rois]
+        [i, step.config.gain_db, step.config.filter_bw_hz, step.objective_value,
+         step.snr_est_db, step.clip_ratio, step.n_rois]
         for i, step in enumerate(trace.steps)
     )
     atomic_write(path, csv_chunks(TRACE_CSV_COLUMNS, rows))

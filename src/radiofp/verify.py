@@ -353,6 +353,7 @@ def genuine_impostor_scores(
     """
     if len(values) != len(labels):
         raise ParameterError("values and labels must have the same number of rows")
-    own = np.asarray(labels, dtype=str) == np.asarray(list(store), dtype=str)[:, None]
+    # Two object arrays compare as Python strs: numpy's <U strings, a str scalar included, drop a trailing NUL.
+    own = np.asarray(labels, dtype=object) == np.asarray(list(store), dtype=object)[:, None]
     scores = np.array([score_vectors(values, fp) for fp in store.values()]).reshape(own.shape)
     return scores[own], scores[~own]

@@ -368,12 +368,12 @@ class TestTune:
         seeds = parsed["seeds"]
         rendered, truth = render_session(schedule, profiles, FS, 16, seeds.render)
         received = propagate(rendered, truth, parsed["channel"], seeds.channel)
-        params = ObjectiveParams(**config["tuning"]["objective"], full_scale=1.0)
+        params = ObjectiveParams(**config["tuning"]["objective"])
 
         def plant(rx_config):
             acquired = acquire(received, rx_config, seeds.frontend)
             rois = detect_bursts(acquired, parsed["detector"])
-            return acquired, rois, objective(acquired, rois, params)
+            return acquired, rois, objective(acquired, rois, rx_config, params)
 
         trace = tune(plant, TuningGrid(tuple(gains), tuple(bws)), config_template=parsed["receiver"])
         write_trace_csv(trace, tmp_path / "expected.csv")

@@ -188,7 +188,7 @@ class TestRenderSession:
 
     def test_unknown_emitter_raises(self):
         sched = TransmissionSchedule((("ghost", 0.0, (1,)),), 0.01)
-        with pytest.raises(KeyError):
+        with pytest.raises(ParameterError, match=r"schedule\.entries\[0\]\.emitter_id 'ghost'"):
             render_session(sched, self.profiles(), FS, 4, seed=1)
 
     def test_overrun_raises(self):

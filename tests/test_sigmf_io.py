@@ -21,6 +21,7 @@ from radiofp.features import extract, instantaneous_stats, spectral_features, tr
 from radiofp.receiver import ReceiverConfig, acquire, clipping_ratio
 from radiofp.sigmf_io import (
     AnnotationSpan,
+    CaptureInfo,
     DatasetSeeds,
     SessionMeta,
     build_dataset,
@@ -40,37 +41,32 @@ def f32_exact(samples):
     return np.asarray(samples, dtype=np.complex64).astype(np.complex128)
 
 
-def simple_meta(recording, annotations=()):
-    return SessionMeta(
-        sample_rate_hz=recording.sample_rate_hz,
-        description="test",
-        recording_id=recording.id,
-        annotations=tuple(annotations),
-    )
+def simple_meta(annotations=()):
+    return SessionMeta(description="test", annotations=tuple(annotations))
 
 
 class TestWriteReadRecording:
     def test_single_sample_byte_layout(self, tmp_path):
         rec = IqRecording([1.0 + 2.0j], FS, id="one")
-        dpath, _ = write_recording(rec, simple_meta(rec), tmp_path / "one")
+        dpath, _ = write_recording(rec, simple_meta(), tmp_path / "one")
         raw = dpath.read_bytes()
         assert len(raw) == 8
         assert raw == struct.pack("<ff", 1.0, 2.0)
 
     def test_empty_recording(self, tmp_path):
         rec = IqRecording(np.zeros(0, dtype=complex), FS, id="empty")
-        dpath, mpath = write_recording(rec, simple_meta(rec), tmp_path / "empty")
+        dpath, mpath = write_recording(rec, simple_meta(), tmp_path / "empty")
         assert dpath.stat().st_size == 0
-        loaded, meta = read_recording(tmp_path / "empty")
+        loaded, _ = read_recording(tmp_path / "empty")
         assert len(loaded) == 0
-        assert meta.sample_count == 0
+        assert json.loads(mpath.read_text())["global"]["workbench:sample_count"] == 0
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
         samples = f32_exact(rng.standard_normal(500) + 1j * rng.standard_normal(500))
         rec = IqRecording(samples, FS, 433e6, id="rt")
         annotations = [AnnotationSpan(10, 100, "dev-a"), AnnotationSpan(200, 50, "dev-b")]
-        write_recording(rec, simple_meta(rec, annotations), tmp_path / "rt")
+        write_recording(rec, simple_meta(annotations), tmp_path / "rt")
         loaded, meta = read_recording(tmp_path / "rt")
         np.testing.assert_array_equal(loaded.samples, samples)
         assert loaded.sample_rate_hz == FS
@@ -83,7 +79,7 @@ class TestWriteReadRecording:
         rng = np.random.default_rng(1)
         samples = f32_exact(rng.standard_normal(200) * 1j)
         rec = IqRecording(samples, FS, id="x")
-        d1, m1 = write_recording(rec, simple_meta(rec), tmp_path / "a")
+        d1, m1 = write_recording(rec, simple_meta(), tmp_path / "a")
         loaded, meta = read_recording(tmp_path / "a")
         d2, m2 = write_recording(loaded, meta, tmp_path / "b")
         assert d1.read_bytes() == d2.read_bytes()
@@ -97,7 +93,7 @@ class TestWriteReadRecording:
         samples = seal(full[::2])  # a strided sealed view, adopted as it is
         rec = IqRecording(samples, FS, id="big")
         assert rec.samples is samples
-        dpath, _ = write_recording(rec, simple_meta(rec), tmp_path / "big")
+        dpath, _ = write_recording(rec, simple_meta(), tmp_path / "big")
         want = np.empty(2 * n, dtype="<f4")
         want[0::2], want[1::2] = samples.real, samples.imag
         assert dpath.read_bytes() == want.tobytes()
@@ -110,7 +106,7 @@ class TestWriteReadRecording:
 
     def test_write_holds_one_block_of_float32(self, tmp_path):
         rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="m")
-        meta = simple_meta(rec)
+        meta = simple_meta()
         tracemalloc.start()
         try:
             write_recording(rec, meta, tmp_path / "m")
@@ -122,14 +118,14 @@ class TestWriteReadRecording:
 
     def test_out_of_bounds_annotation_rejected_before_write(self, tmp_path):
         rec = IqRecording(np.zeros(10, dtype=complex), FS, id="x")
-        meta = simple_meta(rec, [AnnotationSpan(5, 20, "dev")])
+        meta = simple_meta([AnnotationSpan(5, 20, "dev")])
         with pytest.raises(ValidationError):
             write_recording(rec, meta, tmp_path / "oob")
         assert not (tmp_path / "oob.sigmf-data").exists()
 
     def test_truncated_data_file(self, tmp_path):
         rec = IqRecording([1 + 1j, 2 + 2j], FS, id="x")
-        dpath, _ = write_recording(rec, simple_meta(rec), tmp_path / "t")
+        dpath, _ = write_recording(rec, simple_meta(), tmp_path / "t")
         dpath.write_bytes(dpath.read_bytes()[:7])
         with pytest.raises(CorruptDataError):
             read_recording(tmp_path / "t")
@@ -138,7 +134,7 @@ class TestWriteReadRecording:
         """The file is read a block at a time into one cf32_le capture (0.5 of a complex128 one):
         neither the whole file's bytes nor a complex128 capture is held beside it."""
         rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="r")  # a block is 1/16 of it
-        write_recording(rec, simple_meta(rec), tmp_path / "r")
+        write_recording(rec, simple_meta(), tmp_path / "r")
         tracemalloc.start()
         try:
             loaded, _ = read_recording(tmp_path / "r")
@@ -151,7 +147,7 @@ class TestWriteReadRecording:
     def test_a_block_that_comes_back_short_names_the_file(self, tmp_path, monkeypatch):
         """A file that shrinks after its size was taken: the second block ends early."""
         rec = IqRecording(np.ones(2 * BLOCK_SAMPLES + 5, dtype=complex), FS, id="s")
-        dpath, _ = write_recording(rec, simple_meta(rec), tmp_path / "s")
+        dpath, _ = write_recording(rec, simple_meta(), tmp_path / "s")
         fromfile, calls = np.fromfile, []
 
         def shrinking(fh, dtype, count):
@@ -165,7 +161,7 @@ class TestWriteReadRecording:
 
     def test_sample_count_mismatch(self, tmp_path):
         rec = IqRecording(np.ones(50, dtype=complex), FS, id="x")
-        _, mpath = write_recording(rec, simple_meta(rec), tmp_path / "m")
+        _, mpath = write_recording(rec, simple_meta(), tmp_path / "m")
         doc = json.loads(mpath.read_text())
         doc["global"]["workbench:sample_count"] = 100
         mpath.write_text(json.dumps(doc))
@@ -174,7 +170,7 @@ class TestWriteReadRecording:
 
     def test_unknown_datatype(self, tmp_path):
         rec = IqRecording(np.ones(4, dtype=complex), FS, id="x")
-        _, mpath = write_recording(rec, simple_meta(rec), tmp_path / "d")
+        _, mpath = write_recording(rec, simple_meta(), tmp_path / "d")
         doc = json.loads(mpath.read_text())
         doc["global"]["core:datatype"] = "ci16_le"
         mpath.write_text(json.dumps(doc))
@@ -183,7 +179,7 @@ class TestWriteReadRecording:
 
     def test_unknown_meta_fields_tolerated(self, tmp_path):
         rec = IqRecording(np.ones(4, dtype=complex), FS, id="x")
-        _, mpath = write_recording(rec, simple_meta(rec), tmp_path / "p")
+        _, mpath = write_recording(rec, simple_meta(), tmp_path / "p")
         doc = json.loads(mpath.read_text())
         doc["global"]["other_tool:setting"] = 42
         doc["extensions"] = []
@@ -193,10 +189,23 @@ class TestWriteReadRecording:
 
     def test_unsorted_annotations_rejected(self):
         with pytest.raises(ValidationError):
-            SessionMeta(
-                sample_rate_hz=FS,
-                annotations=(AnnotationSpan(100, 10, "b"), AnnotationSpan(0, 10, "a")),
-            )
+            SessionMeta(annotations=(AnnotationSpan(100, 10, "b"), AnnotationSpan(0, 10, "a")))
+
+    def test_fields_are_keyword_only(self):
+        """A call in the old field order (the rate first) fails instead of storing a rate as the description."""
+        with pytest.raises(TypeError):
+            SessionMeta(FS, "test")
+
+    def test_global_fields_come_from_the_recording(self, tmp_path):
+        rec = IqRecording(np.ones(3, dtype=complex), 2.5e5, id="rec-7")
+        _, mpath = write_recording(rec, SessionMeta(), tmp_path / "g")
+        assert json.loads(mpath.read_text())["global"] == {
+            "core:datatype": "cf32_le", "core:description": "", "core:sample_rate": 2.5e5,
+            "core:version": "1.0.0", "workbench:recording_id": "rec-7", "workbench:sample_count": 3,
+        }
+        loaded, meta = read_recording(tmp_path / "g")
+        assert (loaded.sample_rate_hz, loaded.id, len(loaded)) == (2.5e5, "rec-7", 3)
+        assert meta == SessionMeta(captures=(CaptureInfo(0, 0.0),))
 
 
 class TestNarrowRead:
@@ -215,7 +224,7 @@ class TestNarrowRead:
         for i, (re, im) in enumerate([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]):
             x[i::97] = complex(re, im)  # signed zeros everywhere, inside the bursts too
         rec = IqRecording(seal(x.astype(CF32_LE)), FS, id="narrow")
-        write_recording(rec, simple_meta(rec), tmp_path / "narrow")
+        write_recording(rec, simple_meta(), tmp_path / "narrow")
         narrow, _ = read_recording(tmp_path / "narrow")
         assert narrow.samples.dtype == CF32_LE
         assert np.signbit(narrow.samples.real[narrow.samples.real == 0]).any()
@@ -350,7 +359,9 @@ class TestBuildDataset:
         result = build_dataset(schedule, profiles, self.channel(), self.receiver(), seeds, tmp_path / "one", FS, 32)
         rendered, truth = render_session(schedule, profiles, FS, 32, seeds.render)
         acquired = acquire(propagate(rendered, truth, self.channel(), seeds.channel), self.receiver(), seeds.frontend)
-        write_recording(acquired, SessionMeta.for_recording(acquired, truth, description="synthesized session"),
+        annotations = [AnnotationSpan(span.start_sample, span.length, span.emitter_id)
+                       for span in sorted(truth, key=lambda s: (s.start_sample, s.emitter_id))]
+        write_recording(acquired, SessionMeta(description="synthesized session", annotations=annotations),
                         tmp_path / "chain")
         assert result.data_file.read_bytes() == (tmp_path / "chain.sigmf-data").read_bytes()
         assert result.meta_file.read_bytes() == (tmp_path / "chain.sigmf-meta").read_bytes()

@@ -70,19 +70,18 @@ BWS7 = tuple(float(b) for b in range(10_000, 45_000, 5_000))
 class TestObjective:
     def test_no_roi_penalty(self):
         rec = IqRecording(np.zeros(1000, dtype=complex), FS)
-        assert objective(rec, [], ObjectiveParams()) == -100.0
+        assert objective(rec, [], ReceiverConfig(filter_bw_hz=1.0)) == -100.0
 
     def test_snr_only_without_clipping(self):
         # full_scale far above every sample: the clip term is exactly zero.
         rec, rois = recording_with_roi(20.0)
-        params = ObjectiveParams(full_scale=1e6)
-        assert objective(rec, rois, params) == pytest.approx(20.0, abs=1e-9)
+        assert objective(rec, rois, ReceiverConfig(filter_bw_hz=1.0, full_scale=1e6)) == pytest.approx(20.0, abs=1e-9)
 
     def test_full_clipping_costs_whole_penalty(self):
         # full_scale at the noise amplitude puts every sample at the rails.
         rec, rois = recording_with_roi(20.0)
-        params = ObjectiveParams(clip_weight=0.5, full_scale=1.0)
-        assert objective(rec, rois, params) == pytest.approx(20.0 - 0.5 * 100.0, abs=1e-9)
+        rx, params = ReceiverConfig(filter_bw_hz=1.0, full_scale=1.0), ObjectiveParams(clip_weight=0.5)
+        assert objective(rec, rois, rx, params) == pytest.approx(20.0 - 0.5 * 100.0, abs=1e-9)
 
     def test_formula_composition(self):
         # Independent measurement of both terms through the public helpers
@@ -95,9 +94,29 @@ class TestObjective:
         mask = np.ones(len(rec), dtype=bool)
         mask[rois[0].start_sample:rois[0].end_sample] = False
         snr = estimate_snr_db(rois[0].slice_of(rec), rec.samples[mask])
-        params = ObjectiveParams(clip_weight=0.5, full_scale=full_scale)
-        assert objective(rec, rois, params) == pytest.approx(snr - 0.5 * 100.0 * clip, abs=1e-9)
-        assert objective(rec, rois, params) == pytest.approx(25.0 - 12.5, abs=1e-9)
+        rx, params = ReceiverConfig(filter_bw_hz=1.0, full_scale=full_scale), ObjectiveParams(clip_weight=0.5)
+        assert objective(rec, rois, rx, params) == pytest.approx(snr - 0.5 * 100.0 * clip, abs=1e-9)
+        assert objective(rec, rois, rx, params) == pytest.approx(25.0 - 12.5, abs=1e-9)
+
+    def test_trace_objective_uses_the_receivers_full_scale(self):
+        """A plant on a receiver of full scale 2.0 and the default ObjectiveParams: each trace row's
+        objective comes from its own snr_est_db and clip_ratio, or is the flat penalty when the SNR is nan."""
+        rec, rois = recording_with_roi(25.0)
+        params = ObjectiveParams()
+
+        def plant(config):
+            scaled = rec.replace_samples(rec.samples * 10.0 ** (config.gain_db / 20.0))
+            found = rois if config.filter_bw_hz > 1.0 else []
+            return scaled, found, objective(scaled, found, config)
+
+        template = ReceiverConfig(filter_bw_hz=1.0, full_scale=2.0)
+        trace = tune(plant, TuningGrid((-30.0, -20.0, 0.0), (1.0, 2.0)), config_template=template)
+        assert {step.clip_ratio for step in trace.steps} == {0.0, 0.25}
+        for step in trace.steps:
+            if np.isnan(step.snr_est_db):
+                assert step.objective_value == -params.no_roi_penalty
+            else:
+                assert step.objective_value == step.snr_est_db - params.clip_weight * 100.0 * step.clip_ratio
 
 
 class TestAcquisitionMetrics:

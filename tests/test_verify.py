@@ -190,6 +190,14 @@ class TestGenuineImpostorScores:
         np.testing.assert_array_equal(
             np.sort(impostor), np.sort([verify([1.0, 1.0], fp).squared_distance for fp in store.values()]))
 
+    def test_a_label_with_a_trailing_nul_is_another_device(self):
+        """Labels compare as Python strings: a probe labeled 'a' against the device 'a\\x00' is an impostor."""
+        rng = np.random.default_rng(22)
+        store = {"a\x00": enroll_gaussian(rng, np.zeros(2), device_id="a\x00")}
+        genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), ["a"], store)
+        assert genuine.size == 0
+        assert impostor.tolist() == [verify([1.0, 1.0], store["a\x00"]).squared_distance]
+
     def test_empty_store_gives_two_empty_sets(self):
         genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), ["a"], {})
         assert genuine.shape == impostor.shape == (0,)
