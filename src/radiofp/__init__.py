@@ -32,7 +32,6 @@ from .verify import (
     genuine_impostor_scores,
     load_fingerprint_store,
     save_fingerprint_store,
-    score_vectors,
     verify,
 )
 

@@ -297,8 +297,7 @@ def cmd_verify(args) -> int:
             for session, start, d in zip(table.sessions, table.starts, decisions))
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf, as in score_vectors
-        atomic_write(decisions_path, csv_chunks(header, rows))
+    atomic_write(decisions_path, csv_chunks(header, rows))
     print(decisions_path)
     return 0
 

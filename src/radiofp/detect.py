@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, as_complex_array, block_slices, check_decibels, convolve_same, widened_blocks
+from .dsp import IqRecording, as_complex_array, block_slices, check_decibels, convolve_same, typed, widened_blocks
 from .errors import ParameterError, SizeError
 
 __all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
@@ -30,6 +30,8 @@ class DetectorParams:
     merge_gap: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("window", "min_length", "merge_gap"):
+            object.__setattr__(self, name, typed(name, getattr(self, name), int))
         if self.window < 4:
             raise ParameterError(f"window must be >= 4, got {self.window}")
         check_decibels("open_threshold_db", self.open_threshold_db)
@@ -84,7 +86,7 @@ def _run_starts(track: np.ndarray, test, threshold: float) -> np.ndarray:
 
 
 def _power_track(samples: np.ndarray, window: int) -> np.ndarray:
-    """The mode="same" np.convolve of |samples|^2 and a window-long 1/window boxcar, bit for bit.
+    """The mode="same" np.convolve of |samples|^2 and a window-long 1/window boxcar, np.convolve's bits on this host.
 
     |samples| is taken a complex128 block at a time, then squared and smoothed in place (convolve_same): one array."""
     power = np.empty(samples.size)

@@ -20,6 +20,7 @@ construction, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,14 @@ def check_decibels(name: str, db) -> None:
         usable = False
     if not usable:
         raise ParameterError(f"{name} must be a dB value with a finite, positive power ratio, got {db}")
+
+
+def typed(name: str, value, kind: type):
+    """value as kind, int or float, the type a config table gives such a field, or a ParameterError naming `name`:
+    an int field takes any integral number (not 12.5), a float field any real number (a numpy scalar, not a str)."""
+    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise ParameterError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+    return kind(value)
 
 
 def block_slices(n: int):
@@ -127,6 +136,8 @@ class IqRecording:
         check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+        for name in ("sample_rate_hz", "center_freq_hz"):
+            object.__setattr__(self, name, typed(name, getattr(self, name), float))
         if not self.sample_rate_hz > 0:
             raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.center_freq_hz < 0:
@@ -198,7 +209,8 @@ def _write_in_blocks(out: np.ndarray, starts: list[int], back: int, outputs) -> 
 
 
 def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The mode="same" np.convolve of x and kernel, bit for bit, written into out: the detector's power track.
+    """The mode="same" np.convolve of x and kernel, np.convolve's bits on this host, written into out: the
+    detector's power track. Its per-output dot product runs through the BLAS kernel, which is picked by CPU.
 
     With m = len(kernel), output k is "full" output k + reach, reach =
     (m - 1) // 2, also for an x shorter than the kernel. out (a new array

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import (IqRecording, add_white_noise, as_complex_array, check_decibels, design_lowpass, fir_apply, seal,
-                  widened_blocks)
+                  typed, widened_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -46,7 +46,8 @@ class ReceiverConfig:
         if not self.filter_bw_hz > 0:
             raise ParameterError(f"filter_bw_hz must be > 0, got {self.filter_bw_hz}")
         check_decibels("gain_db", self.gain_db)
-        if not 2 <= int(self.adc_bits) <= 16:
+        object.__setattr__(self, "adc_bits", typed("adc_bits", self.adc_bits, int))
+        if not 2 <= self.adc_bits <= 16:
             raise ParameterError(f"adc_bits must lie in [2, 16], got {self.adc_bits}")
         if not self.full_scale > 0:
             raise ParameterError(f"full_scale must be > 0, got {self.full_scale}")

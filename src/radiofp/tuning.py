@@ -21,7 +21,7 @@ import numpy as np
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
 from .dsp import (SNR_MIN_SAMPLES, IqRecording, check_decibels, mean_power, runs_mean_power, snr_db_from_powers,
-                  union_runs)
+                  typed, union_runs)
 from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
@@ -45,17 +45,15 @@ class TuningGrid:
     filter_bw_hz_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        gains = tuple(float(g) for g in self.gain_db_values)
-        bws = tuple(float(b) for b in self.filter_bw_hz_values)
-        for name, axis in (("gain_db_values", gains), ("filter_bw_hz_values", bws)):
+        for name in ("gain_db_values", "filter_bw_hz_values"):
+            axis = tuple(typed(f"{name}[{i}]", value, float) for i, value in enumerate(getattr(self, name)))
             if not axis:
                 raise ParameterError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ParameterError(f"{name} must be strictly ascending")
-        for i, gain in enumerate(gains):
+            object.__setattr__(self, name, axis)
+        for i, gain in enumerate(self.gain_db_values):
             check_decibels(f"gain_db_values[{i}]", gain)
-        object.__setattr__(self, "gain_db_values", gains)
-        object.__setattr__(self, "filter_bw_hz_values", bws)
 
     @property
     def size(self) -> int:

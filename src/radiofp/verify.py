@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "EvaluationReport",
     "enroll",
     "verify",
-    "mahalanobis_squared",
-    "score_vectors",
     "calibrate_threshold",
     "evaluate",
     "save_fingerprint_store",
@@ -104,8 +102,7 @@ class DeviceFingerprint:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class VerificationDecision:
+class VerificationDecision(NamedTuple):
     claimed_id: str
     squared_distance: float
     accepted: bool
@@ -159,43 +156,28 @@ def enroll(
         ) from None
 
 
-def mahalanobis_squared(x: np.ndarray, fingerprint: DeviceFingerprint) -> float:
-    """(x - mu)^T Sigma^(-1) (x - mu) as |W (x - mu)|^2 with the cached W = L^(-1).
-
-    A non-finite probe raises; a finite probe whose d^2 overflows scores inf, a reject.
-    """
-    y = fingerprint.whitening @ (np.asarray(x, dtype=np.float64) - fingerprint.mean)
-    d2 = float(y @ y)
-    if not math.isfinite(d2):
-        # W is triangular with a non-zero diagonal, so a non-finite feature always gets here.
-        if not np.all(np.isfinite(x)):
-            raise ParameterError(f"probe scored against '{fingerprint.device_id}' is not finite")
-        d2 = math.inf  # an overflow is inf, or nan from inf - inf
-    return d2
-
-
 def verify(x, fingerprint: DeviceFingerprint) -> VerificationDecision:
     """Score one probe row, all of the catalog's features, against the claimed identity's model.
 
-    A row of another size is of another catalog, since each catalog version has its own length.
+    The score is (x - mu)^T Sigma^(-1) (x - mu) over the selected features, as |W (x - mu)|^2 with the
+    cached W = L^(-1). A row of another size is of another catalog, since each catalog version has its
+    own length. A non-finite probe raises; a finite probe whose d^2 overflows scores inf, a reject,
+    with no RuntimeWarning.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != fingerprint.selection.scores.shape:
         raise CatalogMismatchError(f"probe of shape {x.shape} is not a row of fingerprint "
                                    f"catalog '{fingerprint.catalog_version}' ({fingerprint.selection.scores.size})")
-    d2 = mahalanobis_squared(x[fingerprint.selection.index], fingerprint)
-    return VerificationDecision(
-        claimed_id=fingerprint.device_id,
-        squared_distance=d2,
-        accepted=d2 <= fingerprint.threshold,
-        threshold_used=fingerprint.threshold,
-    )
-
-
-def score_vectors(values, fingerprint: DeviceFingerprint) -> np.ndarray:
-    """Squared distances of the rows of an N x F array of probes against one fingerprint, each from verify()."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing d^2 scores inf
-        return np.array([verify(x, fingerprint).squared_distance for x in values])
+    x = x[fingerprint.selection.index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.dot(fingerprint.whitening, np.subtract(x, fingerprint.mean))
+        d2 = float(np.dot(y, y))
+    if not math.isfinite(d2):
+        # W is triangular with a non-zero diagonal, so a non-finite feature always gets here.
+        if not np.all(np.isfinite(x)):
+            raise ParameterError(f"probe scored against '{fingerprint.device_id}' is not finite")
+        d2 = math.inf  # an overflow is inf, or nan from inf - inf
+    return VerificationDecision(fingerprint.device_id, d2, d2 <= fingerprint.threshold, fingerprint.threshold)
 
 
 def _curves(genuine, impostor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,15 +257,7 @@ def evaluate(genuine_d2, impostor_d2) -> EvaluationReport:
         ok = np.flatnonzero(far <= anchor)
         frr_at[anchor] = float(frr[ok[-1]]) if ok.size else 1.0
 
-    return EvaluationReport(
-        thresholds=union,
-        far=far,
-        frr=frr,
-        eer=eer,
-        eer_threshold=float(union[idx]),
-        far_at=far_at,
-        frr_at=frr_at,
-    )
+    return EvaluationReport(union, far, frr, eer, float(union[idx]), far_at, frr_at)
 
 
 def _fingerprint_to_doc(fp: DeviceFingerprint) -> dict:
@@ -355,5 +329,5 @@ def genuine_impostor_scores(
         raise ParameterError("values and labels must have the same number of rows")
     # Two object arrays compare as Python strs: numpy's <U strings, a str scalar included, drop a trailing NUL.
     own = np.asarray(labels, dtype=object) == np.asarray(list(store), dtype=object)[:, None]
-    scores = np.array([score_vectors(values, fp) for fp in store.values()]).reshape(own.shape)
+    scores = np.array([[verify(x, fp).squared_distance for x in values] for fp in store.values()]).reshape(own.shape)
     return scores[own], scores[~own]

@@ -52,7 +52,7 @@ from radiofp.sigmf_io import (
     write_recording,
 )
 from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune
-from radiofp.verify import enroll, evaluate, score_vectors
+from radiofp.verify import enroll, evaluate, verify
 
 MASTER_SEED = 20260808
 
@@ -161,8 +161,8 @@ def run_verification(snr_db, rx):
     for prof in profiles:
         dev = prof.emitter_id
         fp = enroll(dev, enroll_rows[enroll_labels == dev], selection, catalog_version(EXTRACTION), ridge_lambda=1e-3)
-        g = score_vectors(probe_rows[probe_labels == dev], fp)
-        imp = score_vectors(probe_rows[probe_labels != dev], fp)
+        g = np.array([verify(x, fp).squared_distance for x in probe_rows[probe_labels == dev]])
+        imp = np.array([verify(x, fp).squared_distance for x in probe_rows[probe_labels != dev]])
         per_device[dev] = (g, imp)
         genuine_all.extend(g)
         impostor_all.extend(imp)

@@ -990,8 +990,7 @@ def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     assert (decisions[0][3], decisions[0][5]) == ("inf", "0")
     table = _read_feature_table(str(tmp_path / "features.csv"))
     fp = load_fingerprint_store(small_store, table.names)["dev-0"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = [verify(x, fp) for x in table.values]
+    expected = [verify(x, fp) for x in table.values]
     assert decisions == [[session, str(start), d.claimed_id, repr(d.squared_distance), repr(d.threshold_used),
                           str(int(d.accepted))] for session, start, d in zip(table.sessions, table.starts, expected)]
     assert any(d.accepted for d in expected)

@@ -41,6 +41,13 @@ class TestDetectorParams:
         with pytest.raises(ParameterError):
             DetectorParams(window=2)
 
+    @pytest.mark.parametrize("field", ["window", "min_length", "merge_gap"])
+    def test_integer_fields_must_be_integers(self, field):
+        """window=16.5 was accepted, and detect_bursts then raised a bare TypeError."""
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            DetectorParams(**{field: 16.5})
+        assert type(getattr(DetectorParams(**{field: np.int64(16)}), field)) is int
+
 
 class TestDetectBursts:
     def test_all_zero_recording(self):

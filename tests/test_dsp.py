@@ -58,6 +58,17 @@ class TestIqRecording:
         with pytest.raises(ParameterError):
             IqRecording([1j], 0.0)
 
+    def test_rates_are_stored_as_floats(self):
+        rec = IqRecording([1j], 100000, np.float32(433e6))
+        assert type(rec.sample_rate_hz) is float and rec.sample_rate_hz == 1e5
+        assert type(rec.center_freq_hz) is float and rec.center_freq_hz == 433e6
+
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "center_freq_hz"])
+    def test_a_str_rate_is_a_parameter_error(self, field):
+        """A str rate raised a bare TypeError from a comparison."""
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            IqRecording([1j], **{"sample_rate_hz": 1e5, field: "100000"})
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
             IqRecording([np.nan + 0j], 1.0)

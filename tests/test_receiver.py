@@ -1,11 +1,12 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiofp.config import RECEIVER, record
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording, design_lowpass, fir_apply
 from radiofp.errors import ParameterError
 from radiofp.receiver import (
@@ -63,6 +64,14 @@ class TestReceiverConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
             ReceiverConfig(**kwargs)
+
+    def test_adc_bits_must_be_an_integer(self):
+        """12.5 bits were accepted, and the manifest parser then refused the config's own asdict."""
+        with pytest.raises(ParameterError, match="adc_bits must be an integer"):
+            ReceiverConfig(filter_bw_hz=1e4, adc_bits=12.5)
+        config = ReceiverConfig(filter_bw_hz=1e4, adc_bits=np.int64(12))
+        assert type(config.adc_bits) is int
+        assert record(ReceiverConfig, RECEIVER)(asdict(config), "receiver") == config
 
     @pytest.mark.parametrize("gain_db", [8000.0, -8000.0, float("nan")])
     def test_gain_without_a_finite_positive_power_ratio_is_named(self, gain_db):

@@ -75,6 +75,20 @@ class TestWriteReadRecording:
         assert meta.annotations == tuple(annotations)
         assert meta.description == "test"
 
+    def test_an_int_rate_rewrites_the_same_meta_bytes(self, tmp_path):
+        """The int rate 100000 was written as 100000 and read back as 100000.0."""
+        rec = IqRecording(f32_exact([1 + 2j, 3 - 4j]), 100000, id="int-rate")
+        _, first = write_recording(rec, simple_meta(), tmp_path / "a")
+        loaded, meta = read_recording(tmp_path / "a")
+        _, second = write_recording(loaded, meta, tmp_path / "b")
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_a_numpy_float32_rate_is_written(self, tmp_path):
+        """json_text raised a bare TypeError on an np.float32 rate, after the data file was written."""
+        write_recording(IqRecording([1 + 2j], np.float32(1e5), id="f32-rate"), simple_meta(), tmp_path / "f")
+        loaded, _ = read_recording(tmp_path / "f")
+        assert loaded.sample_rate_hz == 1e5
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         samples = f32_exact(rng.standard_normal(200) * 1j)

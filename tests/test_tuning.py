@@ -219,6 +219,13 @@ class TestTuningGrid:
         with pytest.raises(ParameterError, match=r"gain_db_values\[1\]"):
             TuningGrid((0.0, 8000.0), (1.0,))
 
+    def test_axis_values_must_be_real_numbers(self):
+        """A str value was parsed by float() and accepted."""
+        with pytest.raises(ParameterError, match=r"filter_bw_hz_values\[0\] must be a real number"):
+            TuningGrid((0.0,), ("1e4",))
+        grid = TuningGrid((np.float32(1.5), 3), (np.int64(10),))
+        assert all(type(v) is float for v in grid.gain_db_values + grid.filter_bw_hz_values)
+
     def test_size(self):
         assert TuningGrid(GAINS7, BWS7).size == 49
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,7 @@ from radiofp.verify import (
     evaluate,
     genuine_impostor_scores,
     load_fingerprint_store,
-    mahalanobis_squared,
     save_fingerprint_store,
-    score_vectors,
     verify,
 )
 
@@ -114,12 +113,12 @@ class TestVerify:
     def test_identity_covariance_euclidean(self):
         sel = full_selection(2)
         fp = DeviceFingerprint("dev", CATALOG, sel, np.zeros(2), np.eye(2), 0.0, 30.0, 10)
-        assert mahalanobis_squared(np.array([3.0, 4.0]), fp) == pytest.approx(25.0, abs=1e-12)
+        assert verify(np.array([3.0, 4.0]), fp).squared_distance == pytest.approx(25.0, abs=1e-12)
 
     def test_diagonal_covariance_hand_value(self):
         sel = full_selection(2)
         fp = DeviceFingerprint("dev", CATALOG, sel, np.zeros(2), np.diag([4.0, 1.0]), 0.0, 30.0, 10)
-        assert mahalanobis_squared(np.array([2.0, 0.0]), fp) == pytest.approx(1.0, abs=1e-12)
+        assert verify(np.array([2.0, 0.0]), fp).squared_distance == pytest.approx(1.0, abs=1e-12)
 
     def test_catalog_mismatch_rejected(self):
         """A probe whose shape is not one row of the fingerprint's catalog is of another catalog."""
@@ -146,9 +145,9 @@ class TestVerify:
 
         sel = full_selection(dim)
         fp1 = enroll("dev", X, sel, CATALOG, ridge_lambda=0.0)
-        d1 = mahalanobis_squared(probe, fp1)
+        d1 = verify(probe, fp1).squared_distance
         fp2 = enroll("dev", X @ A.T + b, sel, CATALOG, ridge_lambda=0.0)
-        d2 = mahalanobis_squared(probe @ A.T + b, fp2)
+        d2 = verify(probe @ A.T + b, fp2).squared_distance
         assert d2 == pytest.approx(d1, rel=1e-6)
 
     def test_positive_for_probe_off_mean(self):
@@ -406,7 +405,7 @@ class TestWhitenedScoring:
         x = fp.mean + np.random.default_rng(seed).normal(0.0, 3.0, fp.mean.size)
         delta = x - fp.mean
         expected = delta @ np.linalg.solve(fp.covariance, delta)
-        assert mahalanobis_squared(x, fp) == pytest.approx(expected, rel=1e-10)
+        assert verify(x, fp).squared_distance == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 6), which=st.sampled_from(["mean", "covariance"]),
@@ -423,8 +422,8 @@ class TestWhitenedScoring:
     def test_non_finite_probe_rejected(self, fp, position, value):
         x = fp.mean.copy()
         x[position % fp.mean.size] = value
-        with np.errstate(all="ignore"), pytest.raises(ParameterError, match="not finite"):
-            mahalanobis_squared(x, fp)
+        with pytest.raises(ParameterError, match="not finite"):
+            verify(x, fp)
 
     @settings(max_examples=60, deadline=None)
     @given(fp=fingerprints, threshold=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
@@ -433,7 +432,7 @@ class TestWhitenedScoring:
         moved = dataclasses.replace(fp, threshold=threshold)
         assert moved.threshold == threshold
         assert moved.whitening.tobytes() == fp.whitening.tobytes()
-        assert mahalanobis_squared(x, moved) == mahalanobis_squared(x, fp)
+        assert verify(x, moved).squared_distance == verify(x, fp).squared_distance
 
     def test_whitening_is_read_only_and_not_persisted(self, tmp_path):
         fp = random_fingerprint(3, 4)
@@ -441,22 +440,28 @@ class TestWhitenedScoring:
         save_fingerprint_store([fp], tmp_path / "store.json")
         assert "whitening" not in (tmp_path / "store.json").read_text()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_finite_probe_is_rejected(self):
         fp = random_fingerprint(6, 3)
         far = np.array([1e200, 0.0, 0.0])
-        assert mahalanobis_squared(far, fp) == np.inf
         decision = verify(far, fp)
         assert decision.squared_distance == np.inf and not decision.accepted
-        np.testing.assert_array_equal(score_vectors(np.array([far, fp.mean]), fp), [np.inf, 0.0])
+        assert verify(fp.mean, fp).squared_distance == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflow_scores_inf_with_no_runtime_warning(self):
+        """verify() owns the overflow rule: a library call on a far probe warns nothing, even
+        with every RuntimeWarning an error and numpy set to raise on any floating-point fault."""
+        fp = random_fingerprint(6, 3)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            decision = verify(np.array([1e200, 0.0, 0.0]), fp)
+        assert decision == ("dev", np.inf, False, fp.threshold)
+
     def test_nan_from_overflow_scores_inf(self):
         # x - mu overflows to inf and the zero above W's diagonal turns it into nan:
         # a finite probe that far away must still read as too far, not raise.
         fp = DeviceFingerprint("dev", CATALOG, full_selection(2), np.array([0.0, -1e308]),
                                np.array([[1.0, 0.5], [0.5, 1.0]]), 0.0, 1.0, 10)
-        assert mahalanobis_squared(np.array([0.0, 1e308]), fp) == np.inf
+        assert verify(np.array([0.0, 1e308]), fp).squared_distance == np.inf
 
     def test_badly_scaled_covariance_matches_cholesky_solve(self):
         """A real enrolled model (the fingerprint-session workload, seed 7, dev-02): feature
@@ -469,5 +474,5 @@ class TestWhitenedScoring:
                                np.array(doc["covariance"]), 1e-3, 3.0 * dim, 60)
         probes = np.array(doc["probes"])
         expected = np.array(doc["cho_solve_d2"])
-        got = [mahalanobis_squared(x, fp) for x in probes]
+        got = [verify(x, fp).squared_distance for x in probes]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
