@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, as_complex_array, block_slices, check_decibels,
-                  runs_mean_power, seal, union_runs)
+                  runs_mean_power, seal, typed, union_runs)
 from .emitter import BurstSpan
 from .errors import ParameterError
 
@@ -41,6 +41,8 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         taps = tuple((int(d), complex(g)) for d, g in self.multipath_taps)
         object.__setattr__(self, "multipath_taps", taps)
+        for name in ("snr_db", "path_loss_db"):
+            object.__setattr__(self, name, typed(name, getattr(self, name), float))
         if self.path_loss_db < 0:
             raise ParameterError(f"path_loss_db must be >= 0, got {self.path_loss_db}")
         check_decibels("path_loss_db", self.path_loss_db)

@@ -80,14 +80,6 @@ def as_complex_array(samples, copy: bool = False) -> np.ndarray:
     return arr
 
 
-def mean_power(samples) -> float:
-    """Mean of |z|^2 over the sequence; 0.0 for an empty sequence."""
-    arr = as_complex_array(samples)
-    if arr.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(arr) ** 2))
-
-
 def seal(arr: np.ndarray) -> np.ndarray:
     """Make arr and every array it views read-only, so an IqRecording adopts it uncopied.
 

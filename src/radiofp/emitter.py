@@ -23,12 +23,13 @@ the quadrature rail, e.g. when riding on a subcarrier offset.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, as_complex_array, seal
+from .dsp import IqRecording, as_complex_array, seal, typed
 from .errors import ParameterError, SizeError
 
 __all__ = [
@@ -64,6 +65,10 @@ class EmitterProfile:
     def __post_init__(self) -> None:
         if not self.emitter_id:
             raise ParameterError("emitter_id must be a non-empty string")
+        for name in ("cfo_hz", "iq_gain_imbalance", "iq_phase_imbalance_rad", "phase_noise_linewidth_hz"):
+            object.__setattr__(self, name, typed(name, getattr(self, name), float))
+        for name in ("ramp_up_samples", "ramp_down_samples"):
+            object.__setattr__(self, name, typed(name, getattr(self, name), int))
         if not self.iq_gain_imbalance > 0:
             raise ParameterError(f"iq_gain_imbalance must be > 0, got {self.iq_gain_imbalance}")
         if self.phase_noise_linewidth_hz < 0:
@@ -101,8 +106,8 @@ class TransmissionSchedule:
     session_duration_s: float
 
     def __post_init__(self) -> None:
-        if not self.session_duration_s > 0:
-            raise ParameterError("session_duration_s must be > 0")
+        if not 0 < self.session_duration_s < math.inf:
+            raise ParameterError(f"session_duration_s must be a finite number > 0, got {self.session_duration_s}")
         normalized = []
         for i, entry in enumerate(self.entries):
             emitter_id, start, bits = entry

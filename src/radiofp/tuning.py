@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
-from .dsp import (SNR_MIN_SAMPLES, IqRecording, check_decibels, mean_power, runs_mean_power, snr_db_from_powers,
-                  typed, union_runs)
+from .dsp import SNR_MIN_SAMPLES, IqRecording, check_decibels, runs_mean_power, snr_db_from_powers, typed, union_runs
 from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
@@ -86,9 +85,9 @@ class TuningTrace:
 
 
 def _noise_power(recording: IqRecording, rois: Sequence[RegionOfInterest]) -> float:
-    """mean_power of the samples no ROI covers, or nan when they are too few or all zero.
+    """The mean |z|^2 of the samples no ROI covers, or nan when they are too few or all zero.
 
-    runs_mean_power over the gaps: mean_power's value within the float contract, with no mask and no gathered |z|^2."""
+    runs_mean_power over the gaps, with no mask and no gathered |z|^2."""
     z, n = recording.samples, len(recording)
     edges = [0, *itertools.chain.from_iterable(union_runs(((r.start_sample, r.end_sample) for r in rois), n)), n]
     gaps = list(zip(edges[::2], edges[1::2]))
@@ -107,8 +106,8 @@ def acquisition_metrics(
     The SNR reference is the part of the recording not covered by any ROI;
     nan means no usable measurement (no ROI, a too-small complement, or a
     complement the ADC quantized to pure silence). Each ROI's SNR is
-    snr_db_from_powers(mean_power(roi samples), mean_power(complement)), with
-    the complement's power reduced once for all ROIs.
+    snr_db_from_powers(runs_mean_power over the ROI, runs_mean_power over the
+    complement), with the complement's power reduced once for all ROIs.
     """
     clip = clipping_ratio(recording, full_scale)
     if not rois:
@@ -120,7 +119,7 @@ def acquisition_metrics(
     shortest = min(region.size for region in regions)
     if shortest < SNR_MIN_SAMPLES:
         raise SizeError(f"every ROI needs >= {SNR_MIN_SAMPLES} samples, got {shortest}")
-    snrs = [snr_db_from_powers(mean_power(region), p_noise) for region in regions]
+    snrs = [snr_db_from_powers(runs_mean_power(region, [(0, region.size)]), p_noise) for region in regions]
     return float(np.mean(snrs)), clip
 
 

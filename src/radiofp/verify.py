@@ -180,47 +180,22 @@ def verify(x, fingerprint: DeviceFingerprint) -> VerificationDecision:
     return VerificationDecision(fingerprint.device_id, d2, d2 <= fingerprint.threshold, fingerprint.threshold)
 
 
-def _curves(genuine, impostor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(union, far, frr): the sorted distinct scores, and FAR and FRR with each one as the threshold."""
-    gen = np.sort(np.asarray(genuine, dtype=np.float64))
-    imp = np.sort(np.asarray(impostor, dtype=np.float64))
-    if gen.size == 0 or imp.size == 0:
-        raise ParameterError("genuine and impostor score sets must be non-empty")
-    union = np.unique(np.concatenate([gen, imp]))
-    far = np.searchsorted(imp, union, side="right") / imp.size
-    frr = (gen.size - np.searchsorted(gen, union, side="right")) / gen.size
-    return union, far, frr
-
-
 def calibrate_threshold(genuine_d2, impostor_d2, policy: str = "eer", max_far: float | None = None) -> float:
-    """Pick an acceptance threshold from genuine/impostor score sets.
+    """Pick an acceptance threshold from genuine/impostor score sets, on evaluate's ROC.
 
-    policy="eer": the midpoint of the interval where FAR and FRR cross over
-    the sorted union of scores. policy="target_far": the largest threshold
-    whose FAR stays at or below max_far (the float just below the smallest
-    score if even that is too permissive, so it accepts no score).
+    policy="eer": evaluate's eer_threshold. policy="target_far": the largest
+    ROC threshold whose FAR stays at or below max_far (the float just below
+    the smallest score if even that is too permissive, so it accepts no score).
     """
-    union, far, frr = _curves(genuine_d2, impostor_d2)
-
+    report = evaluate(genuine_d2, impostor_d2)
     if policy == "eer":
-        diff = far - frr  # monotone non-decreasing; ends at +1, so it always crosses
-        zeros = np.flatnonzero(diff == 0.0)
-        if zeros.size:
-            return float((union[zeros[0]] + union[zeros[-1]]) / 2.0)
-        first_pos = int(np.argmax(diff > 0.0))
-        if first_pos == 0:
-            return float(union[0])
-        return float((union[first_pos - 1] + union[first_pos]) / 2.0)
-
-    if policy == "target_far":
-        if max_far is None or not 0.0 <= max_far <= 1.0:
-            raise ParameterError("target_far policy needs max_far in [0, 1]")
-        ok = np.flatnonzero(far <= max_far)
-        if ok.size == 0:
-            return float(np.nextafter(union[0], -np.inf))
-        return float(union[ok[-1]])
-
-    raise ParameterError(f"unknown policy '{policy}'")
+        return report.eer_threshold
+    if policy != "target_far":
+        raise ParameterError(f"unknown policy '{policy}'")
+    if max_far is None or not 0.0 <= max_far <= 1.0:
+        raise ParameterError("target_far policy needs max_far in [0, 1]")
+    ok = np.flatnonzero(report.far <= max_far)
+    return float(report.thresholds[ok[-1]]) if ok.size else float(np.nextafter(report.thresholds[0], -np.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +219,15 @@ def evaluate(genuine_d2, impostor_d2) -> EvaluationReport:
     FAR at the smallest threshold reaching that FRR; frr_at maps an FAR
     anchor to the FRR at the largest threshold still within that FAR.
     """
-    union, far, frr = _curves(genuine_d2, impostor_d2)
-
-    idx = int(np.argmin(np.abs(far - frr)))
+    gen = np.sort(np.asarray(genuine_d2, dtype=np.float64))
+    imp = np.sort(np.asarray(impostor_d2, dtype=np.float64))
+    if gen.size == 0 or imp.size == 0:
+        raise ParameterError("genuine and impostor score sets must be non-empty")
+    union = np.unique(np.concatenate([gen, imp]))
+    far = np.searchsorted(imp, union, side="right") / imp.size
+    frr = (gen.size - np.searchsorted(gen, union, side="right")) / gen.size
+    gap = far - frr
+    idx = int(np.argmin(np.abs(gap, out=gap)))  # in place: calibrate_threshold runs this beside a held report
     eer = float((far[idx] + frr[idx]) / 2.0)
 
     far_at: dict[float, float] = {}

@@ -32,7 +32,7 @@ import pytest
 
 from radiofp.channel import ChannelSpec, add_awgn, propagate
 from radiofp.detect import DetectorParams, RegionOfInterest, detect_bursts, match_rois
-from radiofp.dsp import IqRecording, mean_power
+from radiofp.dsp import IqRecording
 from radiofp.emitter import (
     EmitterProfile,
     TransmissionSchedule,
@@ -80,6 +80,11 @@ VERIF_BWS = tuple(FS * f for f in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7))
 
 N_ENROLL = 100
 N_PROBE = 100
+
+
+def mean_power(x):
+    """The reference mean |z|^2 of a sample sequence."""
+    return float(np.mean(np.abs(x) ** 2))
 
 
 def report(criterion: int, name: str) -> None:

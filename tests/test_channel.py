@@ -42,6 +42,13 @@ class TestChannelSpec:
         with pytest.raises(ParameterError, match=field):
             ChannelSpec(**{field: db})
 
+    @pytest.mark.parametrize("field", ["snr_db", "path_loss_db"])
+    def test_db_that_is_not_a_number_is_named(self, field):
+        """snr_db="10" raised a bare TypeError from the dB check."""
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            ChannelSpec(**{field: "10"})
+        assert type(getattr(ChannelSpec(**{field: np.float32(3.0)}), field)) is float
+
 
 class TestMultipath:
     def test_identity_tap(self):

@@ -973,6 +973,41 @@ def test_store_round_trip_is_byte_identical(small_store, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == small_store.read_bytes()
 
 
+def test_header_only_feature_table_exits_2(small_store, tmp_path):
+    (tmp_path / "features.csv").write_text(FEATURE_TABLE.splitlines(keepends=True)[0])
+    shutil.copy(small_store, tmp_path / "fingerprints.json")
+    code, err = run_main(command_argv("evaluate", tmp_path))
+    assert code == 2 and "has no rows" in err, err
+
+
+def test_table_without_labeled_rows_exits_2(tmp_path):
+    rows = [row[:2] + [""] + row[3:] for row in TABLE_ROWS]
+    with open(tmp_path / "features.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([TABLE_HEADER] + rows)
+    write_config(tmp_path, small_config())
+    code, err = run_main(command_argv("enroll", tmp_path))
+    assert code == 2 and "no labeled rows" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda doc: doc["fingerprints"][0]["covariance"][0].pop(), "fingerprints[0].covariance"),
+    (lambda doc: doc["fingerprints"].__setitem__(1, doc["fingerprints"][0]), "duplicate device_id 'dev-0'"),
+])
+def test_a_ragged_covariance_or_a_repeated_device_exits_2_naming_it(small_store, tmp_path, edit, expected):
+    doc = json.loads(small_store.read_text())
+    edit(doc)
+    (tmp_path / "fingerprints.json").write_text(json.dumps(doc))
+    (tmp_path / "features.csv").write_text(FEATURE_TABLE)
+    for command in ("evaluate", "verify"):
+        argv = command_argv(command, tmp_path)
+        if command == "verify":
+            argv[argv.index("--claim") + 1] = "dev-0"
+        code, err = run_main(argv)
+        assert code == 2 and expected in err, (command, err)
+        assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     """A finite feature row so far away that d^2 overflows scores inf and is rejected; every

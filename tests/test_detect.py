@@ -345,6 +345,16 @@ class TestMatchRois:
         truth = [("a", 100, 50), ("b", 305, 50)]
         assert match_rois(rois, truth, tolerance=10) == (2, 0, 0)
 
+    def test_start_length_pairs_match_as_rois_do(self):
+        """(start, length) pairs, the form perfbench/traced_run.py passes for both lists."""
+        assert match_rois([(105, 50), (300, 50)], [(100, 50), (305, 50)], tolerance=10) == (2, 0, 0)
+        assert match_rois([(150, 50)], [(100, 50)], tolerance=10) == (0, 1, 1)
+
+    @pytest.mark.parametrize("span", [(100,), (1, 100, 50, 0), ()])
+    def test_a_span_it_cannot_read_raises(self, span):
+        with pytest.raises(ParameterError, match="cannot interpret span"):
+            match_rois([span], [("a", 100, 50)], tolerance=10)
+
     def test_negative_tolerance_raises(self):
         with pytest.raises(ParameterError):
             match_rois([], [], tolerance=-1)

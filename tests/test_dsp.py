@@ -25,7 +25,6 @@ from radiofp.dsp import (
     design_lowpass,
     fir_apply,
     instantaneous,
-    mean_power,
     runs_mean_power,
     seal,
     snr_db_from_powers,
@@ -33,6 +32,11 @@ from radiofp.dsp import (
     widened_blocks,
 )
 from radiofp.errors import DegenerateInputError, ParameterError, SizeError
+
+
+def mean_power(x):
+    """The reference mean |z|^2 of a sample sequence."""
+    return float(np.mean(np.abs(x) ** 2))
 
 
 def dft_direct(x):

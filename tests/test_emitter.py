@@ -42,6 +42,16 @@ class TestProfile:
         with pytest.raises(ParameterError):
             EmitterProfile("dev", **kwargs)
 
+    @pytest.mark.parametrize("field, bad, what", [("ramp_up_samples", 2.5, "an integer"),
+                                                  ("ramp_down_samples", 2.5, "an integer"),
+                                                  ("cfo_hz", "5", "a real number")])
+    def test_numbers_of_the_wrong_type_are_named(self, field, bad, what):
+        """ramp_up_samples=2.5 and cfo_hz="5" were accepted unchecked."""
+        with pytest.raises(ParameterError, match=f"{field} must be {what}"):
+            EmitterProfile("dev", **{field: bad})
+        profile = EmitterProfile("dev", ramp_up_samples=np.int64(3), cfo_hz=np.float32(5.0))
+        assert (type(profile.ramp_up_samples), type(profile.cfo_hz)) == (int, float)
+
 
 class TestModulateOok:
     def test_single_mark(self):
@@ -250,3 +260,9 @@ class TestRenderSession:
             TransmissionSchedule((("a", 0.0, (1, 2)),), 0.01)
         with pytest.raises(ParameterError):
             TransmissionSchedule((("a", -0.1, (1,)),), 0.01)
+
+    @pytest.mark.parametrize("duration", [np.inf, np.nan, 0.0])
+    def test_schedule_refuses_a_duration_that_is_not_finite_and_positive(self, duration):
+        """An infinite session_duration_s was accepted, and render_buffer then raised a bare OverflowError."""
+        with pytest.raises(ParameterError, match="session_duration_s"):
+            TransmissionSchedule((), duration)

@@ -291,6 +291,12 @@ class TestExtract:
         assert len(catalog_names(ExtractionConfig(wpd_depth=3))) == 11 + 2 + 8 + 3
         assert catalog_version(ExtractionConfig(wpd_depth=3)) != catalog_version()
 
+    def test_wpd_depth_must_be_an_integer(self):
+        """wpd_depth=4.0 was accepted, and catalog_names then raised a bare TypeError."""
+        with pytest.raises(ParameterError, match="wpd_depth must be an integer"):
+            ExtractionConfig(wpd_depth=4.0)
+        assert catalog_names(ExtractionConfig(wpd_depth=np.int64(4))) == catalog_names()
+
 
 class TestZeroSamples:
     """The sign bit of a zero component carries no phase, and a sample that is exactly 0 has none of its own."""

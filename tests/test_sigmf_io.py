@@ -464,6 +464,19 @@ class TestBuildDataset:
             regenerate_from_manifest(bad, tmp_path / "run2")
         assert not (tmp_path / "run2").exists()
 
+    def test_a_manifest_of_two_sessions_is_refused(self, tmp_path):
+        first = build_dataset(
+            example_schedule(2), example_profiles(), self.channel(), self.receiver(),
+            DatasetSeeds(1, 2, 3), tmp_path / "run1", FS, 32,
+        )
+        doc = json.loads(first.manifest_file.read_text())
+        doc["sessions"].append(doc["sessions"][0])
+        bad = tmp_path / "two_sessions.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="exactly one session"):
+            regenerate_from_manifest(bad, tmp_path / "run2")
+        assert not (tmp_path / "run2").exists()
+
     def test_noiseless_channel_serializes(self, tmp_path):
         channel = ChannelSpec(snr_db=math.inf)
         first = build_dataset(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radiofp.detect import RegionOfInterest
-from radiofp.dsp import BLOCK_SAMPLES, SNR_MIN_SAMPLES, IqRecording, mean_power, snr_db_from_powers
+from radiofp.dsp import BLOCK_SAMPLES, SNR_MIN_SAMPLES, IqRecording, snr_db_from_powers
 from radiofp.errors import ParameterError, SizeError, TuningError
 from radiofp.receiver import ReceiverConfig
 from radiofp.tuning import (
@@ -18,6 +18,11 @@ from radiofp.tuning import (
 )
 
 FS = 1.0e5
+
+
+def mean_power(x):
+    """The reference mean |z|^2 of a sample sequence."""
+    return float(np.mean(np.abs(x) ** 2))
 
 
 def estimate_snr_db(signal_region, noise_region):

@@ -233,6 +233,19 @@ class TestCalibrateThreshold:
         frr = sum(1 for s in [1.0, 2.0, 3.0] if s > t) / 3
         assert far == frr == pytest.approx(1 / 3)
 
+    def test_eer_policy_is_evaluates_operating_point(self):
+        """The EER threshold is evaluate's, and accept decisions there give evaluate's FAR and FRR; the midpoint
+        of the crossing interval, 2.75, gave an FRR of 1/2."""
+        genuine, impostor = [1.0, 2.0, 3.0, 4.0], [2.5, 5.0, 6.0]
+        report = evaluate(genuine, impostor)
+        t = calibrate_threshold(genuine, impostor, policy="eer")
+        assert t == report.eer_threshold == 3.0
+        far = sum(s <= t for s in impostor) / len(impostor)
+        frr = sum(s > t for s in genuine) / len(genuine)
+        assert (far, frr) == (1 / 3, 1 / 4)
+        idx = int(np.flatnonzero(report.thresholds == t)[0])
+        assert (report.far[idx], report.frr[idx]) == (far, frr)
+
     def test_target_far_policy(self):
         genuine = [1.0, 2.0, 3.0, 4.0]
         impostor = [2.5, 3.5, 6.0, 8.0]
