@@ -39,7 +39,8 @@ class ChannelSpec:
     path_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
-        taps = tuple((int(d), complex(g)) for d, g in self.multipath_taps)
+        taps = tuple((typed(f"multipath_taps[{i}] delay", d, int), typed(f"multipath_taps[{i}] gain", g, complex))
+                     for i, (d, g) in enumerate(self.multipath_taps))
         object.__setattr__(self, "multipath_taps", taps)
         for name in ("snr_db", "path_loss_db"):
             object.__setattr__(self, name, typed(name, getattr(self, name), float))

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .channel import ChannelSpec
 from .detect import DetectorParams
+from .dsp import typed
 from .emitter import EmitterProfile, ScheduledBurst, TransmissionSchedule
 from .errors import ParameterError, TuningError, UnsupportedFormatError, ValidationError
 from .features import ExtractionConfig
@@ -55,8 +56,10 @@ class DatasetSeeds:
 
     def __post_init__(self) -> None:
         for name, seed in dataclasses.asdict(self).items():
+            seed = typed(name, seed, int)
             if seed < 0:
                 raise ParameterError(f"{name} must be >= 0, got {seed}")
+            object.__setattr__(self, name, seed)
 
 
 # --- parsing -------------------------------------------------------------------

@@ -30,8 +30,9 @@ class DetectorParams:
     merge_gap: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("window", "min_length", "merge_gap"):
-            object.__setattr__(self, name, typed(name, getattr(self, name), int))
+        for name, kind in (("window", int), ("open_threshold_db", float), ("close_threshold_db", float),
+                           ("min_length", int), ("merge_gap", int)):
+            object.__setattr__(self, name, typed(name, getattr(self, name), kind))
         if self.window < 4:
             raise ParameterError(f"window must be >= 4, got {self.window}")
         check_decibels("open_threshold_db", self.open_threshold_db)

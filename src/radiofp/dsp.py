@@ -33,7 +33,7 @@ SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
 # The block length of the capture stages that work in blocks (convolve_same,
-# add_white_noise, the multipath, a data file's read and write, widened_blocks,
+# add_white_noise, the multipath, a data file's write, widened_blocks,
 # the detector's power track and crossings, clipping_ratio, runs_mean_power),
 # so that each holds only its input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
@@ -55,11 +55,17 @@ def check_decibels(name: str, db) -> None:
         raise ParameterError(f"{name} must be a dB value with a finite, positive power ratio, got {db}")
 
 
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          complex: (numbers.Complex, "a complex number")}
+
+
 def typed(name: str, value, kind: type):
-    """value as kind, int or float, the type a config table gives such a field, or a ParameterError naming `name`:
-    an int field takes any integral number (not 12.5), a float field any real number (a numpy scalar, not a str)."""
-    if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        raise ParameterError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+    """value as kind, int, float or complex, the type a config table gives such a field, or a ParameterError naming
+    `name`: an int field takes any integral number (not 12.5), a float field any real number, a complex field any
+    number (a numpy scalar; never a bool or a str)."""
+    abc, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
     return kind(value)
 
 
@@ -148,14 +154,11 @@ class FirTaps:
     """Linear-phase FIR coefficients (odd length, symmetric)."""
 
     coefficients: np.ndarray
-    normalized_cutoff: float
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=np.float64, copy=True)
         if coeffs.ndim != 1 or coeffs.size % 2 == 0 or coeffs.size == 0:
             raise ParameterError("FIR taps must be a 1-D odd-length sequence")
-        if not 0.0 < self.normalized_cutoff <= 0.5:
-            raise ParameterError(f"normalized_cutoff must lie in (0, 0.5], got {self.normalized_cutoff}")
         if not np.allclose(coeffs, coeffs[::-1], rtol=0.0, atol=1e-12):
             raise ParameterError("FIR taps must be symmetric about the center (linear phase)")
         coeffs.setflags(write=False)
@@ -176,7 +179,7 @@ def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     taps = 2.0 * normalized_cutoff * np.sinc(2.0 * normalized_cutoff * n)
     taps *= np.hamming(num_taps)
     taps /= taps.sum()
-    return FirTaps(taps, normalized_cutoff)
+    return FirTaps(taps)
 
 
 def _write_in_blocks(out: np.ndarray, starts: list[int], back: int, outputs) -> np.ndarray:

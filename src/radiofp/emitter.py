@@ -63,17 +63,21 @@ class EmitterProfile:
     ramp_down_samples: int = 0
 
     def __post_init__(self) -> None:
-        if not self.emitter_id:
-            raise ParameterError("emitter_id must be a non-empty string")
-        for name in ("cfo_hz", "iq_gain_imbalance", "iq_phase_imbalance_rad", "phase_noise_linewidth_hz"):
-            object.__setattr__(self, name, typed(name, getattr(self, name), float))
+        if not isinstance(self.emitter_id, str) or not self.emitter_id:
+            raise ParameterError(f"emitter_id must be a non-empty string, got {self.emitter_id!r}")
+        for name, kind in (("cfo_hz", float), ("iq_gain_imbalance", float), ("iq_phase_imbalance_rad", float),
+                           ("phase_noise_linewidth_hz", float), ("pa_a1", complex), ("pa_a3", complex)):
+            value = typed(name, getattr(self, name), kind)
+            if not cmath.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("ramp_up_samples", "ramp_down_samples"):
             object.__setattr__(self, name, typed(name, getattr(self, name), int))
         if not self.iq_gain_imbalance > 0:
             raise ParameterError(f"iq_gain_imbalance must be > 0, got {self.iq_gain_imbalance}")
         if self.phase_noise_linewidth_hz < 0:
             raise ParameterError("phase_noise_linewidth_hz must be >= 0")
-        if abs(complex(self.pa_a1)) == 0:
+        if abs(self.pa_a1) == 0:
             raise ParameterError("pa_a1 must have non-zero magnitude")
         if self.ramp_up_samples < 0 or self.ramp_down_samples < 0:
             raise ParameterError("ramp_up_samples and ramp_down_samples must be >= 0")
@@ -173,7 +177,7 @@ def apply_impairments(ideal, profile: EmitterProfile, sample_rate_hz: float, see
     if env is not None:
         x *= env
 
-    a1, a3 = complex(profile.pa_a1), complex(profile.pa_a3)
+    a1, a3 = profile.pa_a1, profile.pa_a3
     if a1 != 1.0 + 0.0j or a3 != 0.0 + 0.0j:
         x = a1 * x + a3 * x * np.abs(x) ** 2
 

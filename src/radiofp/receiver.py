@@ -43,10 +43,12 @@ class ReceiverConfig:
     frontend_noise_power: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, kind in (("filter_bw_hz", float), ("gain_db", float), ("adc_bits", int), ("full_scale", float),
+                           ("frontend_noise_power", float)):
+            object.__setattr__(self, name, typed(name, getattr(self, name), kind))
         if not self.filter_bw_hz > 0:
             raise ParameterError(f"filter_bw_hz must be > 0, got {self.filter_bw_hz}")
         check_decibels("gain_db", self.gain_db)
-        object.__setattr__(self, "adc_bits", typed("adc_bits", self.adc_bits, int))
         if not 2 <= self.adc_bits <= 16:
             raise ParameterError(f"adc_bits must lie in [2, 16], got {self.adc_bits}")
         if not self.full_scale > 0:

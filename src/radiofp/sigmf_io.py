@@ -166,9 +166,9 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
 
     Unknown metadata fields are ignored so files from other SigMF tools
     still load, but the datatype must be cf32_le and the data size must
-    agree with the metadata. The data file is read a block at a time into one
-    sealed cf32_le array, the recording's: no complex128 capture is made. It
-    is read, not mapped, so a file cut short is a CorruptDataError, not a SIGBUS.
+    agree with the metadata. The data file is read in one call into one sealed
+    cf32_le array, the recording's: no complex128 capture is made. It is read,
+    not mapped, so a file cut short is a CorruptDataError, not a SIGBUS.
     """
     dpath, mpath = data_path(path_stem), meta_path(path_stem)
     with open(dpath, "rb") as fh:
@@ -176,13 +176,9 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
         if size % CF32_LE.itemsize != 0:
             raise CorruptDataError(f"{dpath} holds {size} bytes, not a whole number of cf32 samples")
         doc = parse(load_json(mpath), META, strict=False)
-        samples = np.empty(size // CF32_LE.itemsize, CF32_LE)
-        for block in block_slices(samples.size):
-            part = np.fromfile(fh, CF32_LE, block.stop - block.start)
-            if part.size < block.stop - block.start:  # the file shrank after its size was taken
-                raise CorruptDataError(f"{dpath} ended at sample {block.start + part.size} of {samples.size}")
-            samples[block] = part
-            del part  # so that the next block's read is the only one alive
+        samples = np.fromfile(fh, CF32_LE, size // CF32_LE.itemsize)
+    if samples.nbytes < size:  # the file shrank after its size was taken
+        raise CorruptDataError(f"{dpath} ended at sample {samples.size} of {size // CF32_LE.itemsize}")
 
     info = doc["global"]
     claimed = info["workbench:sample_count"]
@@ -205,7 +201,7 @@ def read_recording(path_stem) -> tuple[IqRecording, SessionMeta]:
 def _profile_to_doc(profile: EmitterProfile) -> dict:
     doc = {name: getattr(profile, name) for name in PROFILE}
     for name in ("pa_a1", "pa_a3"):
-        doc[name] = [complex(doc[name]).real, complex(doc[name]).imag]
+        doc[name] = [doc[name].real, doc[name].imag]
     return doc
 
 

@@ -85,15 +85,16 @@ class TuningTrace:
 
 
 def _noise_power(recording: IqRecording, rois: Sequence[RegionOfInterest]) -> float:
-    """The mean |z|^2 of the samples no ROI covers, or nan when they are too few or all zero.
+    """The mean |z|^2 of the samples no ROI covers, or nan when they are too few or their power is not > 0.
 
     runs_mean_power over the gaps, with no mask and no gathered |z|^2."""
-    z, n = recording.samples, len(recording)
+    n = len(recording)
     edges = [0, *itertools.chain.from_iterable(union_runs(((r.start_sample, r.end_sample) for r in rois), n)), n]
     gaps = list(zip(edges[::2], edges[1::2]))
-    if sum(stop - start for start, stop in gaps) < SNR_MIN_SAMPLES or not any(z[a:b].any() for a, b in gaps):
+    if sum(stop - start for start, stop in gaps) < SNR_MIN_SAMPLES:
         return float("nan")
-    return runs_mean_power(z, gaps)
+    power = runs_mean_power(recording.samples, gaps)
+    return power if power > 0 else float("nan")
 
 
 def acquisition_metrics(
@@ -105,7 +106,8 @@ def acquisition_metrics(
 
     The SNR reference is the part of the recording not covered by any ROI;
     nan means no usable measurement (no ROI, a too-small complement, or a
-    complement the ADC quantized to pure silence). Each ROI's SNR is
+    complement of zero power: the ADC quantized it to pure silence, or its
+    |z|^2 underflows to 0). Each ROI's SNR is
     snr_db_from_powers(runs_mean_power over the ROI, runs_mean_power over the
     complement), with the complement's power reduced once for all ROIs.
     """

@@ -49,6 +49,16 @@ class TestChannelSpec:
             ChannelSpec(**{field: "10"})
         assert type(getattr(ChannelSpec(**{field: np.float32(3.0)}), field)) is float
 
+    @pytest.mark.parametrize("tap, what", [((1.7, 0.5), "multipath_taps\\[1\\] delay must be an integer"),
+                                           ((True, 0.5), "multipath_taps\\[1\\] delay must be an integer"),
+                                           ((1, "0.5"), "multipath_taps\\[1\\] gain must be a complex number")])
+    def test_tap_that_is_not_a_number_is_named(self, tap, what):
+        """A delay of 1.7 was truncated to 1, a silent wrong channel, and a str gain "0.5" was parsed."""
+        with pytest.raises(ParameterError, match=what):
+            ChannelSpec(multipath_taps=((0, 1), tap))
+        taps = ChannelSpec(multipath_taps=((0, 1), (np.int64(1), np.float32(0.5)))).multipath_taps
+        assert taps == ((0, 1), (1, 0.5)) and [type(v) for tap in taps for v in tap] == [int, complex] * 2
+
 
 class TestMultipath:
     def test_identity_tap(self):

@@ -582,6 +582,18 @@ PROBES = {
                             "detector.window"),
     "tuned-window-over-session": ("tune", setting("detector", "window", value=10 ** 8), None,
                                   "detector.window"),
+    # Range checks of the library records, reached through the config and the store.
+    "empty-kept-indices": ("evaluate", None, edit_json(
+        "fingerprints.json", setting("fingerprints", 0, "kept_indices", value=[])),
+        "fingerprints[0].kept_indices must be non-empty"),
+    "kept-index-99": ("evaluate", None, edit_json(
+        "fingerprints.json", setting("fingerprints", 0, "kept_indices", -1, value=99)),
+        "fingerprints[0].kept_indices out of catalog range"),
+    "zero-max-rounds": ("tune", setting("tuning", "max_rounds", value=0), None, "tuning.max_rounds"),
+    "tap-delay-minus-1": ("synth", setting("channel", "multipath_taps", value=[[0, 1, 0], [-1, 0.5, 0]]), None,
+                          "channel.multipath_taps delays must be >= 0"),
+    "min-length-0": ("pipeline", setting("detector", "min_length", value=0), None, "detector.min_length"),
+    "merge-gap-minus-1": ("pipeline", setting("detector", "merge_gap", value=-1), None, "detector.merge_gap"),
     # A non-positive sample rate was blamed on receiver.filter_bw_hz or detector.window.
     "sample-rate-hz-0": ("synth", setting("sample_rate_hz", value=0), None,
                          "sample_rate_hz must be a finite number > 0"),

@@ -3,11 +3,22 @@ import io
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from radiofp import config
-from radiofp.config import CSV_BLOCK_ROWS, DEFAULT, REQUIRED, atomic_write, csv_chunks, integer, number, parse
-from radiofp.errors import ValidationError
+from radiofp.config import (CSV_BLOCK_ROWS, DEFAULT, REQUIRED, DatasetSeeds, atomic_write, csv_chunks, integer, number,
+                            parse)
+from radiofp.errors import ParameterError, ValidationError
+
+
+class TestDatasetSeeds:
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_seeds_must_be_integers(self, bad):
+        """DatasetSeeds(1.5, 2, 3) and DatasetSeeds(True, 2, 3) were accepted; "1" raised a bare TypeError."""
+        with pytest.raises(ParameterError, match="render must be an integer"):
+            DatasetSeeds(bad, 2, 3)
+        assert type(DatasetSeeds(np.int64(1), 2, 3).render) is int
 
 
 class TestAtomicWrite:

@@ -48,6 +48,18 @@ class TestDetectorParams:
             DetectorParams(**{field: 16.5})
         assert type(getattr(DetectorParams(**{field: np.int64(16)}), field)) is int
 
+    def test_a_bool_is_not_an_integer(self):
+        """window=True was taken as 1 and reported as "got 1"."""
+        with pytest.raises(ParameterError, match="window must be an integer, got True"):
+            DetectorParams(window=True)
+
+    @pytest.mark.parametrize("field", ["open_threshold_db", "close_threshold_db"])
+    def test_thresholds_must_be_real_numbers(self, field):
+        """open_threshold_db="10" raised a bare TypeError."""
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            DetectorParams(**{field: "10"})
+        assert type(getattr(DetectorParams(**{field: np.float32(8.0)}), field)) is float
+
 
 class TestDetectBursts:
     def test_all_zero_recording(self):

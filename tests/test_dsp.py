@@ -196,9 +196,9 @@ class TestDesignLowpass:
 
     def test_taps_invariants_enforced(self):
         with pytest.raises(ParameterError):
-            FirTaps([1.0, 2.0], 0.25)  # even count
+            FirTaps([1.0, 2.0])  # even count
         with pytest.raises(ParameterError):
-            FirTaps([1.0, 2.0, 3.0], 0.25)  # asymmetric
+            FirTaps([1.0, 2.0, 3.0])  # asymmetric
 
 
 B = BLOCK_SAMPLES
@@ -299,7 +299,7 @@ class TestFirFilter:
     def test_unit_tap_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        assert np.abs(fir_apply(x, FirTaps([1.0], 0.5)) - x).max() <= FIR_BOUND * np.abs(x).max()
+        assert np.abs(fir_apply(x, FirTaps([1.0])) - x).max() <= FIR_BOUND * np.abs(x).max()
 
     def test_constant_preserved_away_from_edges(self):
         out = fir_apply(np.full(200, 0.7 + 0.1j), design_lowpass(0.2, 31))

@@ -44,13 +44,32 @@ class TestProfile:
 
     @pytest.mark.parametrize("field, bad, what", [("ramp_up_samples", 2.5, "an integer"),
                                                   ("ramp_down_samples", 2.5, "an integer"),
-                                                  ("cfo_hz", "5", "a real number")])
+                                                  ("cfo_hz", "5", "a real number"),
+                                                  ("ramp_up_samples", True, "an integer"),
+                                                  ("cfo_hz", True, "a real number"),
+                                                  ("pa_a1", "1", "a complex number"),
+                                                  ("pa_a3", "1", "a complex number")])
     def test_numbers_of_the_wrong_type_are_named(self, field, bad, what):
-        """ramp_up_samples=2.5 and cfo_hz="5" were accepted unchecked."""
+        """ramp_up_samples=2.5 and cfo_hz="5" were accepted unchecked, True was taken as 1 (or 1.0),
+        and pa_a1="1" kept the str."""
         with pytest.raises(ParameterError, match=f"{field} must be {what}"):
             EmitterProfile("dev", **{field: bad})
-        profile = EmitterProfile("dev", ramp_up_samples=np.int64(3), cfo_hz=np.float32(5.0))
-        assert (type(profile.ramp_up_samples), type(profile.cfo_hz)) == (int, float)
+        profile = EmitterProfile("dev", ramp_up_samples=np.int64(3), cfo_hz=np.float32(5.0), pa_a1=np.float32(2.0))
+        assert (type(profile.ramp_up_samples), type(profile.cfo_hz), type(profile.pa_a1)) == (int, float, complex)
+
+    @pytest.mark.parametrize("field", ["cfo_hz", "iq_gain_imbalance", "iq_phase_imbalance_rad",
+                                       "phase_noise_linewidth_hz", "pa_a1", "pa_a3"])
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf")])
+    def test_numbers_must_be_finite(self, field, bad):
+        """cfo_hz=inf was accepted, and the burst came out NaN."""
+        with pytest.raises(ParameterError, match=f"{field} must be"):
+            EmitterProfile("dev", **{field: bad})
+
+    @pytest.mark.parametrize("bad", [5, b"dev"])
+    def test_emitter_id_must_be_a_string(self, bad):
+        """EmitterProfile(5) kept an int id."""
+        with pytest.raises(ParameterError, match="emitter_id must be a non-empty string"):
+            EmitterProfile(bad)
 
 
 class TestModulateOok:

@@ -73,6 +73,13 @@ class TestReceiverConfig:
         assert type(config.adc_bits) is int
         assert record(ReceiverConfig, RECEIVER)(asdict(config), "receiver") == config
 
+    @pytest.mark.parametrize("field", ["filter_bw_hz", "gain_db", "full_scale", "frontend_noise_power"])
+    def test_float_fields_must_be_real_numbers(self, field):
+        """ReceiverConfig("5") raised a bare TypeError."""
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            ReceiverConfig(**{"filter_bw_hz": 1e4, field: "5"})
+        assert type(getattr(ReceiverConfig(**{"filter_bw_hz": 1e4, field: np.float32(2.0)}), field)) is float
+
     @pytest.mark.parametrize("gain_db", [8000.0, -8000.0, float("nan")])
     def test_gain_without_a_finite_positive_power_ratio_is_named(self, gain_db):
         """8000 dB overflowed in acquire's gain; -8000 dB zeroed every sample."""

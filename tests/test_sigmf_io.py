@@ -145,9 +145,9 @@ class TestWriteReadRecording:
             read_recording(tmp_path / "t")
 
     def test_read_holds_the_capture_and_one_block(self, tmp_path):
-        """The file is read a block at a time into one cf32_le capture (0.5 of a complex128 one):
-        neither the whole file's bytes nor a complex128 capture is held beside it."""
-        rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="r")  # a block is 1/16 of it
+        """The file is read in one call into one cf32_le capture (0.5 of a complex128 one):
+        neither a second copy of the file's bytes nor a complex128 capture is held beside it."""
+        rec = IqRecording(np.full(2 ** 20, 0.5 - 0.25j), FS, id="r")
         write_recording(rec, simple_meta(), tmp_path / "r")
         tracemalloc.start()
         try:
@@ -156,22 +156,22 @@ class TestWriteReadRecording:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.samples, rec.samples)
-        assert peak <= 0.55 * rec.samples.nbytes  # 0.5 and one cf32_le block (0.03); 1.03 with a complex128 capture
+        assert peak <= 0.55 * rec.samples.nbytes  # 0.5; 1.0 with a complex128 capture
 
     def test_a_block_that_comes_back_short_names_the_file(self, tmp_path, monkeypatch):
-        """A file that shrinks after its size was taken: the second block ends early."""
+        """A file that shrinks after its size was taken: the one read, the whole file as one block, ends early."""
         rec = IqRecording(np.ones(2 * BLOCK_SAMPLES + 5, dtype=complex), FS, id="s")
         dpath, _ = write_recording(rec, simple_meta(), tmp_path / "s")
         fromfile, calls = np.fromfile, []
 
         def shrinking(fh, dtype, count):
             calls.append(count)
-            return fromfile(fh, dtype, count)[:count - 3 * (len(calls) == 2)]
+            return fromfile(fh, dtype, count)[:count - 3]
 
         monkeypatch.setattr(np, "fromfile", shrinking)
-        with pytest.raises(CorruptDataError, match=f"{dpath} ended at sample {2 * BLOCK_SAMPLES - 3} "):
+        with pytest.raises(CorruptDataError, match=f"{dpath} ended at sample {2 * BLOCK_SAMPLES + 2} of "):
             read_recording(tmp_path / "s")
-        assert len(calls) == 2
+        assert calls == [2 * BLOCK_SAMPLES + 5]
 
     def test_sample_count_mismatch(self, tmp_path):
         rec = IqRecording(np.ones(50, dtype=complex), FS, id="x")

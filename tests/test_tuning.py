@@ -210,6 +210,15 @@ class TestAcquisitionMetrics:
         snr, _clip = acquisition_metrics(rec, [RegionOfInterest(100, 300, 10.0, 1e-3)], 1.0)
         assert np.isnan(snr)
 
+    def test_underflowing_complement_is_nan(self):
+        """Gap samples of 1e-170 are not zero, but their |z|^2 underflows to 0: no usable measurement,
+        not a DegenerateInputError from the SNR of a zero noise power."""
+        x = np.full(1000, 1e-170, dtype=complex)
+        x[100:400] = 0.5
+        rec = IqRecording(x, FS)
+        snr, clip = acquisition_metrics(rec, [RegionOfInterest(100, 300, 10.0, 1e-3)], 1.0)
+        assert np.isnan(snr) and clip == 0.0
+
 
 class TestTuningGrid:
     def test_rejects_unsorted(self):
