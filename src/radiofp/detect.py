@@ -86,11 +86,12 @@ def _run_starts(track: np.ndarray, test, threshold: float) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _power_track(samples: np.ndarray, window: int) -> np.ndarray:
+def _power_track(samples: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
     """The mode="same" np.convolve of |samples|^2 and a window-long 1/window boxcar, np.convolve's bits on this host.
 
-    |samples| is taken a complex128 block at a time, then squared and smoothed in place (convolve_same): one array."""
-    power = np.empty(samples.size)
+    |samples| is taken a complex128 block at a time, then squared and smoothed in place (convolve_same): one array,
+    out (a new one by default)."""
+    power = np.empty(samples.size) if out is None else out
     for block, part in widened_blocks(samples):
         np.square(np.abs(part, out=power[block]), out=power[block])
     return convolve_same(power, np.full(window, 1.0 / window), out=power)
@@ -135,16 +136,23 @@ def _median(p: np.ndarray) -> float:
     return float(np.mean(middle[ranks[0]:ranks[-1] + 1]))
 
 
-def detect_bursts(recording: IqRecording, params: DetectorParams) -> list[RegionOfInterest]:
+def detect_bursts(recording: IqRecording, params: DetectorParams,
+                  track: np.ndarray | None = None) -> list[RegionOfInterest]:
     """Detect burst spans; returned ROIs are disjoint and ascending.
 
     Boundary accuracy is limited by the moving-average smear, about
-    window/2 samples on each side.
+    window/2 samples on each side. track, if given, is a writable float64
+    array of len(recording) that the power track is computed in (its values
+    are overwritten), so a caller that detects many captures of one length
+    allocates the track once.
     """
     n = len(recording)
     if n < params.window:
         raise SizeError(f"recording length {n} is shorter than the window {params.window}")
-    p = _power_track(recording.samples, params.window)
+    if track is not None and (not isinstance(track, np.ndarray) or track.dtype != np.float64
+                              or track.shape != (n,) or not track.flags.writeable):
+        raise ParameterError(f"track must be a writable float64 array of shape ({n},)")
+    p = _power_track(recording.samples, params.window, track)
     floor = _median(p)
 
     if floor > 0:

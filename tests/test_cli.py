@@ -1053,6 +1053,22 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_main_turns_off_numpy_huge_page_advice_unless_the_env_decides(tmp_path, monkeypatch):
+    """A huge page backs an advised array only when the machine has one free, so the advice makes peak RSS vary."""
+    from radiofp.cli import _set_madvise_hugepage
+    argv = ["tune", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]
+    before = _set_madvise_hugepage(True)
+    try:
+        monkeypatch.delenv("NUMPY_MADVISE_HUGEPAGE", raising=False)
+        assert main(argv) == 2
+        assert _set_madvise_hugepage(True) is False
+        monkeypatch.setenv("NUMPY_MADVISE_HUGEPAGE", "1")
+        assert main(argv) == 2
+        assert _set_madvise_hugepage(True) is True
+    finally:
+        _set_madvise_hugepage(before)
+
+
 # --- golden bytes: recorded from the copying stages, which the in-place stages must reproduce ----
 
 GOLDEN_SHA256 = {

@@ -171,21 +171,52 @@ class TestDetectBursts:
 
         At 2^18 samples that block is 0.125x the capture, which is more than the
         median's gathered values and masks (about 0.115x) on top of the track."""
-        n = 2 ** 18
-        rng = np.random.default_rng(9)
-        x = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for start in range(1000, n - 4000, 20000):
-            x[start:start + 3000] += 1.0
-        rec = IqRecording(x, FS)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rois = detect_bursts(rec, PARAMS)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        rec = thirteen_bursts()
+        rois, peak = traced_peak(detect_bursts, rec, PARAMS)
         assert len(rois) == 13
         assert peak <= 0.65 * rec.samples.nbytes
+
+    def test_a_given_track_is_filled_in_place_and_gives_the_same_rois(self):
+        """The track a caller passes is overwritten with the power track, and the call holds no second one."""
+        rec = thirteen_bursts()
+        track = np.full(len(rec), np.nan)
+        rois, peak = traced_peak(detect_bursts, rec, PARAMS, track)
+        assert rois == detect_bursts(rec, PARAMS)
+        assert track.tobytes() == _power_track(rec.samples, PARAMS.window).tobytes()
+        assert peak <= 0.15 * rec.samples.nbytes
+
+    @pytest.mark.parametrize("track", [np.empty(1023), np.empty(1024, dtype=np.float32), np.empty((1024, 1)),
+                                       [0.0] * 1024])
+    def test_a_track_of_the_wrong_type_or_shape_is_refused(self, track):
+        with pytest.raises(ParameterError, match="track must be a writable float64 array of shape \\(1024,\\)"):
+            detect_bursts(IqRecording(np.zeros(1024, dtype=complex), FS), PARAMS, track)
+
+    def test_a_read_only_track_is_refused(self):
+        track = np.empty(1024)
+        track.setflags(write=False)
+        with pytest.raises(ParameterError, match="writable"):
+            detect_bursts(IqRecording(np.zeros(1024, dtype=complex), FS), PARAMS, track)
+
+
+def thirteen_bursts() -> IqRecording:
+    """2^18 samples of noise with 13 bursts of 3000 samples."""
+    n = 2 ** 18
+    rng = np.random.default_rng(9)
+    x = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for start in range(1000, n - 4000, 20000):
+        x[start:start + 3000] += 1.0
+    return IqRecording(x, FS)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 B = BLOCK_SAMPLES
