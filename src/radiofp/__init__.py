@@ -25,14 +25,13 @@ from .receiver import ReceiverConfig, acquire
 from .sigmf_io import SessionMeta, read_recording, regenerate_from_manifest, write_recording
 from .verify import (
     DeviceFingerprint,
-    VerificationDecision,
     calibrate_threshold,
     enroll,
     evaluate,
     genuine_impostor_scores,
     load_fingerprint_store,
     save_fingerprint_store,
-    verify,
+    score_matrix,
 )
 
 __version__ = "0.1.0"

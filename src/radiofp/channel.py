@@ -12,6 +12,7 @@ propagate(rec, (), ChannelSpec(path_loss_db=6.0), seed=0).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,6 +43,9 @@ class ChannelSpec:
         taps = tuple((typed(f"multipath_taps[{i}] delay", d, int), typed(f"multipath_taps[{i}] gain", g, complex))
                      for i, (d, g) in enumerate(self.multipath_taps))
         object.__setattr__(self, "multipath_taps", taps)
+        for i, (_, gain) in enumerate(taps):
+            if not cmath.isfinite(gain):
+                raise ParameterError(f"multipath_taps[{i}] gain must be finite, got {gain!r}")
         for name in ("snr_db", "path_loss_db"):
             object.__setattr__(self, name, typed(name, getattr(self, name), float))
         if self.path_loss_db < 0:

@@ -31,8 +31,11 @@ import numpy as np
 
 try:  # numpy >= 2
     from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import _set_madvise_hugepage
+except ImportError:
+    try:  # numpy 1.x
+        from numpy.core.multiarray import _set_madvise_hugepage
+    except ImportError:  # a numpy without the private switch keeps its own advice
+        _set_madvise_hugepage = None
 
 from .channel import propagate
 from .config import (
@@ -63,13 +66,12 @@ from .receiver import ReceiverConfig, acquire, add_frontend_noise
 from .sigmf_io import build_dataset, read_recording
 from .tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 from .verify import (
-    calibrate_threshold,
     enroll,
     evaluate,
     genuine_impostor_scores,
     load_fingerprint_store,
     save_fingerprint_store,
-    verify,
+    score_matrix,
 )
 
 FEATURE_CSV_PREFIX = ("session", "roi_index", "label", "start_sample", "length")
@@ -298,9 +300,9 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--claim '{args.claim}' is not enrolled in {args.store}")
     fp = store[args.claim]
 
-    decisions = (verify(x, fp) for x in table.values)
-    rows = ([session, start, d.claimed_id, d.squared_distance, d.threshold_used, int(d.accepted)]
-            for session, start, d in zip(table.sessions, table.starts, decisions))
+    d2 = score_matrix(table.values, {args.claim: fp})[0]
+    rows = ([session, start, args.claim, score, fp.threshold, int(score <= fp.threshold)]
+            for session, start, score in zip(table.sessions, table.starts, d2.tolist()))
     decisions_path = _output(args, "decisions.csv")
     header = ["session", "roi_start", "claimed_id", "squared_distance", "threshold", "accepted"]
     atomic_write(decisions_path, csv_chunks(header, rows))
@@ -308,11 +310,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _float_rows(*columns: np.ndarray):
-    """Rows of Python floats from equal-length columns; tolist() per 4,096-row block is fast
-    and keeps few Python floats alive."""
-    for start in range(0, columns[0].size, 4096):
-        yield from zip(*(column[start:start + 4096].tolist() for column in columns))
+def _roc_chunks(report):
+    """roc.csv's text, csv.writer's bytes for rows of floats, per 4,096 rows: fast, and few Python floats alive."""
+    yield "far,frr,threshold\r\n"
+    for start in range(0, report.thresholds.size, 4096):
+        block = (column[start:start + 4096].tolist() for column in (report.far, report.frr, report.thresholds))
+        yield "".join(map("%r,%r,%r\r\n".__mod__, zip(*block)))
 
 
 def cmd_evaluate(args) -> int:
@@ -322,15 +325,12 @@ def cmd_evaluate(args) -> int:
     if genuine.size == 0 or impostor.size == 0:
         raise ValidationError("need both genuine and impostor scores; check labels vs store")
     report = evaluate(genuine, impostor)
-    eer_threshold = calibrate_threshold(genuine, impostor, policy="eer")
-
-    roc = _float_rows(report.far, report.frr, report.thresholds)
-    atomic_write(_output(args, "roc.csv"), csv_chunks(["far", "frr", "threshold"], roc))
+    atomic_write(_output(args, "roc.csv"), _roc_chunks(report))
 
     metrics = {
         "eer": report.eer,
         "eer_threshold": report.eer_threshold,
-        "calibrated_threshold": eer_threshold,
+        "calibrated_threshold": report.eer_threshold,
         "n_genuine": int(genuine.size),
         "n_impostor": int(impostor.size),
         "far_at_frr": {str(k): v for k, v in report.far_at.items()},
@@ -435,8 +435,8 @@ def _no_huge_pages() -> None:
     machine's free memory is at that moment: with the advice, the same tune on
     the same files peaked at 82.8 MB on some runs and 76.4 MB on others. Without
     it a command's peak RSS depends on the command alone. NUMPY_MADVISE_HUGEPAGE,
-    when set, still decides."""
-    if "NUMPY_MADVISE_HUGEPAGE" not in os.environ:
+    when set, still decides, and a numpy without the private switch is left as it is."""
+    if _set_madvise_hugepage is not None and "NUMPY_MADVISE_HUGEPAGE" not in os.environ:
         _set_madvise_hugepage(False)
 
 

@@ -51,10 +51,10 @@ class ReceiverConfig:
         check_decibels("gain_db", self.gain_db)
         if not 2 <= self.adc_bits <= 16:
             raise ParameterError(f"adc_bits must lie in [2, 16], got {self.adc_bits}")
-        if not self.full_scale > 0:
-            raise ParameterError(f"full_scale must be > 0, got {self.full_scale}")
-        if self.frontend_noise_power < 0:
-            raise ParameterError("frontend_noise_power must be >= 0")
+        if not 0 < self.full_scale < np.inf:
+            raise ParameterError(f"full_scale must be finite and > 0, got {self.full_scale}")
+        if not 0 <= self.frontend_noise_power < np.inf:
+            raise ParameterError(f"frontend_noise_power must be finite and >= 0, got {self.frontend_noise_power}")
 
 
 def quantization_step(adc_bits: int, full_scale: float) -> float:

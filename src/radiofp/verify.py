@@ -16,9 +16,8 @@ full round-trip precision so load(save(fp)) is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,10 +36,9 @@ from .features import FeatureSelection, catalog_version_of
 
 __all__ = [
     "DeviceFingerprint",
-    "VerificationDecision",
     "EvaluationReport",
     "enroll",
-    "verify",
+    "score_matrix",
     "calibrate_threshold",
     "evaluate",
     "save_fingerprint_store",
@@ -102,13 +100,6 @@ class DeviceFingerprint:
             object.__setattr__(self, name, value)
 
 
-class VerificationDecision(NamedTuple):
-    claimed_id: str
-    squared_distance: float
-    accepted: bool
-    threshold_used: float
-
-
 def enroll(
     device_id: str,
     rows,
@@ -156,28 +147,31 @@ def enroll(
         ) from None
 
 
-def verify(x, fingerprint: DeviceFingerprint) -> VerificationDecision:
-    """Score one probe row, all of the catalog's features, against the claimed identity's model.
+def score_matrix(values, store: Mapping[str, DeviceFingerprint]) -> np.ndarray:
+    """The D x N d^2 of every probe, one row of the N x F array values, against every device of the store, in order.
 
-    The score is (x - mu)^T Sigma^(-1) (x - mu) over the selected features, as |W (x - mu)|^2 with the
-    cached W = L^(-1). A row of another size is of another catalog, since each catalog version has its
-    own length. A non-finite probe raises; a finite probe whose d^2 overflows scores inf, a reject,
-    with no RuntimeWarning.
+    Row d is (x - mu)^T Sigma^(-1) (x - mu) over device d's selected features, as |W (x - mu)|^2 with the cached
+    W = L^(-1), for all N probes in one matrix product. A table of another width is of another catalog, since
+    each catalog version has its own length. A probe with a non-finite selected feature raises; a finite probe
+    whose d^2 overflows scores inf, a reject (d^2 > threshold), with no RuntimeWarning.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != fingerprint.selection.scores.shape:
-        raise CatalogMismatchError(f"probe of shape {x.shape} is not a row of fingerprint "
-                                   f"catalog '{fingerprint.catalog_version}' ({fingerprint.selection.scores.size})")
-    x = x[fingerprint.selection.index]
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.dot(fingerprint.whitening, np.subtract(x, fingerprint.mean))
-        d2 = float(np.dot(y, y))
-    if not math.isfinite(d2):
-        # W is triangular with a non-zero diagonal, so a non-finite feature always gets here.
-        if not np.all(np.isfinite(x)):
-            raise ParameterError(f"probe scored against '{fingerprint.device_id}' is not finite")
-        d2 = math.inf  # an overflow is inf, or nan from inf - inf
-    return VerificationDecision(fingerprint.device_id, d2, d2 <= fingerprint.threshold, fingerprint.threshold)
+    values = np.asarray(values, dtype=np.float64)
+    scores = np.empty((len(store), *values.shape[:1]))
+    for row, fp in zip(scores, store.values()):
+        if values.shape[1:] != fp.selection.scores.shape:
+            raise CatalogMismatchError(f"a table of shape {values.shape} does not hold rows of fingerprint "
+                                       f"catalog '{fp.catalog_version}' ({fp.selection.scores.size})")
+        x = values[:, fp.selection.index]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.subtract(x, fp.mean) @ fp.whitening.T
+            np.add.reduce(np.square(y, out=y), axis=1, out=row)
+        overflowed = ~np.isfinite(row)
+        if overflowed.any():
+            # W is triangular with a non-zero diagonal, so a non-finite feature always gets here.
+            if not np.isfinite(x[overflowed]).all():
+                raise ParameterError(f"probe scored against '{fp.device_id}' is not finite")
+            row[overflowed] = np.inf  # an overflow is inf, or nan from inf - inf
+    return scores
 
 
 def calibrate_threshold(genuine_d2, impostor_d2, policy: str = "eer", max_far: float | None = None) -> float:
@@ -227,7 +221,7 @@ def evaluate(genuine_d2, impostor_d2) -> EvaluationReport:
     far = np.searchsorted(imp, union, side="right") / imp.size
     frr = (gen.size - np.searchsorted(gen, union, side="right")) / gen.size
     gap = far - frr
-    idx = int(np.argmin(np.abs(gap, out=gap)))  # in place: calibrate_threshold runs this beside a held report
+    idx = int(np.argmin(np.abs(gap, out=gap)))  # in place: no fourth array the size of the score union
     eer = float((far[idx] + frr[idx]) / 2.0)
 
     far_at: dict[float, float] = {}
@@ -301,7 +295,7 @@ def genuine_impostor_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score every probe, one row of the N x F array values, against every enrolled device.
 
-    Each device's column of scores is split by a label mask: a probe scored
+    score_matrix's D x N scores are split by a label mask: a probe scored
     against the fingerprint of its own label contributes a genuine score,
     against any other fingerprint an impostor score. Scores come out
     device-major.
@@ -310,5 +304,5 @@ def genuine_impostor_scores(
         raise ParameterError("values and labels must have the same number of rows")
     # Two object arrays compare as Python strs: numpy's <U strings, a str scalar included, drop a trailing NUL.
     own = np.asarray(labels, dtype=object) == np.asarray(list(store), dtype=object)[:, None]
-    scores = np.array([[verify(x, fp).squared_distance for x in values] for fp in store.values()]).reshape(own.shape)
+    scores = score_matrix(values, store)
     return scores[own], scores[~own]

@@ -52,7 +52,7 @@ from radiofp.sigmf_io import (
     write_recording,
 )
 from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune
-from radiofp.verify import enroll, evaluate, verify
+from radiofp.verify import enroll, evaluate, score_matrix
 
 MASTER_SEED = 20260808
 
@@ -161,17 +161,13 @@ def run_verification(snr_db, rx):
     enroll_rows, probe_rows = np.array(enroll_rows), np.array(probe_rows)
     enroll_labels, probe_labels = np.array(enroll_labels), np.array(probe_labels)
     selection = fisher_select(enroll_rows, enroll_labels, k=12)
-    per_device = {}
-    genuine_all, impostor_all = [], []
-    for prof in profiles:
-        dev = prof.emitter_id
-        fp = enroll(dev, enroll_rows[enroll_labels == dev], selection, catalog_version(EXTRACTION), ridge_lambda=1e-3)
-        g = np.array([verify(x, fp).squared_distance for x in probe_rows[probe_labels == dev]])
-        imp = np.array([verify(x, fp).squared_distance for x in probe_rows[probe_labels != dev]])
-        per_device[dev] = (g, imp)
-        genuine_all.extend(g)
-        impostor_all.extend(imp)
-    return evaluate(np.array(genuine_all), np.array(impostor_all)), per_device
+    store = {prof.emitter_id: enroll(prof.emitter_id, enroll_rows[enroll_labels == prof.emitter_id], selection,
+                                     catalog_version(EXTRACTION), ridge_lambda=1e-3) for prof in profiles}
+    per_device = {dev: (scores[probe_labels == dev], scores[probe_labels != dev])
+                  for dev, scores in zip(store, score_matrix(probe_rows, store))}
+    genuine_all = np.concatenate([g for g, _ in per_device.values()])
+    impostor_all = np.concatenate([imp for _, imp in per_device.values()])
+    return evaluate(genuine_all, impostor_all), per_device
 
 
 _EER_CACHE: dict = {}

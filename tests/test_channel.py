@@ -59,6 +59,13 @@ class TestChannelSpec:
         taps = ChannelSpec(multipath_taps=((0, 1), (np.int64(1), np.float32(0.5)))).multipath_taps
         assert taps == ((0, 1), (1, 0.5)) and [type(v) for tap in taps for v in tap] == [int, complex] * 2
 
+    @pytest.mark.parametrize("gain", [complex(float("inf"), 0.0), complex(0.0, float("nan"))])
+    def test_a_tap_gain_that_is_not_finite_is_named(self, gain):
+        """complex(inf, 0) was accepted, and propagate then failed on "samples must be finite", which names no
+        field."""
+        with pytest.raises(ParameterError, match="multipath_taps\\[1\\] gain must be finite"):
+            ChannelSpec(multipath_taps=((0, 1), (1, gain)))
+
 
 class TestMultipath:
     def test_identity_tap(self):

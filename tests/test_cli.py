@@ -26,7 +26,7 @@ from radiofp.emitter import render_session
 from radiofp.features import ExtractionConfig, catalog_names
 from radiofp.receiver import acquire
 from radiofp.tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
-from radiofp.verify import load_fingerprint_store, save_fingerprint_store, verify
+from radiofp.verify import load_fingerprint_store, save_fingerprint_store
 
 FS = 1.0e5
 
@@ -1023,7 +1023,8 @@ def test_a_ragged_covariance_or_a_repeated_device_exits_2_naming_it(small_store,
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     """A finite feature row so far away that d^2 overflows scores inf and is rejected; every
-    decisions.csv row is verify()'s decision for its probe."""
+    decisions.csv row holds its probe's per-pair d^2, within the README's 1e-12 relative, and the
+    exact accept decision of that d^2."""
     header, *rows = csv.reader(io.StringIO(FEATURE_TABLE))
     rows[0][len(FEATURE_CSV_PREFIX):] = ["1e200"] * (len(header) - len(FEATURE_CSV_PREFIX))
     with open(tmp_path / "features.csv", "w", newline="") as fh:
@@ -1037,10 +1038,14 @@ def test_far_but_finite_probe_is_rejected_not_an_error(small_store, tmp_path):
     assert (decisions[0][3], decisions[0][5]) == ("inf", "0")
     table = _read_feature_table(str(tmp_path / "features.csv"))
     fp = load_fingerprint_store(small_store, table.names)["dev-0"]
-    expected = [verify(x, fp) for x in table.values]
-    assert decisions == [[session, str(start), d.claimed_id, repr(d.squared_distance), repr(d.threshold_used),
-                          str(int(d.accepted))] for session, start, d in zip(table.sessions, table.starts, expected)]
-    assert any(d.accepted for d in expected)
+    with np.errstate(over="ignore"):  # the per-pair reference, |W (x[idx] - mu)|^2, overflows on row 0
+        expected = [float(np.dot(y, y)) for y in (np.dot(fp.whitening, x[fp.selection.index] - fp.mean)
+                                                  for x in table.values)]
+    assert [row[:3] + row[4:] for row in decisions] == [
+        [session, str(start), "dev-0", repr(fp.threshold), str(int(d2 <= fp.threshold))]
+        for session, start, d2 in zip(table.sessions, table.starts, expected)]
+    np.testing.assert_allclose([float(row[3]) for row in decisions], expected, rtol=1e-12, atol=0.0)
+    assert expected[0] == np.inf and any(d2 <= fp.threshold for d2 in expected)
     assert run_main(command_argv("evaluate", tmp_path)) == (0, "")
 
 
@@ -1067,6 +1072,20 @@ def test_main_turns_off_numpy_huge_page_advice_unless_the_env_decides(tmp_path, 
         assert _set_madvise_hugepage(True) is True
     finally:
         _set_madvise_hugepage(before)
+
+
+def test_a_numpy_without_the_private_huge_page_switch_still_runs_every_command(tmp_path):
+    """The switch is a private numpy name: a numpy that lacks it leaves its advice as it is, and the CLI still
+    imports and runs."""
+    src = str(Path(__import__("radiofp").__file__).parent.parent)
+    code = ("import numpy._core.multiarray as m; del m._set_madvise_hugepage; "
+            "import radiofp.cli as cli; assert cli._set_madvise_hugepage is None; "
+            f"raise SystemExit(cli.main(['tune', '--config', {str(tmp_path / 'missing.json')!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 2 and "missing.json" in result.stderr, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # --- golden bytes: recorded from the copying stages, which the in-place stages must reproduce ----
@@ -1129,7 +1148,8 @@ def test_readme_library_use_runs_against_the_exports():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["values"].shape == (20, len(catalog_names()))
-    assert namespace["decision"].claimed_id == "dev-a" and not namespace["decision"].accepted
+    assert namespace["d2"].shape == (1, 20)
+    assert namespace["accepted"][:10].any() and not namespace["accepted"][10:].any()
 
     imported = re.search(r"from radiofp import \(([^)]*)\)", block).group(1)
     text = README.read_text()

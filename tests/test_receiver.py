@@ -80,6 +80,12 @@ class TestReceiverConfig:
             ReceiverConfig(**{"filter_bw_hz": 1e4, field: "5"})
         assert type(getattr(ReceiverConfig(**{"filter_bw_hz": 1e4, field: np.float32(2.0)}), field)) is float
 
+    @pytest.mark.parametrize("field", ["full_scale", "frontend_noise_power"])
+    def test_an_infinite_level_is_named(self, field):
+        """inf was accepted, and acquire then failed on "samples must be finite", which names no field."""
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            ReceiverConfig(**{"filter_bw_hz": 1e4, field: float("inf")})
+
     @pytest.mark.parametrize("gain_db", [8000.0, -8000.0, float("nan")])
     def test_gain_without_a_finite_positive_power_ratio_is_named(self, gain_db):
         """8000 dB overflowed in acquire's gain; -8000 dB zeroed every sample."""

@@ -24,7 +24,7 @@ from radiofp.verify import (
     genuine_impostor_scores,
     load_fingerprint_store,
     save_fingerprint_store,
-    verify,
+    score_matrix,
 )
 
 CATALOG = "fc1-test"
@@ -37,6 +37,17 @@ def full_selection(dim):
 def enroll_gaussian(rng, mean, dim=2, n=100, ridge_lambda=1e-6, device_id="dev"):
     rows = np.array([rng.normal(mean, 1.0, dim) for _ in range(n)])
     return enroll(device_id, rows, full_selection(dim), CATALOG, ridge_lambda)
+
+
+def score(x, fp):
+    """One probe row's d^2 against one fingerprint, through score_matrix."""
+    return float(score_matrix(np.atleast_2d(x), {fp.device_id: fp})[0, 0])
+
+
+def per_pair_d2(x, fp):
+    """The per-pair reference: |W (x[idx] - mu)|^2 for one probe row, one matrix-vector product."""
+    y = np.dot(fp.whitening, np.asarray(x, dtype=np.float64)[fp.selection.index] - fp.mean)
+    return float(np.dot(y, y))
 
 
 def eer_bruteforce(genuine, impostor):
@@ -106,34 +117,32 @@ class TestVerify:
     def test_probe_at_mean_accepted_with_zero_distance(self):
         rng = np.random.default_rng(5)
         fp = enroll_gaussian(rng, np.array([1.0, 2.0]))
-        decision = verify(fp.mean, fp)
-        assert decision.squared_distance == pytest.approx(0.0, abs=1e-12)
-        assert decision.accepted
+        d2 = score(fp.mean, fp)
+        assert d2 == pytest.approx(0.0, abs=1e-12)
+        assert d2 <= fp.threshold
 
     def test_identity_covariance_euclidean(self):
         sel = full_selection(2)
         fp = DeviceFingerprint("dev", CATALOG, sel, np.zeros(2), np.eye(2), 0.0, 30.0, 10)
-        assert verify(np.array([3.0, 4.0]), fp).squared_distance == pytest.approx(25.0, abs=1e-12)
+        assert score(np.array([3.0, 4.0]), fp) == pytest.approx(25.0, abs=1e-12)
 
     def test_diagonal_covariance_hand_value(self):
         sel = full_selection(2)
         fp = DeviceFingerprint("dev", CATALOG, sel, np.zeros(2), np.diag([4.0, 1.0]), 0.0, 30.0, 10)
-        assert verify(np.array([2.0, 0.0]), fp).squared_distance == pytest.approx(1.0, abs=1e-12)
+        assert score(np.array([2.0, 0.0]), fp) == pytest.approx(1.0, abs=1e-12)
 
     def test_catalog_mismatch_rejected(self):
-        """A probe whose shape is not one row of the fingerprint's catalog is of another catalog."""
+        """A table whose rows are not rows of the fingerprint's catalog is of another catalog."""
         rng = np.random.default_rng(6)
         fp = enroll_gaussian(rng, np.zeros(2))
-        for probe in (np.zeros(3), np.zeros(1), np.zeros((1, 2)), 0.0):
+        for table in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2), np.zeros((1, 1, 2)), 0.0):
             with pytest.raises(CatalogMismatchError, match="fc1-test"):
-                verify(probe, fp)
+                score_matrix(table, {"dev": fp})
 
     def test_decision_consistent_with_threshold(self):
         rng = np.random.default_rng(7)
         fp = dataclasses.replace(enroll_gaussian(rng, np.zeros(2)), threshold=1e-9)
-        decision = verify([5.0, 5.0], fp)
-        assert not decision.accepted
-        assert decision.squared_distance > decision.threshold_used
+        assert score([5.0, 5.0], fp) > fp.threshold
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(8)
@@ -145,15 +154,15 @@ class TestVerify:
 
         sel = full_selection(dim)
         fp1 = enroll("dev", X, sel, CATALOG, ridge_lambda=0.0)
-        d1 = verify(probe, fp1).squared_distance
+        d1 = score(probe, fp1)
         fp2 = enroll("dev", X @ A.T + b, sel, CATALOG, ridge_lambda=0.0)
-        d2 = verify(probe @ A.T + b, fp2).squared_distance
+        d2 = score(probe @ A.T + b, fp2)
         assert d2 == pytest.approx(d1, rel=1e-6)
 
     def test_positive_for_probe_off_mean(self):
         rng = np.random.default_rng(9)
         fp = enroll_gaussian(rng, np.zeros(2))
-        assert verify([0.1, -0.2], fp).squared_distance > 0
+        assert score([0.1, -0.2], fp) > 0
 
 
 def small_store(rng):
@@ -168,16 +177,17 @@ class TestGenuineImpostorScores:
         return np.array([store[d].mean + rng.normal(0.0, 1.0, 2) for d in labels]), labels
 
     def test_multisets_match_a_per_pair_loop(self):
+        """The matrix's scores, device-major, are the per-pair scores within the README's 1e-12 relative."""
         rng = np.random.default_rng(20)
         store = small_store(rng)
         probes, labels = self.probes(rng, store)
         genuine, impostor = [], []
-        for probe, label in zip(probes, labels):
-            for device_id, fp in store.items():
-                (genuine if device_id == label else impostor).append(verify(probe, fp).squared_distance)
+        for device_id, fp in store.items():
+            for probe, label in zip(probes, labels):
+                (genuine if device_id == label else impostor).append(per_pair_d2(probe, fp))
         got_genuine, got_impostor = genuine_impostor_scores(probes, labels, store)
-        np.testing.assert_array_equal(np.sort(got_genuine), np.sort(genuine))
-        np.testing.assert_array_equal(np.sort(got_impostor), np.sort(impostor))
+        np.testing.assert_allclose(got_genuine, genuine, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got_impostor, impostor, rtol=1e-12, atol=0.0)
         n, d = len(probes), len(store)
         assert (got_genuine.size, got_impostor.size) == (n, n * (d - 1))
 
@@ -186,8 +196,8 @@ class TestGenuineImpostorScores:
         store = small_store(rng)
         genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), [""], store)
         assert genuine.size == 0
-        np.testing.assert_array_equal(
-            np.sort(impostor), np.sort([verify([1.0, 1.0], fp).squared_distance for fp in store.values()]))
+        np.testing.assert_allclose(
+            impostor, [per_pair_d2(np.array([1.0, 1.0]), fp) for fp in store.values()], rtol=1e-12, atol=0.0)
 
     def test_a_label_with_a_trailing_nul_is_another_device(self):
         """Labels compare as Python strings: a probe labeled 'a' against the device 'a\\x00' is an impostor."""
@@ -195,7 +205,7 @@ class TestGenuineImpostorScores:
         store = {"a\x00": enroll_gaussian(rng, np.zeros(2), device_id="a\x00")}
         genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), ["a"], store)
         assert genuine.size == 0
-        assert impostor.tolist() == [verify([1.0, 1.0], store["a\x00"]).squared_distance]
+        assert impostor.tolist() == [score([1.0, 1.0], store["a\x00"])]
 
     def test_empty_store_gives_two_empty_sets(self):
         genuine, impostor = genuine_impostor_scores(np.array([[1.0, 1.0]]), ["a"], {})
@@ -391,7 +401,7 @@ class TestStore:
         save_fingerprint_store([fp], path)
         reloaded = load_fingerprint_store(path)["dev"]
         probe = np.array([1.3, 0.7])
-        assert verify(probe, fp).squared_distance == verify(probe, reloaded).squared_distance
+        assert score(probe, fp) == score(probe, reloaded)
 
 
 # --- scoring with the cached whitening factor ---------------------------------------
@@ -418,7 +428,7 @@ class TestWhitenedScoring:
         x = fp.mean + np.random.default_rng(seed).normal(0.0, 3.0, fp.mean.size)
         delta = x - fp.mean
         expected = delta @ np.linalg.solve(fp.covariance, delta)
-        assert verify(x, fp).squared_distance == pytest.approx(expected, rel=1e-10)
+        assert score(x, fp) == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 6), which=st.sampled_from(["mean", "covariance"]),
@@ -435,8 +445,21 @@ class TestWhitenedScoring:
     def test_non_finite_probe_rejected(self, fp, position, value):
         x = fp.mean.copy()
         x[position % fp.mean.size] = value
-        with pytest.raises(ParameterError, match="not finite"):
-            verify(x, fp)
+        with pytest.raises(ParameterError, match="probe scored against 'dev' is not finite"):
+            score(x, fp)
+
+    def test_non_finite_unselected_feature_is_not_scored(self):
+        """Only the selected features are scored: inf or nan in a column the selection dropped changes no
+        score, and one in a selected column raises, naming the device."""
+        rng = np.random.default_rng(10)
+        store = {"dev": enroll("dev", rng.normal(0, 1, (40, 3)), FeatureSelection((0, 2), np.zeros(3)), CATALOG)}
+        table = rng.normal(0, 1, (4, 3))
+        clean = score_matrix(table, store)
+        table[1, 1], table[2, 1] = np.inf, np.nan
+        np.testing.assert_array_equal(score_matrix(table, store), clean)
+        table[3, 2] = np.nan
+        with pytest.raises(ParameterError, match="probe scored against 'dev' is not finite"):
+            score_matrix(table, store)
 
     @settings(max_examples=60, deadline=None)
     @given(fp=fingerprints, threshold=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
@@ -445,7 +468,7 @@ class TestWhitenedScoring:
         moved = dataclasses.replace(fp, threshold=threshold)
         assert moved.threshold == threshold
         assert moved.whitening.tobytes() == fp.whitening.tobytes()
-        assert verify(x, moved).squared_distance == verify(x, fp).squared_distance
+        assert score(x, moved) == score(x, fp)
 
     def test_whitening_is_read_only_and_not_persisted(self, tmp_path):
         fp = random_fingerprint(3, 4)
@@ -456,25 +479,27 @@ class TestWhitenedScoring:
     def test_overflowing_finite_probe_is_rejected(self):
         fp = random_fingerprint(6, 3)
         far = np.array([1e200, 0.0, 0.0])
-        decision = verify(far, fp)
-        assert decision.squared_distance == np.inf and not decision.accepted
-        assert verify(fp.mean, fp).squared_distance == 0.0
+        assert score(far, fp) == np.inf
+        assert score(fp.mean, fp) == 0.0
 
     def test_overflow_scores_inf_with_no_runtime_warning(self):
-        """verify() owns the overflow rule: a library call on a far probe warns nothing, even
-        with every RuntimeWarning an error and numpy set to raise on any floating-point fault."""
+        """score_matrix owns the overflow rule: a library call on a far probe warns nothing, even
+        with every RuntimeWarning an error and numpy set to raise on any floating-point fault,
+        and the other probes of the table keep their scores."""
         fp = random_fingerprint(6, 3)
+        table = np.array([[1e200, 0.0, 0.0], fp.mean, fp.mean + 1.0])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            decision = verify(np.array([1e200, 0.0, 0.0]), fp)
-        assert decision == ("dev", np.inf, False, fp.threshold)
+            scores = score_matrix(table, {"dev": fp})
+        assert scores.shape == (1, 3) and scores[0, 0] == np.inf
+        np.testing.assert_allclose(scores[0, 1:], [per_pair_d2(x, fp) for x in table[1:]], rtol=1e-12, atol=0.0)
 
     def test_nan_from_overflow_scores_inf(self):
         # x - mu overflows to inf and the zero above W's diagonal turns it into nan:
         # a finite probe that far away must still read as too far, not raise.
         fp = DeviceFingerprint("dev", CATALOG, full_selection(2), np.array([0.0, -1e308]),
                                np.array([[1.0, 0.5], [0.5, 1.0]]), 0.0, 1.0, 10)
-        assert verify(np.array([0.0, 1e308]), fp).squared_distance == np.inf
+        assert score(np.array([0.0, 1e308]), fp) == np.inf
 
     def test_badly_scaled_covariance_matches_cholesky_solve(self):
         """A real enrolled model (the fingerprint-session workload, seed 7, dev-02): feature
@@ -487,5 +512,5 @@ class TestWhitenedScoring:
                                np.array(doc["covariance"]), 1e-3, 3.0 * dim, 60)
         probes = np.array(doc["probes"])
         expected = np.array(doc["cho_solve_d2"])
-        got = [verify(x, fp).squared_distance for x in probes]
+        got = score_matrix(probes, {"dev": fp})[0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
