@@ -373,7 +373,7 @@ def cmd_tune(args) -> int:
         quiet = dataclasses.replace(rx_config, frontend_noise_power=0.0)
         acquired = acquire(noisy, quiet, seeds.frontend)
         rois = detect_bursts(acquired, config["detector"], track)
-        return acquired, rois, objective(acquired, rois, quiet, obj_params)
+        return objective(acquired, rois, quiet, obj_params)
 
     with fields("tuning"):
         trace = tune(plant, grid, config_template=rx_template, **tuning)

@@ -1,10 +1,12 @@
 """Closed-loop receiver tuning over a discrete config grid.
 
 The controller evaluates acquisition quality through a caller-supplied
-plant function (config -> (recording, rois, objective value)) and searches
-a gain x bandwidth grid, either exhaustively or by coordinate descent.
-The objective rewards per-burst SNR and penalizes clipping; both are
-computable live, without labels.
+plant function, config -> (objective value, SNR estimate in dB, clipping
+ratio, ROI count): the measured fields of one TuningStep, from one
+measurement, as objective() returns them. tune only searches a gain x
+bandwidth grid, exhaustively or by coordinate descent, and records what the
+plant returned. The objective rewards per-burst SNR and penalizes clipping;
+both are computable live, without labels.
 
 Ties always break toward lower gain, then lower bandwidth (less distortion
 risk, reproducible traces). Strategies are deterministic.
@@ -63,6 +65,13 @@ class TuningGrid:
 class ObjectiveParams:
     clip_weight: float = 0.5
     no_roi_penalty: float = 100.0
+
+    def __post_init__(self) -> None:
+        for name in ("clip_weight", "no_roi_penalty"):
+            value = typed(name, getattr(self, name), float)
+            if not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 class TuningStep(NamedTuple):
@@ -130,21 +139,23 @@ def objective(
     rois: Sequence[RegionOfInterest],
     config: ReceiverConfig,
     params: ObjectiveParams = ObjectiveParams(),
-) -> float:
-    """Acquisition-quality score: mean ROI SNR minus a clipping penalty.
+) -> tuple[float, float, float, int]:
+    """(acquisition-quality score, mean ROI SNR estimate in dB or nan, clipping ratio, ROI count), from one
+    acquisition_metrics call: the plant's return for tune.
 
-    config is the receiver config the recording was acquired with; clipping
-    is measured against its full_scale, as tune measures it. No detected ROI
-    (or no usable noise-floor region to reference the SNR against) earns the
-    flat penalty -no_roi_penalty.
+    The score is the mean ROI SNR minus a clipping penalty. config is the
+    receiver config the recording was acquired with; clipping is measured
+    against its full_scale. No detected ROI (or no usable noise-floor region
+    to reference the SNR against) earns the flat penalty -no_roi_penalty.
     """
     snr_est, clip = acquisition_metrics(recording, rois, config.full_scale)
-    if not np.isfinite(snr_est):
-        return -params.no_roi_penalty
-    return snr_est - params.clip_weight * 100.0 * clip
+    value = snr_est - params.clip_weight * 100.0 * clip if np.isfinite(snr_est) else -params.no_roi_penalty
+    return value, snr_est, clip, len(rois)
 
 
-PlantFn = Callable[[ReceiverConfig], tuple[IqRecording, Sequence[RegionOfInterest], float]]
+# config -> (objective value, snr_est_db, clip_ratio, n_rois): the measured fields of the config's TuningStep,
+# in order, from one measurement of the config's acquisition (objective() returns this tuple).
+PlantFn = Callable[[ReceiverConfig], tuple[float, float, float, int]]
 
 
 def _step_key(step: TuningStep) -> tuple[float, float, float]:
@@ -175,10 +186,10 @@ def tune(
     config_template supplies the non-tuned receiver fields (ADC bits,
     full scale, front-end noise); only gain_db and filter_bw_hz vary.
     """
-    if budget is None:
-        budget = grid.size
+    budget = grid.size if budget is None else typed("budget", budget, int)
     if budget < 1:
         raise TuningError(f"budget must allow at least one evaluation, got {budget}")
+    max_rounds = typed("max_rounds", max_rounds, int)
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     if strategy not in ("exhaustive", "coordinate_descent"):
@@ -192,9 +203,8 @@ def tune(
             if len(steps) >= budget:
                 raise _OutOfBudget
             config = replace(template, gain_db=axes[0][point[0]], filter_bw_hz=axes[1][point[1]])
-            recording, rois, value = acquire_fn(config)
-            snr_est, clip = acquisition_metrics(recording, rois, config.full_scale)
-            steps[point] = TuningStep(config, float(value), snr_est, clip, len(rois))
+            value, snr_est, clip, n_rois = acquire_fn(config)
+            steps[point] = TuningStep(config, float(value), snr_est, clip, n_rois)
         return steps[point]
 
     try:

@@ -206,7 +206,7 @@ def verification_tuning_plant():
     def plant(config: ReceiverConfig):
         acquired = acquire(received, config, seed=MASTER_SEED + 79)
         rois = detect_bursts(acquired, detector)
-        return acquired, rois, objective(acquired, rois, config, params)
+        return objective(acquired, rois, config, params)
 
     return plant
 
@@ -343,7 +343,7 @@ def test_c5_adaptive_controller_canonical_plant():
     def plant(config: ReceiverConfig):
         acquired = acquire(received, config, seed=MASTER_SEED + 9)
         rois = detect_bursts(acquired, detector)
-        return acquired, rois, objective(acquired, rois, config, params)
+        return objective(acquired, rois, config, params)
 
     grid = TuningGrid(gains, bws)
     exhaustive = tune(plant, grid, strategy="exhaustive", config_template=template)

@@ -355,6 +355,20 @@ class TestTune:
         objectives = [float(r[3]) for r in rows]
         assert best["objective"] == max(objectives)
 
+    def test_each_evaluation_measures_its_acquisition_once(self, tmp_path, monkeypatch):
+        """acquisition_metrics runs once per trace row: the plant's one measurement fills the whole step."""
+        import radiofp.tuning
+
+        calls = []
+        measure = radiofp.tuning.acquisition_metrics
+        monkeypatch.setattr(radiofp.tuning, "acquisition_metrics", lambda *a: calls.append(a) or measure(*a))
+        config = self.tune_config([-10.0, 0.0, 10.0], [0.2 * FS, 0.4 * FS])
+        out = tmp_path / "tune"
+        assert main(["tune", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "trace.csv")
+        assert len(rows) == 6
+        assert len(calls) == len(rows)
+
     def test_trace_matches_noise_drawn_per_evaluation(self, tmp_path):
         """Drawing the front-end noise once per tune gives the trace of drawing it per evaluation."""
         gains, bws = [-10.0, 0.0, 10.0], [0.2 * FS, 0.4 * FS]
@@ -373,7 +387,7 @@ class TestTune:
         def plant(rx_config):
             acquired = acquire(received, rx_config, seeds.frontend)
             rois = detect_bursts(acquired, parsed["detector"])
-            return acquired, rois, objective(acquired, rois, rx_config, params)
+            return objective(acquired, rois, rx_config, params)
 
         trace = tune(plant, TuningGrid(tuple(gains), tuple(bws)), config_template=parsed["receiver"])
         write_trace_csv(trace, tmp_path / "expected.csv")

@@ -50,12 +50,10 @@ def recording_with_roi(snr_db_exact, n=4000):
 
 
 def synthetic_plant(surface):
-    """Plant closure over a (gain, bw) -> objective lookup table."""
-    dummy = IqRecording(np.zeros(64, dtype=complex), FS)
+    """Plant closure over a (gain, bw) -> objective lookup table; no ROI, so no SNR estimate and no clipping."""
 
     def plant(config: ReceiverConfig):
-        value = surface[(config.gain_db, config.filter_bw_hz)]
-        return dummy, [], value
+        return surface[(config.gain_db, config.filter_bw_hz)], float("nan"), 0.0, 0
 
     return plant
 
@@ -75,18 +73,18 @@ BWS7 = tuple(float(b) for b in range(10_000, 45_000, 5_000))
 class TestObjective:
     def test_no_roi_penalty(self):
         rec = IqRecording(np.zeros(1000, dtype=complex), FS)
-        assert objective(rec, [], ReceiverConfig(filter_bw_hz=1.0)) == -100.0
+        assert objective(rec, [], ReceiverConfig(filter_bw_hz=1.0))[0] == -100.0
 
     def test_snr_only_without_clipping(self):
         # full_scale far above every sample: the clip term is exactly zero.
         rec, rois = recording_with_roi(20.0)
-        assert objective(rec, rois, ReceiverConfig(filter_bw_hz=1.0, full_scale=1e6)) == pytest.approx(20.0, abs=1e-9)
+        assert objective(rec, rois, ReceiverConfig(filter_bw_hz=1.0, full_scale=1e6))[0] == pytest.approx(20.0, abs=1e-9)
 
     def test_full_clipping_costs_whole_penalty(self):
         # full_scale at the noise amplitude puts every sample at the rails.
         rec, rois = recording_with_roi(20.0)
         rx, params = ReceiverConfig(filter_bw_hz=1.0, full_scale=1.0), ObjectiveParams(clip_weight=0.5)
-        assert objective(rec, rois, rx, params) == pytest.approx(20.0 - 0.5 * 100.0, abs=1e-9)
+        assert objective(rec, rois, rx, params)[0] == pytest.approx(20.0 - 0.5 * 100.0, abs=1e-9)
 
     def test_formula_composition(self):
         # Independent measurement of both terms through the public helpers
@@ -100,8 +98,8 @@ class TestObjective:
         mask[rois[0].start_sample:rois[0].end_sample] = False
         snr = estimate_snr_db(rois[0].slice_of(rec), rec.samples[mask])
         rx, params = ReceiverConfig(filter_bw_hz=1.0, full_scale=full_scale), ObjectiveParams(clip_weight=0.5)
-        assert objective(rec, rois, rx, params) == pytest.approx(snr - 0.5 * 100.0 * clip, abs=1e-9)
-        assert objective(rec, rois, rx, params) == pytest.approx(25.0 - 12.5, abs=1e-9)
+        assert objective(rec, rois, rx, params)[0] == pytest.approx(snr - 0.5 * 100.0 * clip, abs=1e-9)
+        assert objective(rec, rois, rx, params)[0] == pytest.approx(25.0 - 12.5, abs=1e-9)
 
     def test_trace_objective_uses_the_receivers_full_scale(self):
         """A plant on a receiver of full scale 2.0 and the default ObjectiveParams: each trace row's
@@ -112,7 +110,7 @@ class TestObjective:
         def plant(config):
             scaled = rec.replace_samples(rec.samples * 10.0 ** (config.gain_db / 20.0))
             found = rois if config.filter_bw_hz > 1.0 else []
-            return scaled, found, objective(scaled, found, config)
+            return objective(scaled, found, config)
 
         template = ReceiverConfig(filter_bw_hz=1.0, full_scale=2.0)
         trace = tune(plant, TuningGrid((-30.0, -20.0, 0.0), (1.0, 2.0)), config_template=template)
@@ -122,6 +120,19 @@ class TestObjective:
                 assert step.objective_value == -params.no_roi_penalty
             else:
                 assert step.objective_value == step.snr_est_db - params.clip_weight * 100.0 * step.clip_ratio
+
+
+class TestObjectiveParams:
+    @pytest.mark.parametrize("name", ["clip_weight", "no_roi_penalty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "0.5", True, None])
+    def test_a_field_that_is_not_a_finite_real_number_is_named(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            ObjectiveParams(**{name: value})
+
+    def test_fields_take_any_real_number_as_float(self):
+        params = ObjectiveParams(clip_weight=np.float32(0.25), no_roi_penalty=np.int64(50))
+        assert (params.clip_weight, params.no_roi_penalty) == (0.25, 50.0)
+        assert type(params.clip_weight) is float and type(params.no_roi_penalty) is float
 
 
 class TestAcquisitionMetrics:
@@ -310,6 +321,20 @@ class TestTune:
         grid = TuningGrid((0.0,), (1000.0,))
         with pytest.raises(TuningError):
             tune(synthetic_plant({(0.0, 1000.0): 1.0}), grid, budget=0)
+
+    @pytest.mark.parametrize("argument, value", [("max_rounds", 2.5), ("max_rounds", True), ("max_rounds", "8"),
+                                                 ("budget", 2.5), ("budget", True), ("budget", "3")])
+    def test_a_count_that_is_not_an_integer_is_named(self, argument, value):
+        grid = TuningGrid(GAINS7, BWS7)
+        surface = unimodal_surface(GAINS7, BWS7, peak_g=20.0, peak_b=30_000.0)
+        with pytest.raises(ParameterError, match=argument):
+            tune(synthetic_plant(surface), grid, strategy="coordinate_descent", **{argument: value})
+
+    def test_integral_counts_are_taken(self):
+        grid = TuningGrid(GAINS7, BWS7)
+        surface = unimodal_surface(GAINS7, BWS7, peak_g=20.0, peak_b=30_000.0)
+        trace = tune(synthetic_plant(surface), grid, budget=np.int64(3), max_rounds=np.int32(2))
+        assert trace.n_evaluations == 3
 
     def test_unknown_strategy_raises(self):
         grid = TuningGrid((0.0,), (1000.0,))
