@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsp import (BLOCK_SAMPLES, IqRecording, add_white_noise, as_complex_array, block_slices, check_decibels,
-                  runs_mean_power, seal, typed, union_runs)
+                  runs_mean_power, seal, typed, typed_fields, union_runs)
 from .emitter import BurstSpan
 from .errors import ParameterError
 
@@ -40,14 +40,13 @@ class ChannelSpec:
     path_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         taps = tuple((typed(f"multipath_taps[{i}] delay", d, int), typed(f"multipath_taps[{i}] gain", g, complex))
                      for i, (d, g) in enumerate(self.multipath_taps))
         object.__setattr__(self, "multipath_taps", taps)
         for i, (_, gain) in enumerate(taps):
             if not cmath.isfinite(gain):
                 raise ParameterError(f"multipath_taps[{i}] gain must be finite, got {gain!r}")
-        for name in ("snr_db", "path_loss_db"):
-            object.__setattr__(self, name, typed(name, getattr(self, name), float))
         if self.path_loss_db < 0:
             raise ParameterError(f"path_loss_db must be >= 0, got {self.path_loss_db}")
         check_decibels("path_loss_db", self.path_loss_db)

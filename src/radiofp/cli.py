@@ -54,7 +54,7 @@ from .config import (
 from .detect import DetectorParams, detect_bursts
 from .dsp import seal
 from .emitter import render_session
-from .errors import ValidationError, WorkbenchError
+from .errors import SizeError, ValidationError, WorkbenchError
 from .features import (
     ExtractionConfig,
     catalog_names,
@@ -373,7 +373,11 @@ def cmd_tune(args) -> int:
         quiet = dataclasses.replace(rx_config, frontend_noise_power=0.0)
         acquired = acquire(noisy, quiet, seeds.frontend)
         rois = detect_bursts(acquired, config["detector"], track)
-        return objective(acquired, rois, quiet, obj_params)
+        try:
+            return objective(acquired, rois, quiet, obj_params)
+        except SizeError as exc:  # a ROI too short for its SNR estimate: the detector config let it through
+            raise ValidationError(f"detector.min_length {config['detector'].min_length} is too short at tuning grid "
+                                  f"point gain_db {quiet.gain_db}, filter_bw_hz {quiet.filter_bw_hz}: {exc}") from None
 
     with fields("tuning"):
         trace = tune(plant, grid, config_template=rx_template, **tuning)

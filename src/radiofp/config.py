@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .channel import ChannelSpec
 from .detect import DetectorParams
-from .dsp import typed
+from .dsp import typed_fields
 from .emitter import EmitterProfile, ScheduledBurst, TransmissionSchedule
 from .errors import ParameterError, TuningError, UnsupportedFormatError, ValidationError
 from .features import ExtractionConfig
@@ -55,11 +55,10 @@ class DatasetSeeds:
     frontend: int
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         for name, seed in dataclasses.asdict(self).items():
-            seed = typed(name, seed, int)
             if seed < 0:
                 raise ParameterError(f"{name} must be >= 0, got {seed}")
-            object.__setattr__(self, name, seed)
 
 
 # --- parsing -------------------------------------------------------------------

@@ -15,7 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, as_complex_array, block_slices, check_decibels, convolve_same, typed, widened_blocks
+from .dsp import (IqRecording, as_complex_array, block_slices, check_decibels, convolve_same, typed, typed_fields,
+                  widened_blocks)
 from .errors import ParameterError, SizeError
 
 __all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
@@ -30,9 +31,7 @@ class DetectorParams:
     merge_gap: int = 0
 
     def __post_init__(self) -> None:
-        for name, kind in (("window", int), ("open_threshold_db", float), ("close_threshold_db", float),
-                           ("min_length", int), ("merge_gap", int)):
-            object.__setattr__(self, name, typed(name, getattr(self, name), kind))
+        typed_fields(self)
         if self.window < 4:
             raise ParameterError(f"window must be >= 4, got {self.window}")
         check_decibels("open_threshold_db", self.open_threshold_db)
@@ -55,6 +54,7 @@ class RegionOfInterest:
     noise_floor: float
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         if self.start_sample < 0 or self.length <= 0:
             raise ParameterError("ROI must have start_sample >= 0 and length > 0")
         if not self.noise_floor > 0:
@@ -189,15 +189,14 @@ def detect_bursts(recording: IqRecording, params: DetectorParams,
     return rois
 
 
-def _as_span(item) -> tuple[int, int]:
+def _as_span(item, where: str) -> tuple[int, int]:
+    """(start, length) of a ROI, a (start, length) pair or an (emitter_id, start, length) ground-truth span."""
     if isinstance(item, RegionOfInterest):
         return item.start_sample, item.length
     tup = tuple(item)
-    if len(tup) == 3:  # (emitter_id, start, length) ground-truth style
-        return int(tup[1]), int(tup[2])
-    if len(tup) == 2:
-        return int(tup[0]), int(tup[1])
-    raise ParameterError(f"cannot interpret span {item!r}")
+    if len(tup) not in (2, 3):
+        raise ParameterError(f"cannot interpret span {item!r}")
+    return typed(f"{where} start", tup[-2], int), typed(f"{where} length", tup[-1], int)
 
 
 def match_rois(detected: Sequence, truth: Sequence, tolerance: int) -> MatchReport:
@@ -209,8 +208,8 @@ def match_rois(detected: Sequence, truth: Sequence, tolerance: int) -> MatchRepo
     """
     if tolerance < 0:
         raise ParameterError("tolerance must be >= 0")
-    det = [_as_span(d) for d in detected]
-    tru = [_as_span(t) for t in truth]
+    det = [_as_span(d, f"detected[{i}]") for i, d in enumerate(detected)]
+    tru = [_as_span(t, f"truth[{i}]") for i, t in enumerate(truth)]
 
     candidates = []
     for i, (ds, dl) in enumerate(det):

@@ -6,10 +6,10 @@ instantaneous amplitude / phase / frequency decomposition, the SNR of two mean
 powers, and what a capture's stages share: the exact blocked convolution of
 the detector's power track (convolve_same), the mean |z|^2 over a union of
 spans (union_runs, runs_mean_power), the one rule by which samples become
-complex128 (as_complex_array, and widened_blocks a block at a time) and the
-in-place helpers (seal, add_white_noise). instantaneous owns the one phase
-rule: the sign bit of a zero component carries no phase, and a sample that is
-exactly 0 has none of its own.
+complex128 (as_complex_array, and widened_blocks a block at a time), the
+in-place helpers (seal, add_white_noise) and the typing of a record's number
+fields (typed_fields). instantaneous owns the one phase rule: the sign bit of
+a zero component carries no phase, and a sample that is exactly 0 has none.
 
 fir_apply and convolve_same write into the out array they are given (which
 may be their input), and the helpers change their argument in place; every
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,7 @@ def check_decibels(name: str, db) -> None:
 
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
           complex: (numbers.Complex, "a complex number")}
+_ANNOTATED = {**{kind: kind for kind in _KINDS}, **{kind.__name__: kind for kind in _KINDS}}  # a type, or its str
 
 
 def typed(name: str, value, kind: type):
@@ -64,9 +65,17 @@ def typed(name: str, value, kind: type):
     `name`: an int field takes any integral number (not 12.5), a float field any real number, a complex field any
     number (a numpy scalar; never a bool or a str)."""
     abc, what = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, abc):
+    if type(value) is not kind and (isinstance(value, bool) or not isinstance(value, abc)):
         raise ParameterError(f"{name} must be {what}, got {value!r}")
     return kind(value)
+
+
+def typed_fields(record) -> None:
+    """Pass each field of the frozen dataclass record annotated int, float or complex through typed, in place:
+    the one place a record's number fields get their types, read from its annotations."""
+    for f in fields(record):
+        if f.type in _ANNOTATED:
+            object.__setattr__(record, f.name, typed(f.name, getattr(record, f.name), _ANNOTATED[f.type]))
 
 
 def block_slices(n: int):
@@ -130,16 +139,15 @@ class IqRecording:
     id: str = ""
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         arr = self.samples if _sealed(self.samples) else as_complex_array(self.samples, copy=True)
         check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        for name in ("sample_rate_hz", "center_freq_hz"):
-            object.__setattr__(self, name, typed(name, getattr(self, name), float))
-        if not self.sample_rate_hz > 0:
-            raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-        if self.center_freq_hz < 0:
-            raise ParameterError(f"center_freq_hz must be >= 0, got {self.center_freq_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ParameterError(f"sample_rate_hz must be a finite number > 0, got {self.sample_rate_hz}")
+        if not 0 <= self.center_freq_hz < math.inf:
+            raise ParameterError(f"center_freq_hz must be a finite number >= 0, got {self.center_freq_hz}")
 
     def __len__(self) -> int:
         return int(self.samples.size)

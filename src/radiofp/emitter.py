@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, as_complex_array, seal, typed
+from .dsp import IqRecording, as_complex_array, seal, typed_fields
 from .errors import ParameterError, SizeError
 
 __all__ = [
@@ -63,16 +63,12 @@ class EmitterProfile:
     ramp_down_samples: int = 0
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         if not isinstance(self.emitter_id, str) or not self.emitter_id:
             raise ParameterError(f"emitter_id must be a non-empty string, got {self.emitter_id!r}")
-        for name, kind in (("cfo_hz", float), ("iq_gain_imbalance", float), ("iq_phase_imbalance_rad", float),
-                           ("phase_noise_linewidth_hz", float), ("pa_a1", complex), ("pa_a3", complex)):
-            value = typed(name, getattr(self, name), kind)
-            if not cmath.isfinite(value):
+        for name, value in vars(self).items():  # every number field: the four floats, the PA pair and the ramps
+            if name != "emitter_id" and not cmath.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        for name in ("ramp_up_samples", "ramp_down_samples"):
-            object.__setattr__(self, name, typed(name, getattr(self, name), int))
         if not self.iq_gain_imbalance > 0:
             raise ParameterError(f"iq_gain_imbalance must be > 0, got {self.iq_gain_imbalance}")
         if self.phase_noise_linewidth_hz < 0:
@@ -110,6 +106,7 @@ class TransmissionSchedule:
     session_duration_s: float
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         if not 0 < self.session_duration_s < math.inf:
             raise ParameterError(f"session_duration_s must be a finite number > 0, got {self.session_duration_s}")
         normalized = []

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .detect import RegionOfInterest
-from .dsp import IqRecording, as_complex_array, instantaneous, typed
+from .dsp import IqRecording, as_complex_array, instantaneous, typed_fields
 from .errors import (
     DegenerateInputError,
     FeatureError,
@@ -92,7 +92,7 @@ class ExtractionConfig:
     wpd_depth: int = 4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wpd_depth", typed("wpd_depth", self.wpd_depth, int))
+        typed_fields(self)
         if self.wpd_depth not in _WPD_DEPTHS:
             raise ParameterError(
                 f"wpd_depth must lie in [{_WPD_DEPTHS[0]}, {_WPD_DEPTHS[-1]}], got {self.wpd_depth}")

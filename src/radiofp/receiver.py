@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import (IqRecording, add_white_noise, as_complex_array, check_decibels, design_lowpass, fir_apply, seal,
-                  typed, widened_blocks)
+                  typed_fields, widened_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -43,9 +43,7 @@ class ReceiverConfig:
     frontend_noise_power: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, kind in (("filter_bw_hz", float), ("gain_db", float), ("adc_bits", int), ("full_scale", float),
-                           ("frontend_noise_power", float)):
-            object.__setattr__(self, name, typed(name, getattr(self, name), kind))
+        typed_fields(self)
         if not self.filter_bw_hz > 0:
             raise ParameterError(f"filter_bw_hz must be > 0, got {self.filter_bw_hz}")
         check_decibels("gain_db", self.gain_db)

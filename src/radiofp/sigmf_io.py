@@ -51,7 +51,7 @@ from .config import (
     load_json,
     parse,
 )
-from .dsp import CF32_LE, IqRecording, block_slices, check_finite, seal
+from .dsp import CF32_LE, IqRecording, block_slices, check_finite, seal, typed_fields
 from .emitter import BurstSpan, EmitterProfile, TransmissionSchedule, render_buffer
 from .errors import ConsistencyError, CorruptDataError, ValidationError
 from .receiver import ReceiverConfig, acquire_in_place
@@ -86,6 +86,7 @@ class AnnotationSpan:
     comment: str = ""
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         if self.sample_start < 0 or self.sample_count <= 0:
             raise ValidationError("annotation must have sample_start >= 0 and sample_count > 0")
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
-from .dsp import SNR_MIN_SAMPLES, IqRecording, check_decibels, runs_mean_power, snr_db_from_powers, typed, union_runs
+from .dsp import (SNR_MIN_SAMPLES, IqRecording, check_decibels, runs_mean_power, snr_db_from_powers, typed,
+                  typed_fields, union_runs)
 from .errors import ParameterError, SizeError, TuningError
 from .receiver import ReceiverConfig, clipping_ratio
 
@@ -67,11 +68,10 @@ class ObjectiveParams:
     no_roi_penalty: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("clip_weight", "no_roi_penalty"):
-            value = typed(name, getattr(self, name), float)
+        typed_fields(self)
+        for name, value in vars(self).items():
             if not np.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
 
 
 class TuningStep(NamedTuple):

@@ -31,6 +31,7 @@ from .config import (
     load_json,
     parse,
 )
+from .dsp import typed, typed_fields
 from .errors import CatalogMismatchError, EnrollmentError, ParameterError, ValidationError
 from .features import FeatureSelection, catalog_version_of
 
@@ -70,6 +71,7 @@ class DeviceFingerprint:
     whitening: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         mean = np.array(self.mean, dtype=np.float64, copy=True)
         cov = np.array(self.covariance, dtype=np.float64, copy=True)
         d = len(self.selection.kept_indices)
@@ -80,10 +82,12 @@ class DeviceFingerprint:
                 raise ParameterError(f"{name} must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
             raise ParameterError("covariance must be symmetric")
-        if self.ridge_lambda < 0:
-            raise ParameterError("ridge_lambda must be >= 0")
-        if not self.threshold > 0:
-            raise ParameterError("threshold must be > 0")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ParameterError(f"ridge_lambda must be a finite number >= 0, got {self.ridge_lambda}")
+        if not 0 < self.threshold < np.inf:
+            raise ParameterError(f"threshold must be a finite number > 0, got {self.threshold}")
+        if self.n_enrolled < 1:
+            raise ParameterError(f"n_enrolled must be > 0, got {self.n_enrolled}")
         variances = np.diag(cov)
         try:
             if not np.all(variances > 0):
@@ -115,8 +119,9 @@ def enroll(
     threshold is the chi-square-like default 3 * dim and is meant to be
     recalibrated.
     """
-    if ridge_lambda < 0:
-        raise ParameterError("ridge_lambda must be >= 0")
+    ridge_lambda = typed("ridge_lambda", ridge_lambda, float)
+    if not 0 <= ridge_lambda < np.inf:
+        raise ParameterError(f"ridge_lambda must be a finite number >= 0, got {ridge_lambda}")
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != selection.scores.size:
         raise ParameterError(f"rows must be an n x {selection.scores.size} array, got shape {rows.shape}")
@@ -138,7 +143,7 @@ def enroll(
     cov = (cov + cov.T) / 2.0
 
     try:  # positive definiteness is the only check these fields can fail
-        return DeviceFingerprint(device_id, catalog_version, selection, mean, cov, float(ridge_lambda),
+        return DeviceFingerprint(device_id, catalog_version, selection, mean, cov, ridge_lambda,
                                  threshold=3.0 * d, n_enrolled=len(rows))
     except ParameterError:
         raise EnrollmentError(

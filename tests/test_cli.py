@@ -1153,6 +1153,23 @@ def test_readme_walkthrough_runs_each_command(tmp_path, monkeypatch):
     assert (tmp_path / "tuned" / "best_config.json").exists()
 
 
+@pytest.mark.parametrize("detector, code", [({"window": 4, "min_length": 1}, 2), (None, 0)])
+def test_a_roi_too_short_for_tune_exits_2_naming_the_detector_and_the_grid_point(tmp_path, capsys, detector, code):
+    """The README config whose detector lets a 7-sample ROI through exited 1 with "every ROI needs >= 8
+    samples" and named no field; with no detector section (window 64) every ROI is long enough and tune runs."""
+    config = json.loads(readme_block("### Experiment config", "json"))
+    if detector is None:
+        del config["detector"]
+    else:
+        config["detector"] = detector
+    assert main(["tune", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "t")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert re.search(r"detector\.min_length 1 .* at tuning grid point gain_db \S+, filter_bw_hz \S+: every ROI "
+                         r"needs >= 8 samples", err), err
+        assert "Traceback" not in err
+
+
 def test_readme_library_use_runs_against_the_exports():
     """The README "Library use" example runs as written, and the names it imports plus the ones its
     public-API paragraph lists are exactly what `radiofp` exports."""

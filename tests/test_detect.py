@@ -398,6 +398,17 @@ class TestMatchRois:
         with pytest.raises(ParameterError, match="cannot interpret span"):
             match_rois([span], [("a", 100, 50)], tolerance=10)
 
+    @pytest.mark.parametrize("detected, truth, what", [
+        ([(0, 2.7)], [(0, 3)], r"detected\[0\] length must be an integer, got 2\.7"),
+        ([(0, 3)], [("a", "0", "3")], r"truth\[0\] start must be an integer, got '0'"),
+        ([(True, 3)], [(0, 3)], r"detected\[0\] start must be an integer, got True"),
+    ])
+    def test_a_span_that_is_not_integers_is_named(self, detected, truth, what):
+        """(0, 2.7) was truncated to a length of 2, and ("a", "0", "3") was parsed from its strs."""
+        with pytest.raises(ParameterError, match=what):
+            match_rois(detected, truth, tolerance=0)
+        assert match_rois([(np.int64(0), np.int32(3))], [("a", 0, 3)], tolerance=0) == (1, 0, 0)
+
     def test_negative_tolerance_raises(self):
         with pytest.raises(ParameterError):
             match_rois([], [], tolerance=-1)

@@ -1,8 +1,12 @@
+import dataclasses
 import gc
+import importlib
 import inspect
 import itertools
+import pkgutil
 import tracemalloc
 import weakref
+from re import escape
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import radiofp
 from radiofp import dsp
 from radiofp.dsp import (
     BLOCK_SAMPLES,
@@ -72,6 +77,12 @@ class TestIqRecording:
         """A str rate raised a bare TypeError from a comparison."""
         with pytest.raises(ParameterError, match=f"{field} must be a real number"):
             IqRecording([1j], **{"sample_rate_hz": 1e5, field: "100000"})
+
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "center_freq_hz"])
+    def test_an_infinite_rate_is_named(self, field):
+        """inf was accepted, and read_recording then refused the meta file write_recording wrote from it."""
+        with pytest.raises(ParameterError, match=f"{field} must be a finite number"):
+            IqRecording([1j], **{"sample_rate_hz": 1e5, field: float("inf")})
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
@@ -548,3 +559,81 @@ class TestWidened:
                 as_complex_array(samples)
         with pytest.raises(SizeError):
             IqRecording(seal(np.zeros((2, 2), dtype=np.complex128)), 1.0)
+
+
+# --- every validating record types its number fields from its annotations --------
+
+NUMBER_KINDS = {kind: kind for kind in (int, float, complex)} | {kind.__name__: kind for kind in (int, float, complex)}
+WHAT = {int: "an integer", float: "a real number", complex: "a complex number"}
+NUMPY_SCALAR = {int: np.int64, float: np.float32, complex: np.complex64}
+# What each kind of field refuses: a bool and a str always, and for an int field a float, integral or not.
+# The values are the hand-picked cases of the per-record tests this one generalizes (the seeds' "1",
+# DetectorParams' 16.5, a str rate "100000", EmitterProfile's 2.5 and "5", wpd_depth's 4.0, ...).
+REFUSED = {int: (True, False, "1", 1.5, 2.5, 4.0, 16.5), float: (True, "5", "10", "100000"), complex: (True, "1")}
+
+
+def number_fields(cls) -> dict:
+    """The fields of dataclass cls annotated int, float or complex (as a type or its str), with their kind."""
+    return {f.name: NUMBER_KINDS[f.type] for f in dataclasses.fields(cls) if f.type in NUMBER_KINDS}
+
+
+def validating_records() -> dict:
+    """Every radiofp dataclass that defines __post_init__ and has a number field, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(radiofp.__path__):
+        module = importlib.import_module(f"radiofp.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                    and "__post_init__" in vars(cls) and number_fields(cls)):
+                found[cls.__name__] = cls
+    return found
+
+
+def valid_records() -> dict:
+    """One valid instance of each validating record, by class name. Its number values survive a float32."""
+    from radiofp.config import DatasetSeeds
+    from radiofp.channel import ChannelSpec
+    from radiofp.detect import DetectorParams, RegionOfInterest
+    from radiofp.emitter import EmitterProfile, ScheduledBurst, TransmissionSchedule
+    from radiofp.features import ExtractionConfig, FeatureSelection
+    from radiofp.receiver import ReceiverConfig
+    from radiofp.sigmf_io import AnnotationSpan
+    from radiofp.tuning import ObjectiveParams
+    from radiofp.verify import DeviceFingerprint
+
+    records = [
+        DatasetSeeds(1, 2, 3),
+        IqRecording([1j, 2.0], 48000.0, 433e6),
+        ChannelSpec(snr_db=20.0, multipath_taps=((0, 1.0), (2, 0.5j)), path_loss_db=3.0),
+        DetectorParams(window=16, open_threshold_db=10.0, close_threshold_db=6.0, min_length=2, merge_gap=1),
+        RegionOfInterest(10, 20, 12.5, 0.25),
+        EmitterProfile("dev", cfo_hz=250.0, iq_gain_imbalance=1.5, iq_phase_imbalance_rad=0.125,
+                       phase_noise_linewidth_hz=2.0, pa_a1=1 + 0.5j, pa_a3=-0.25j, ramp_up_samples=4,
+                       ramp_down_samples=3),
+        TransmissionSchedule((ScheduledBurst("dev", 0.5, (1, 0, 1)),), 2.0),
+        ExtractionConfig(wpd_depth=3),
+        ReceiverConfig(filter_bw_hz=1e4, gain_db=6.0, adc_bits=10, full_scale=2.0, frontend_noise_power=0.5),
+        AnnotationSpan(8, 16, "dev"),
+        ObjectiveParams(clip_weight=0.25, no_roi_penalty=50.0),
+        DeviceFingerprint("dev", "fc1-d3", FeatureSelection((0, 2), np.zeros(3)), np.array([1.0, -2.0]),
+                          np.array([[2.0, 0.5], [0.5, 1.0]]), 0.125, 6.0, 10),
+    ]
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("name", sorted(validating_records().keys() | valid_records().keys()))
+def test_every_record_types_its_number_fields(name):
+    """Each number field of a validating record refuses a bool, a str and (an int field) a float with a
+    ParameterError naming the field, and stores a numpy scalar as the Python type of its annotation.
+
+    The records are discovered, so one that gains a __post_init__ and a number field needs an instance here."""
+    record = valid_records().get(name)
+    assert record is not None, f"no valid instance of {name}: add one to valid_records"
+    assert name in validating_records(), f"{name} is no longer a validating record with a number field"
+    for field, kind in number_fields(type(record)).items():
+        for bad in REFUSED[kind]:
+            with pytest.raises(ParameterError, match=f"^{field} must be {WHAT[kind]}, got {escape(repr(bad))}$"):
+                dataclasses.replace(record, **{field: bad})
+        scalar = NUMPY_SCALAR[kind](getattr(record, field))
+        got = getattr(dataclasses.replace(record, **{field: scalar}), field)
+        assert type(got) is kind and got == scalar, (field, got)

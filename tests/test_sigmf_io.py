@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -537,3 +538,26 @@ class TestBuildDataset:
         with pytest.raises(ValidationError, match="receiver.filter_bw_hz"):
             regenerate_from_manifest(bad, tmp_path / "again")
         assert not (tmp_path / "again").exists()
+
+
+def test_what_the_library_writes_it_reads_back(tmp_path):
+    """A store saved from fingerprints at the edges of their fields, and a session written from a recording
+    whose rates and annotations are numpy scalars, load back equal: what a record accepts, its file keeps."""
+    from radiofp.features import FeatureSelection
+    from radiofp.verify import DeviceFingerprint, load_fingerprint_store, save_fingerprint_store
+
+    selection = FeatureSelection((0, 1), np.zeros(2))
+    fps = [DeviceFingerprint("edge", "fc1-test", selection, np.zeros(2), np.eye(2), 0, np.float32(1e-30),
+                             np.int64(1)),
+           DeviceFingerprint("wide", "fc1-test", selection, np.ones(2), 2 * np.eye(2), np.float32(0.5),
+                             sys.float_info.max, 10)]
+    save_fingerprint_store(fps, tmp_path / "store.json")
+    store = load_fingerprint_store(tmp_path / "store.json")
+    assert [(fp.ridge_lambda, fp.threshold, fp.n_enrolled) for fp in store.values()] == [
+        (0.0, float(np.float32(1e-30)), 1), (0.5, sys.float_info.max, 10)]
+
+    rec = IqRecording(f32_exact([1 + 2j, 3 - 4j, 5j]), np.float32(48000.0), np.int64(0), id="np")
+    write_recording(rec, simple_meta([AnnotationSpan(np.int64(1), np.int32(2), "dev")]), tmp_path / "np")
+    loaded, meta = read_recording(tmp_path / "np")
+    assert (loaded.sample_rate_hz, loaded.center_freq_hz, loaded.id) == (48000.0, 0.0, "np")
+    assert meta.annotations == (AnnotationSpan(1, 2, "dev"),)

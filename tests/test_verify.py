@@ -107,6 +107,16 @@ class TestEnroll:
         with pytest.raises(ParameterError, match="rows must be finite"):
             enroll("dev", rows, full_selection(2), CATALOG)
 
+    @pytest.mark.parametrize("value, what", [(True, "a real number, got True"), ("0.1", "a real number, got '0.1'"),
+                                             (float("nan"), "a finite number >= 0"),
+                                             (float("inf"), "a finite number >= 0"), (-1.0, "a finite number >= 0")])
+    def test_a_ridge_that_is_not_a_finite_real_number_is_named(self, value, what):
+        """ridge_lambda=True was enrolled as 1.0, and "0.1" raised a bare TypeError."""
+        rows = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(ParameterError, match=f"ridge_lambda must be {what}"):
+            enroll("dev", rows, full_selection(2), CATALOG, ridge_lambda=value)
+        assert type(enroll("dev", rows, full_selection(2), CATALOG, ridge_lambda=np.float32(0.5)).ridge_lambda) is float
+
     def test_default_threshold(self):
         rng = np.random.default_rng(4)
         fp = enroll_gaussian(rng, np.zeros(3), dim=3)
@@ -345,6 +355,17 @@ class TestEvaluate:
 
 
 class TestStore:
+    @pytest.mark.parametrize("field, value, what", [("threshold", float("inf"), "a finite number > 0"),
+                                                    ("threshold", float("nan"), "a finite number > 0"),
+                                                    ("ridge_lambda", float("nan"), "a finite number >= 0"),
+                                                    ("ridge_lambda", float("inf"), "a finite number >= 0"),
+                                                    ("n_enrolled", 0, "> 0")])
+    def test_a_fingerprint_its_store_would_refuse_is_named(self, field, value, what):
+        """Each was accepted, and load_fingerprint_store then refused the store save_fingerprint_store wrote."""
+        fp = enroll_gaussian(np.random.default_rng(21), np.zeros(2))
+        with pytest.raises(ParameterError, match=f"{field} must be {what}"):
+            dataclasses.replace(fp, **{field: value})
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(16)
         fps = [
