@@ -37,7 +37,6 @@ except ImportError:
     except ImportError:  # a numpy without the private switch keeps its own advice
         _set_madvise_hugepage = None
 
-from .channel import propagate
 from .config import (
     EXPERIMENT,
     REQUIRED,
@@ -51,9 +50,8 @@ from .config import (
     load_json,
     parse,
 )
-from .detect import DetectorParams, detect_bursts
+from .detect import DetectorParams, detect_bursts, detect_power
 from .dsp import seal
-from .emitter import render_session
 from .errors import SizeError, ValidationError, WorkbenchError
 from .features import (
     ExtractionConfig,
@@ -62,8 +60,8 @@ from .features import (
     extract,
     fisher_select,
 )
-from .receiver import ReceiverConfig, acquire, add_frontend_noise
-from .sigmf_io import build_dataset, read_recording
+from .receiver import ReceiverConfig, acquire_power, add_frontend_noise
+from .sigmf_io import build_dataset, read_recording, received_buffer
 from .tuning import ObjectiveParams, TuningGrid, objective, tune, write_trace_csv
 from .verify import (
     enroll,
@@ -352,29 +350,21 @@ def cmd_tune(args) -> int:
     check_below_sample_rate(grid.filter_bw_hz_values, sample_rate, "tuning.filter_bw_hz_values")
     obj_params = ObjectiveParams(**tuning.pop("objective"))
 
-    # The plant is synthesized once, front-end noise included: that noise comes
-    # before the gain stage, so one draw serves every grid point, and each
-    # evaluation re-acquires the noisy capture with the noise power set to 0.
-    # Each stage's input is dropped once consumed, so only that capture stays alive in the loop.
+    # The plant is synthesized once into one buffer, front-end noise included: that noise comes before the gain
+    # stage, so one draw serves every grid point, each streamed through the receiver with the noise power set to 0.
+    # power and track are allocated once: an array freed per evaluation leaves a heap hole that acquisition_metrics'
+    # block buffers split, so the next one can grow the heap (by 6.4 MB of peak RSS under some install paths).
     with fields(""):
-        rendered, truth = render_session(schedule, profiles, sample_rate, sps, seeds.render)
-        received = propagate(rendered, truth, channel, seeds.channel)
-    del rendered, truth
-    noisy = received.replace_samples(seal(add_frontend_noise(
-        received.samples.copy(), rx_template.frontend_noise_power, seeds.frontend)))
-    del received
-
-    # One power track for every evaluation: a track freed in each one leaves a hole in the heap that
-    # acquisition_metrics' block buffers split, so the next track can grow the heap, by 6.4 MB of peak RSS under
-    # some install paths.
-    track = np.empty(len(noisy))
+        samples = received_buffer(schedule, profiles, channel, seeds, sample_rate, sps)[0]
+    noisy = seal(add_frontend_noise(samples, rx_template.frontend_noise_power, seeds.frontend))
+    power, track = np.empty(noisy.size), np.empty(noisy.size)
 
     def plant(rx_config: ReceiverConfig):
         quiet = dataclasses.replace(rx_config, frontend_noise_power=0.0)
-        acquired = acquire(noisy, quiet, seeds.frontend)
-        rois = detect_bursts(acquired, config["detector"], track)
+        clip = acquire_power(noisy, sample_rate, quiet, power)
+        rois = detect_power(power, config["detector"], track)
         try:
-            return objective(acquired, rois, quiet, obj_params)
+            return objective(power, rois, clip, obj_params)
         except SizeError as exc:  # a ROI too short for its SNR estimate: the detector config let it through
             raise ValidationError(f"detector.min_length {config['detector'].min_length} is too short at tuning grid "
                                   f"point gain_db {quiet.gain_db}, filter_bw_hz {quiet.filter_bw_hz}: {exc}") from None

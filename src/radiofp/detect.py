@@ -4,7 +4,8 @@ A moving-average power track is compared against a median noise floor with
 dual open/close thresholds, so noisy burst edges do not chatter. The median
 keeps the floor honest as long as bursts occupy less than half the session.
 It is np.median's value, found without a copy of the track (see _median).
-Detection is batch, over whole recordings, read as complex128 a block at a time.
+Detection is batch, over a whole capture's |z|^2 (detect_power), which
+detect_bursts reads from a recording as complex128 a block at a time.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import (IqRecording, as_complex_array, block_slices, check_decibels, convolve_same, typed, typed_fields,
-                  widened_blocks)
+from .dsp import (IqRecording, as_complex_array, block_slices, check_decibels, check_track, convolve_same, typed,
+                  typed_fields, widened_blocks)
 from .errors import ParameterError, SizeError
 
-__all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "match_rois"]
+__all__ = ["DetectorParams", "RegionOfInterest", "MatchReport", "detect_bursts", "detect_power", "match_rois"]
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,6 @@ def _run_starts(track: np.ndarray, test, threshold: float) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _power_track(samples: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The mode="same" np.convolve of |samples|^2 and a window-long 1/window boxcar, np.convolve's bits on this host.
-
-    |samples| is taken a complex128 block at a time, then squared and smoothed in place (convolve_same): one array,
-    out (a new one by default)."""
-    power = np.empty(samples.size) if out is None else out
-    for block, part in widened_blocks(samples):
-        np.square(np.abs(part, out=power[block]), out=power[block])
-    return convolve_same(power, np.full(window, 1.0 / window), out=power)
-
-
 # The median's bounds come from a strided sample of at most this many values of the track.
 MEDIAN_SAMPLE = 4096
 
@@ -138,21 +128,32 @@ def _median(p: np.ndarray) -> float:
 
 def detect_bursts(recording: IqRecording, params: DetectorParams,
                   track: np.ndarray | None = None) -> list[RegionOfInterest]:
-    """Detect burst spans; returned ROIs are disjoint and ascending.
+    """detect_power over the recording's |z|^2, computed (then smoothed in place) in track: a writable float64
+    array of len(recording) whose values are overwritten, or a new one by default."""
+    power = np.empty(len(recording)) if track is None else track
+    check_track("track", power, len(recording))
+    for block, part in widened_blocks(recording.samples):
+        np.square(np.abs(part, out=power[block]), out=power[block])
+    part = None  # the last block's complex128 samples (up to 1 MiB) are not held while detect_power runs
+    return detect_power(power, params, power)
 
-    Boundary accuracy is limited by the moving-average smear, about
-    window/2 samples on each side. track, if given, is a writable float64
-    array of len(recording) that the power track is computed in (its values
-    are overwritten), so a caller that detects many captures of one length
-    allocates the track once.
+
+def detect_power(power: np.ndarray, params: DetectorParams,
+                 track: np.ndarray | None = None) -> list[RegionOfInterest]:
+    """Detect burst spans from a capture's float64 |z|^2, power; returned ROIs are disjoint and ascending.
+
+    The power track, convolve_same of power and a window-long 1/window boxcar
+    (np.convolve's bits on this host), is written into track: power itself, a
+    writable float64 array of its shape that shares no memory with it, or a
+    new array by default. Boundary accuracy is limited by the moving-average
+    smear, about window/2 samples on each side.
     """
-    n = len(recording)
+    n = power.size
     if n < params.window:
         raise SizeError(f"recording length {n} is shorter than the window {params.window}")
-    if track is not None and (not isinstance(track, np.ndarray) or track.dtype != np.float64
-                              or track.shape != (n,) or not track.flags.writeable):
-        raise ParameterError(f"track must be a writable float64 array of shape ({n},)")
-    p = _power_track(recording.samples, params.window, track)
+    if track is not None:
+        check_track("track", track, n)
+    p = convolve_same(power, np.full(params.window, 1.0 / params.window), out=track)
     floor = _median(p)
 
     if floor > 0:

@@ -1,20 +1,22 @@
 """Complex-baseband signal primitives shared by the whole pipeline.
 
 Hamming windowed-sinc lowpass design, linear-phase FIR filtering with
-group-delay compensation (fir_apply, an overlap-save FFT convolution),
-instantaneous amplitude / phase / frequency decomposition, the SNR of two mean
-powers, and what a capture's stages share: the exact blocked convolution of
+group-delay compensation (fir_apply, an overlap-save FFT convolution in the
+blocks of fir_blocks), instantaneous amplitude / phase / frequency
+decomposition, the SNR of two mean powers, and what a capture's stages share:
+the blocks written back (write_in_blocks), the exact blocked convolution of
 the detector's power track (convolve_same), the mean |z|^2 over a union of
 spans (union_runs, runs_mean_power), the one rule by which samples become
 complex128 (as_complex_array, and widened_blocks a block at a time), the
-in-place helpers (seal, add_white_noise) and the typing of a record's number
-fields (typed_fields). instantaneous owns the one phase rule: the sign bit of
-a zero component carries no phase, and a sample that is exactly 0 has none.
+in-place helpers (seal, add_white_noise) and the typing of numbers (typed,
+typed_items, typed_fields). instantaneous owns the one phase rule: the sign
+bit of a zero component carries no phase, and a sample that is exactly 0 has
+none.
 
-fir_apply and convolve_same write into the out array they are given (which
-may be their input), and the helpers change their argument in place; every
-other function is pure. Recordings and tap sets are immutable after
-construction, so values can be shared freely across threads.
+fir_apply, convolve_same and write_in_blocks write into the out array they
+are given (which may be their input), and the helpers change their argument
+in place; every other function is pure. Recordings and tap sets are
+immutable after construction, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .errors import DegenerateInputError, ParameterError, SizeError
 SNR_FLOOR_DB = -60.0
 _SNR_FLOOR_RATIO = 10.0 ** (SNR_FLOOR_DB / 10.0)
 SNR_MIN_SAMPLES = 8  # the fewest samples a region of an SNR estimate may have
-# The block length of the capture stages that work in blocks (convolve_same,
-# add_white_noise, the multipath, a data file's write, widened_blocks,
-# the detector's power track and crossings, clipping_ratio, runs_mean_power),
-# so that each holds only its input and its output plus a few blocks.
+# The block length of the capture stages that work in blocks (convolve_same, add_white_noise, the multipath, a data
+# file's write, widened_blocks, the detector's |z|^2 and crossings, runs_mean_power), so that each holds only its
+# input and its output plus a few blocks.
 BLOCK_SAMPLES = 2 ** 16
-# fir_apply's overlap-save runs FFT_FRAMES frames of FFT_LENGTH samples at a time: about 0.5 MiB of scratch,
+# fir_blocks' overlap-save runs FFT_FRAMES frames of FFT_LENGTH samples at a time: about 0.5 MiB of scratch,
 # 4 arrays of 128 KiB (its inputs, their spectra, the inverse FFT and its outputs).
 FFT_LENGTH = 2 ** 11
 FFT_FRAMES = 4
@@ -70,12 +71,24 @@ def typed(name: str, value, kind: type):
     return kind(value)
 
 
+def typed_items(name: str, values, kind: type) -> tuple:
+    """The values as a tuple, each through typed naming `name[j]` unless it is of type kind (then no name is built)."""
+    return tuple(v if type(v) is kind else typed(f"{name}[{j}]", v, kind) for j, v in enumerate(values))
+
+
 def typed_fields(record) -> None:
     """Pass each field of the frozen dataclass record annotated int, float or complex through typed, in place:
     the one place a record's number fields get their types, read from its annotations."""
     for f in fields(record):
         if f.type in _ANNOTATED:
             object.__setattr__(record, f.name, typed(f.name, getattr(record, f.name), _ANNOTATED[f.type]))
+
+
+def check_track(name: str, track, n: int) -> None:
+    """Raise a ParameterError naming `name` unless track is a writable float64 array of shape (n,)."""
+    if not (isinstance(track, np.ndarray) and track.dtype == np.float64 and track.shape == (n,)
+            and track.flags.writeable):
+        raise ParameterError(f"{name} must be a writable float64 array of shape ({n},)")
 
 
 def block_slices(n: int):
@@ -190,7 +203,7 @@ def design_lowpass(normalized_cutoff: float, num_taps: int) -> FirTaps:
     return FirTaps(taps)
 
 
-def _write_in_blocks(out: np.ndarray, starts: list[int], back: int, outputs) -> np.ndarray:
+def write_in_blocks(out: np.ndarray, starts: list[int], back: int, outputs) -> np.ndarray:
     """Write outputs(start, stop), the outputs [start, stop) of one block, into out for each block, in order.
 
     The blocks run from each of starts (ascending, from 0) to the next, the
@@ -223,7 +236,7 @@ def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = No
     samples plus back = m - 1 - reach before and reach after them, zero
     padding only at the array's ends: every output is the whole-array dot
     product, so exact silence stays exactly 0. The blocks are written as
-    _write_in_blocks writes them.
+    write_in_blocks writes them.
     """
     out = np.empty_like(x) if out is None else out
     n, m = x.size, kernel.size
@@ -236,32 +249,20 @@ def convolve_same(x: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = No
         lo = max(start - back, 0)
         return np.convolve(x[lo:min(stop + reach, n)], kernel, mode="full")[start + reach - lo:stop + reach - lo]
 
-    return _write_in_blocks(out, list(range(0, n - step + 1, step)) or [0], back, outputs)
+    return write_in_blocks(out, list(range(0, n - step + 1, step)) or [0], back, outputs)
 
 
-def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarray:
-    """Zero-padded convolution trimmed back to the input length, written into out.
+def fir_blocks(x: np.ndarray, taps: FirTaps, gain: float | None = None):
+    """(starts, back, outputs): fir_apply's blocks over the complex128 samples x, which it only reads.
 
-    (num_taps - 1) / 2 samples are dropped from each end of the full
-    convolution, so the output stays aligned with the input and downstream
-    sample indices remain valid. out (a new array by default) may be the
-    input itself, or an array of its shape that shares no memory with it.
-
-    The convolution is overlap-save (Stockham 1966): each block of outputs
-    takes its inputs, zero padded only at the array's ends, as FFT_FRAMES
-    frames of N = FFT_LENGTH samples (more for taps longer than FFT_LENGTH / 2)
-    at a hop of N - m + 1, and runs them through one 2-D FFT, a product with
-    the taps' spectrum and one inverse FFT; each frame's last hop outputs are
-    exact linear convolution. The blocks are written as _write_in_blocks
-    writes them. The result is not np.convolve's bits: every output lies
-    within 1e-13 * sum(|h|) * max(|x|) of the exact dot product, 500 times
-    the largest error measured (2e-16 of that scale). For an input within
-    the receiver's full scale (and its 63 taps, sum(|h|) < 2.3) that is 3e7
-    times below a 16-bit ADC's half step, so the ADC absorbs it: exact
-    silence comes out as values within the bound of 0, which it rounds to 0.
+    outputs(start, stop) returns the outputs [start, stop) as a new array,
+    by overlap-save (Stockham 1966): the block's inputs, each times gain if
+    one is given (np.multiply: the bits of x * gain) and zero padded only at
+    the array's ends, are copied into FFT_FRAMES frames of N = FFT_LENGTH
+    samples (more for taps longer than FFT_LENGTH / 2) at a hop of N - m + 1,
+    which run through one 2-D FFT, a product with the taps' spectrum and one
+    inverse FFT; each frame's last hop outputs are exact linear convolution.
     """
-    x = as_complex_array(samples)
-    out = np.empty_like(x) if out is None else out
     m = taps.coefficients.size
     back = m // 2
     frame = max(FFT_LENGTH, 1 << (2 * m - 2).bit_length())
@@ -273,13 +274,36 @@ def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarr
     def outputs(start: int, stop: int) -> np.ndarray:
         lo, hi = start - back, min(stop + back, x.size)
         padded[:max(-lo, 0)] = 0
-        padded[max(-lo, 0):hi - lo] = x[max(lo, 0):hi]
+        if gain is None:
+            padded[max(-lo, 0):hi - lo] = x[max(lo, 0):hi]
+        else:
+            np.multiply(x[max(lo, 0):hi], gain, out=padded[max(-lo, 0):hi - lo])
         padded[hi - lo:] = 0
         spec = np.fft.fft(frames[:math.ceil((stop - start) / hop)], axis=1)
         spec *= spectrum
         return np.fft.ifft(spec, axis=1)[:, m - 1:].ravel()[:stop - start]
 
-    return _write_in_blocks(out, list(range(0, x.size, FFT_FRAMES * hop)), back, outputs)
+    return list(range(0, x.size, FFT_FRAMES * hop)), back, outputs
+
+
+def fir_apply(samples, taps: FirTaps, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero-padded convolution trimmed back to the input length, written into out.
+
+    (num_taps - 1) / 2 samples are dropped from each end of the full
+    convolution, so the output stays aligned with the input and downstream
+    sample indices remain valid. out (a new array by default) may be the
+    input itself, or an array of its shape that shares no memory with it.
+
+    The blocks of fir_blocks are written as write_in_blocks writes them. The
+    result is not np.convolve's bits: every output lies within
+    1e-13 * sum(|h|) * max(|x|) of the exact dot product, 500 times the
+    largest error measured (2e-16 of that scale). For an input within the
+    receiver's full scale (and its 63 taps, sum(|h|) < 2.3) that is 3e7 times
+    below a 16-bit ADC's half step, so the ADC absorbs it: exact silence
+    comes out as values within the bound of 0, which it rounds to 0.
+    """
+    x = as_complex_array(samples)
+    return write_in_blocks(np.empty_like(x) if out is None else out, *fir_blocks(x, taps))
 
 
 def union_runs(spans, n: int) -> list[list[int]]:
@@ -295,10 +319,11 @@ def union_runs(spans, n: int) -> list[list[int]]:
 
 def runs_mean_power(z: np.ndarray, runs) -> float:
     """Mean |z|^2 over the samples of the [start, stop) runs, np.mean's value within the README float contract;
-    nan over no sample.
+    nan over no sample. z is complex samples, or a float64 array of their |z|^2 (np.square(np.abs(samples))).
 
     The runs' |z|^2 values fill one reused buffer of at most BLOCK_SAMPLES, and each full buffer's np.add.reduce
-    is added to the total in order (so up to BLOCK_SAMPLES values the result is np.mean's, bit for bit)."""
+    is added to the total in order (so up to BLOCK_SAMPLES values the result is np.mean's, bit for bit). Both
+    forms of an input give the same fills and the same sums."""
     runs = [(start, stop) for start, stop in runs if stop > start]
     count = sum(stop - start for start, stop in runs)
     if not count:
@@ -307,12 +332,15 @@ def runs_mean_power(z: np.ndarray, runs) -> float:
     for start, stop in runs:
         while start < stop:
             take = min(stop - start, buffer.size - filled)
-            np.abs(as_complex_array(z[start:start + take]), out=buffer[filled:filled + take])
+            part = buffer[filled:filled + take]
+            if z.dtype == np.float64:
+                part[:] = z[start:start + take]
+            else:
+                np.square(np.abs(as_complex_array(z[start:start + take]), out=part), out=part)
             start, filled = start + take, filled + take
             if filled == buffer.size:
-                total, filled = total + float(np.add.reduce(np.square(buffer, out=buffer))), 0
-    piece = buffer[:filled]  # the last values, short of a full buffer
-    return (total + float(np.add.reduce(np.square(piece, out=piece)))) / count
+                total, filled = total + float(np.add.reduce(buffer)), 0
+    return (total + float(np.add.reduce(buffer[:filled]))) / count  # the last values, short of a full buffer
 
 
 def instantaneous(samples, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

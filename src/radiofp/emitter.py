@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dsp import IqRecording, as_complex_array, seal, typed_fields
+from .dsp import IqRecording, as_complex_array, seal, typed, typed_fields, typed_items
 from .errors import ParameterError, SizeError
 
 __all__ = [
@@ -112,14 +112,15 @@ class TransmissionSchedule:
         normalized = []
         for i, entry in enumerate(self.entries):
             emitter_id, start, bits = entry
-            bits = tuple(int(b) for b in bits)
+            bits = typed_items(f"entries[{i}].payload_bits", bits, int)
+            start = typed(f"entries[{i}].start_time_s", start, float)
             if not bits:
                 raise ParameterError(f"entries[{i}].payload_bits must be non-empty")
             if any(b not in (0, 1) for b in bits):
                 raise ParameterError(f"entries[{i}].payload_bits must hold only 0 and 1")
-            if start < 0:
+            if not start >= 0:
                 raise ParameterError(f"entries[{i}].start_time_s must be >= 0, got {start}")
-            normalized.append(ScheduledBurst(str(emitter_id), float(start), bits))
+            normalized.append(ScheduledBurst(str(emitter_id), start, bits))
         object.__setattr__(self, "entries", tuple(normalized))
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .detect import RegionOfInterest
-from .dsp import IqRecording, as_complex_array, instantaneous, typed_fields
+from .dsp import IqRecording, as_complex_array, instantaneous, typed_fields, typed_items
 from .errors import (
     DegenerateInputError,
     FeatureError,
@@ -123,7 +123,7 @@ class FeatureSelection:
     index: np.ndarray = field(init=False, repr=False)  # kept_indices as an array, to index a row
 
     def __post_init__(self) -> None:
-        kept = tuple(int(i) for i in self.kept_indices)
+        kept = typed_items("kept_indices", self.kept_indices, int)
         scores = np.array(self.scores, dtype=np.float64, copy=True)
         if len(kept) == 0:
             raise ParameterError("kept_indices must be non-empty")

@@ -1,16 +1,20 @@
 """Parametric SDR receiver model: the tunable plant of the adaptive loop.
 
-acquire_in_place() runs the front-end chain on a buffer its caller owns, and
-acquire() runs it on a copy of a recording's samples. The chain: additive
-front-end noise (injected before the gain stage, so gain trades signal level
-against the quantization floor but cannot buy back front-end SNR), amplifier
-gain, a fixed 63-tap anti-alias lowpass whose bandwidth is the tunable, hard
-clipping, and a uniform mid-tread ADC.
+acquire_in_place() runs the front-end chain on a buffer its caller owns,
+acquire() on a copy of a recording's samples, and acquire_power() on samples
+it only reads, keeping the output's |z|^2. The chain: additive front-end
+noise (injected before the gain stage, so gain trades signal level against
+the quantization floor but cannot buy back front-end SNR), amplifier gain, a
+fixed 63-tap anti-alias lowpass whose bandwidth is the tunable, hard
+clipping, and a uniform mid-tread ADC. The noise is added to the whole
+buffer; the rest runs one FIR block at a time (dsp.fir_blocks): the gain as
+the block's inputs are copied, the FIR, then the ADC, and the block is
+written back (acquire_in_place) or squared into the power (acquire_power).
 
 The quantizer grid is k * step for |k| <= 2^(bits-1) - 1 with
 step = 2*full_scale / (2^bits - 1): zero is representable (silence stays
 silent) and values driven past the grid by clipping saturate exactly at
-+/- full_scale, which is what clipping_ratio looks for.
++/- full_scale, which is what the clipping ratio (_railed) looks for.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (IqRecording, add_white_noise, as_complex_array, check_decibels, design_lowpass, fir_apply, seal,
-                  typed_fields, widened_blocks)
+from .dsp import (IqRecording, add_white_noise, as_complex_array, check_decibels, check_track, design_lowpass,
+                  fir_blocks, seal, typed_fields, write_in_blocks)
 from .errors import ParameterError
 
 NUM_FILTER_TAPS = 63
@@ -28,7 +32,7 @@ NUM_FILTER_TAPS = 63
 # heap so that tune's peak RSS read 6.4 MB higher under some install paths.
 _IQ_PAIR = np.dtype((np.float64, 2))
 
-__all__ = ["ReceiverConfig", "acquire", "acquire_in_place", "add_frontend_noise", "clipping_ratio",
+__all__ = ["ReceiverConfig", "acquire", "acquire_in_place", "acquire_power", "add_frontend_noise",
            "quantization_step", "NUM_FILTER_TAPS"]
 
 
@@ -95,40 +99,49 @@ def acquire(input_recording: IqRecording, config: ReceiverConfig, seed: int) -> 
     return input_recording.replace_samples(seal(acquire_in_place(x, input_recording.sample_rate_hz, config, seed)))
 
 
+def _digitized_blocks(x: np.ndarray, sample_rate_hz: float, config: ReceiverConfig):
+    """(starts, back, outputs) of the chain after its noise: dsp.fir_blocks' gained, filtered blocks, digitized."""
+    if config.filter_bw_hz >= sample_rate_hz:
+        raise ParameterError(f"filter_bw_hz={config.filter_bw_hz} is at or above the sample rate {sample_rate_hz}")
+    taps = design_lowpass(config.filter_bw_hz / (2.0 * sample_rate_hz), NUM_FILTER_TAPS)
+    starts, back, filtered = fir_blocks(x, taps, 10.0 ** (config.gain_db / 20.0))
+    step = quantization_step(config.adc_bits, config.full_scale)
+    return starts, back, lambda start, stop: _adc(filtered(start, stop), step, config.full_scale)
+
+
 def acquire_in_place(x: np.ndarray, sample_rate_hz: float, config: ReceiverConfig, seed: int) -> np.ndarray:
     """Run the receiver chain over the complex128 samples x, in place; returns x.
 
-    Every stage works in place: the noise, the gain, the FIR (which filters
-    in blocks, see fir_apply) and the ADC (clipping included, see _adc). So
-    the chain holds a few blocks besides x.
+    Each digitized block is written back into x as dsp.write_in_blocks writes
+    them, so the chain holds a few blocks besides x.
     """
-    if config.filter_bw_hz >= sample_rate_hz:
-        raise ParameterError(
-            f"filter_bw_hz={config.filter_bw_hz} is at or above the sample rate {sample_rate_hz}"
-        )
+    blocks = _digitized_blocks(x, sample_rate_hz, config)
     add_frontend_noise(x, config.frontend_noise_power, seed)
-
-    x *= 10.0 ** (config.gain_db / 20.0)
-
-    taps = design_lowpass(config.filter_bw_hz / (2.0 * sample_rate_hz), NUM_FILTER_TAPS)
-    fir_apply(x, taps, out=x)
-
-    return _adc(x, quantization_step(config.adc_bits, config.full_scale), config.full_scale)
+    return write_in_blocks(x, *blocks)
 
 
-def clipping_ratio(recording: IqRecording, full_scale: float) -> float:
-    """Fraction of samples with either component at the rails.
-
-    A component counts as railed when |v| >= full_scale - eps with
-    eps = full_scale * 1e-9. Empty recordings report 0.0. The samples are
-    counted one complex128 block at a time (dsp.widened_blocks).
-    """
-    if not full_scale > 0:
-        raise ParameterError(f"full_scale must be > 0, got {full_scale}")
-    z = recording.samples
-    if z.size == 0:
-        return 0.0
+def _railed(z: np.ndarray, full_scale: float) -> int:
+    """How many samples of the complex128 z have a component at the rails, |v| >= full_scale - full_scale * 1e-9."""
     limit = full_scale - full_scale * 1e-9
-    railed = sum(int(np.count_nonzero((np.abs(part.real) >= limit) | (np.abs(part.imag) >= limit)))
-                 for _, part in widened_blocks(z))
-    return railed / z.size
+    return int(np.count_nonzero((np.abs(z.real) >= limit) | (np.abs(z.imag) >= limit)))
+
+
+def acquire_power(x: np.ndarray, sample_rate_hz: float, config: ReceiverConfig, power: np.ndarray) -> float:
+    """Run the receiver chain over the samples x, which hold the front-end noise already (config's
+    frontend_noise_power must be 0), without writing x: each digitized block's |z|^2 goes into power, a
+    float64 array of x's length. Returns the fraction of samples _railed counts, 0.0 for no sample.
+
+    power gets the bits of np.square(np.abs(acquire(...).samples)), and the
+    chain holds a few blocks besides x and power.
+    """
+    if config.frontend_noise_power != 0:
+        raise ParameterError("acquire_power reads x with its front-end noise added: frontend_noise_power must be 0")
+    x = as_complex_array(x)
+    check_track("power", power, x.size)
+    starts, _back, digitized = _digitized_blocks(x, sample_rate_hz, config)
+    railed = 0
+    for start, stop in zip(starts, starts[1:] + [x.size]):
+        z = digitized(start, stop)
+        railed += _railed(z, config.full_scale)
+        np.square(np.abs(z, out=power[start:stop]), out=power[start:stop])
+    return railed / x.size if x.size else 0.0

@@ -228,6 +228,16 @@ class DatasetBuildResult:
     ground_truth: tuple[BurstSpan, ...]
 
 
+def received_buffer(schedule: TransmissionSchedule, profiles: Mapping[str, EmitterProfile], channel: ChannelSpec,
+                    seeds: DatasetSeeds, sample_rate_hz: float, samples_per_symbol: int):
+    """(samples, ground truth): render_buffer's new buffer, which the caller owns, run through propagate_in_place.
+    Each stage's output is checked as a recording's samples are (dsp.check_finite)."""
+    samples, ground_truth = render_buffer(schedule, profiles, sample_rate_hz, samples_per_symbol, seeds.render)
+    check_finite(samples)
+    check_finite(propagate_in_place(samples, ground_truth, channel, seeds.channel))
+    return samples, ground_truth
+
+
 def build_dataset(
     schedule: TransmissionSchedule,
     profiles: Mapping[str, EmitterProfile],
@@ -250,12 +260,9 @@ def build_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Render, channel and receiver all work on one buffer, so one capture is alive. Each stage's
-    # output is checked as a recording's samples are, and the last one becomes the recording
-    # (sealed: adopted uncopied) with the id and metadata render_session gives.
-    samples, ground_truth = render_buffer(schedule, profiles, sample_rate_hz, samples_per_symbol, seeds.render)
-    check_finite(samples)
-    check_finite(propagate_in_place(samples, ground_truth, channel, seeds.channel))
+    # Render, channel and receiver all work on one buffer, so one capture is alive. The last stage's
+    # output becomes the recording (sealed: adopted uncopied) with the id and metadata render_session gives.
+    samples, ground_truth = received_buffer(schedule, profiles, channel, seeds, sample_rate_hz, samples_per_symbol)
     acquire_in_place(samples, sample_rate_hz, rx, seeds.frontend)
     acquired = IqRecording(seal(samples), sample_rate_hz, 0.0, id=f"session-{seeds.render}")
 

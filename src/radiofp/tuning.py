@@ -22,10 +22,10 @@ import numpy as np
 
 from .config import atomic_write, csv_chunks
 from .detect import RegionOfInterest
-from .dsp import (SNR_MIN_SAMPLES, IqRecording, check_decibels, runs_mean_power, snr_db_from_powers, typed,
-                  typed_fields, union_runs)
+from .dsp import (SNR_MIN_SAMPLES, check_decibels, runs_mean_power, snr_db_from_powers, typed, typed_fields,
+                  typed_items, union_runs)
 from .errors import ParameterError, SizeError, TuningError
-from .receiver import ReceiverConfig, clipping_ratio
+from .receiver import ReceiverConfig
 
 __all__ = [
     "TuningGrid",
@@ -48,7 +48,7 @@ class TuningGrid:
 
     def __post_init__(self) -> None:
         for name in ("gain_db_values", "filter_bw_hz_values"):
-            axis = tuple(typed(f"{name}[{i}]", value, float) for i, value in enumerate(getattr(self, name)))
+            axis = typed_items(name, getattr(self, name), float)
             if not axis:
                 raise ParameterError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(axis, axis[1:])):
@@ -93,62 +93,62 @@ class TuningTrace:
         return len(self.steps)
 
 
-def _noise_power(recording: IqRecording, rois: Sequence[RegionOfInterest]) -> float:
-    """The mean |z|^2 of the samples no ROI covers, or nan when they are too few or their power is not > 0.
+def _noise_power(power: np.ndarray, rois: Sequence[RegionOfInterest]) -> float:
+    """The mean of the |z|^2 power no ROI covers, or nan when it covers too few samples or is not > 0.
 
     runs_mean_power over the gaps, with no mask and no gathered |z|^2."""
-    n = len(recording)
+    n = power.size
     edges = [0, *itertools.chain.from_iterable(union_runs(((r.start_sample, r.end_sample) for r in rois), n)), n]
     gaps = list(zip(edges[::2], edges[1::2]))
     if sum(stop - start for start, stop in gaps) < SNR_MIN_SAMPLES:
         return float("nan")
-    power = runs_mean_power(recording.samples, gaps)
-    return power if power > 0 else float("nan")
+    p_noise = runs_mean_power(power, gaps)
+    return p_noise if p_noise > 0 else float("nan")
 
 
 def acquisition_metrics(
-    recording: IqRecording,
+    power: np.ndarray,
     rois: Sequence[RegionOfInterest],
-    full_scale: float,
+    clip: float,
 ) -> tuple[float, float]:
-    """(mean per-ROI SNR estimate in dB or nan, clipping ratio).
+    """(mean per-ROI SNR estimate in dB or nan, clipping ratio) of a capture, from its float64 |z|^2, power (as
+    receiver.acquire_power writes it), its ROIs and its clipping ratio, clip (as acquire_power returns it).
 
-    The SNR reference is the part of the recording not covered by any ROI;
+    The SNR reference is the part of the capture not covered by any ROI;
     nan means no usable measurement (no ROI, a too-small complement, or a
     complement of zero power: the ADC quantized it to pure silence, or its
     |z|^2 underflows to 0). Each ROI's SNR is
     snr_db_from_powers(runs_mean_power over the ROI, runs_mean_power over the
     complement), with the complement's power reduced once for all ROIs.
     """
-    clip = clipping_ratio(recording, full_scale)
     if not rois:
         return float("nan"), clip
-    p_noise = _noise_power(recording, rois)
+    p_noise = _noise_power(power, rois)
     if np.isnan(p_noise):
         return float("nan"), clip
-    regions = [roi.slice_of(recording) for roi in rois]
-    shortest = min(region.size for region in regions)
+    if max(roi.end_sample for roi in rois) > power.size:
+        raise ParameterError("ROI extends past the end of the recording")
+    shortest = min(roi.length for roi in rois)
     if shortest < SNR_MIN_SAMPLES:
         raise SizeError(f"every ROI needs >= {SNR_MIN_SAMPLES} samples, got {shortest}")
-    snrs = [snr_db_from_powers(runs_mean_power(region, [(0, region.size)]), p_noise) for region in regions]
+    snrs = [snr_db_from_powers(runs_mean_power(power, [(roi.start_sample, roi.end_sample)]), p_noise) for roi in rois]
     return float(np.mean(snrs)), clip
 
 
 def objective(
-    recording: IqRecording,
+    power: np.ndarray,
     rois: Sequence[RegionOfInterest],
-    config: ReceiverConfig,
+    clip: float,
     params: ObjectiveParams = ObjectiveParams(),
 ) -> tuple[float, float, float, int]:
     """(acquisition-quality score, mean ROI SNR estimate in dB or nan, clipping ratio, ROI count), from one
     acquisition_metrics call: the plant's return for tune.
 
-    The score is the mean ROI SNR minus a clipping penalty. config is the
-    receiver config the recording was acquired with; clipping is measured
-    against its full_scale. No detected ROI (or no usable noise-floor region
-    to reference the SNR against) earns the flat penalty -no_roi_penalty.
+    The score is the mean ROI SNR minus a clipping penalty. No detected ROI
+    (or no usable noise-floor region to reference the SNR against) earns the
+    flat penalty -no_roi_penalty.
     """
-    snr_est, clip = acquisition_metrics(recording, rois, config.full_scale)
+    snr_est, clip = acquisition_metrics(power, rois, clip)
     value = snr_est - params.clip_weight * 100.0 * clip if np.isfinite(snr_est) else -params.no_roi_penalty
     return value, snr_est, clip, len(rois)
 

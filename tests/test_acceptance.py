@@ -26,12 +26,13 @@ Desk-scale experiment design notes:
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from radiofp.channel import ChannelSpec, add_awgn, propagate
-from radiofp.detect import DetectorParams, RegionOfInterest, detect_bursts, match_rois
+from radiofp.detect import DetectorParams, RegionOfInterest, detect_bursts, detect_power, match_rois
 from radiofp.dsp import IqRecording
 from radiofp.emitter import (
     EmitterProfile,
@@ -42,7 +43,7 @@ from radiofp.emitter import (
 )
 from radiofp.features import ExtractionConfig, catalog_names, catalog_version, extract, fisher_select, wpd_energies
 from radiofp.features import _normalized_moments
-from radiofp.receiver import ReceiverConfig, acquire
+from radiofp.receiver import ReceiverConfig, acquire, acquire_power, add_frontend_noise
 from radiofp.sigmf_io import (
     DatasetSeeds,
     SessionMeta,
@@ -180,6 +181,20 @@ def eer_at(snr_db, rx=RX_CANONICAL):
     return _EER_CACHE[key]
 
 
+def streamed_plant(received, noise_power, seed, detector, params):
+    """The plant `tune` runs over a received recording, for configs of front-end noise power noise_power: the
+    noise is drawn once (the bits of acquire drawing it per config), then each config's |z|^2 and clipping ratio
+    (acquire_power), ROIs (detect_power) and objective."""
+    noisy = add_frontend_noise(np.array(received.samples), noise_power, seed)
+    power = np.empty(noisy.size)
+
+    def plant(config: ReceiverConfig):
+        clip = acquire_power(noisy, FS, replace(config, frontend_noise_power=0.0), power)
+        return objective(power, detect_power(power, detector), clip, params)
+
+    return plant
+
+
 def verification_tuning_plant():
     """Calibration session for the low-SNR controller run of criterion 4.
 
@@ -203,12 +218,7 @@ def verification_tuning_plant():
                               min_length=256, merge_gap=256)
     params = ObjectiveParams(clip_weight=0.5, no_roi_penalty=100.0)
 
-    def plant(config: ReceiverConfig):
-        acquired = acquire(received, config, seed=MASTER_SEED + 79)
-        rois = detect_bursts(acquired, detector)
-        return objective(acquired, rois, config, params)
-
-    return plant
+    return streamed_plant(received, RX_CANONICAL.frontend_noise_power, MASTER_SEED + 79, detector, params)
 
 
 # --- criterion 1 --------------------------------------------------------------
@@ -340,11 +350,7 @@ def test_c5_adaptive_controller_canonical_plant():
     clean, _ = render_session(schedule, {"cal": profile}, FS, SPS, seed=MASTER_SEED + 7)
     received = propagate(clean, (), ChannelSpec(path_loss_db=16.0), seed=0)  # weak input; noise is the front end's
 
-    def plant(config: ReceiverConfig):
-        acquired = acquire(received, config, seed=MASTER_SEED + 9)
-        rois = detect_bursts(acquired, detector)
-        return objective(acquired, rois, config, params)
-
+    plant = streamed_plant(received, template.frontend_noise_power, MASTER_SEED + 9, detector, params)
     grid = TuningGrid(gains, bws)
     exhaustive = tune(plant, grid, strategy="exhaustive", config_template=template)
     descent = tune(plant, grid, strategy="coordinate_descent", budget=28,

@@ -369,6 +369,35 @@ class TestTune:
         assert len(rows) == 6
         assert len(calls) == len(rows)
 
+    def test_an_evaluation_allocates_no_capture(self, tmp_path, monkeypatch):
+        """Each grid point streams the noisy capture through the receiver into the |z|^2 and the power track that
+        tune allocated once: an evaluation's tracemalloc peak is a few blocks, under 0.1x the complex128 capture
+        (an acquired copy of it would be 1x)."""
+        import radiofp.cli
+
+        n = 2 ** 20
+        config = self.tune_config([-10.0, 10.0], [0.2 * FS, 0.4 * FS])
+        config["schedule"]["session_duration_s"] = n / FS
+        peaks, real_tune = [], radiofp.cli.tune
+
+        def measuring_tune(plant, grid, **kwargs):
+            def measured(rx_config):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    step = plant(rx_config)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                finally:
+                    tracemalloc.stop()
+                return step
+
+            return real_tune(measured, grid, **kwargs)
+
+        monkeypatch.setattr(radiofp.cli, "tune", measuring_tune)
+        assert main(["tune", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "tune")]) == 0
+        assert len(peaks) == 4
+        assert max(peaks) <= 0.1 * n * np.dtype(np.complex128).itemsize
+
     def test_trace_matches_noise_drawn_per_evaluation(self, tmp_path):
         """Drawing the front-end noise once per tune gives the trace of drawing it per evaluation."""
         gains, bws = [-10.0, 0.0, 10.0], [0.2 * FS, 0.4 * FS]
@@ -385,9 +414,12 @@ class TestTune:
         params = ObjectiveParams(**config["tuning"]["objective"])
 
         def plant(rx_config):
+            """Each grid point's capture acquired whole, its |z|^2 and the rail rule's clipping ratio taken from it."""
             acquired = acquire(received, rx_config, seeds.frontend)
             rois = detect_bursts(acquired, parsed["detector"])
-            return objective(acquired, rois, rx_config, params)
+            z, limit = acquired.samples, rx_config.full_scale - rx_config.full_scale * 1e-9
+            clip = float(np.mean((np.abs(z.real) >= limit) | (np.abs(z.imag) >= limit)))
+            return objective(np.square(np.abs(z)), rois, clip, params)
 
         trace = tune(plant, TuningGrid(tuple(gains), tuple(bws)), config_template=parsed["receiver"])
         write_trace_csv(trace, tmp_path / "expected.csv")

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiofp.channel import add_awgn
-from radiofp.detect import (MEDIAN_SAMPLE, DetectorParams, RegionOfInterest, _median, _power_track, _run_starts,
-                            detect_bursts, match_rois)
+from radiofp.detect import (MEDIAN_SAMPLE, DetectorParams, RegionOfInterest, _median, _run_starts, detect_bursts,
+                            detect_power, match_rois)
 from radiofp.dsp import BLOCK_SAMPLES, IqRecording
 from radiofp.emitter import EmitterProfile, TransmissionSchedule, render_session
 from radiofp.errors import ParameterError, SizeError
@@ -24,6 +24,11 @@ def synth_session(starts_s, snr_db, seed, bits=(1,) * 24, duration_s=0.06):
     clean, truth = render_session(schedule, profiles, FS, 32, seed=seed)
     noisy = add_awgn(clean, snr_db, 1.0, seed=seed + 1)
     return noisy, truth
+
+
+def power_track(x, window):
+    """The reference power track: the whole-array "same" np.convolve of |x|^2 and a 1/window boxcar."""
+    return np.convolve(np.abs(x) ** 2, np.full(window, 1.0 / window), mode="same")
 
 
 class TestDetectorParams:
@@ -165,6 +170,8 @@ class TestDetectBursts:
     def test_too_short_recording_raises(self):
         with pytest.raises(SizeError):
             detect_bursts(IqRecording(np.zeros(32, dtype=complex), FS), PARAMS)
+        with pytest.raises(SizeError):
+            detect_bursts(IqRecording(np.zeros(0, dtype=complex), FS), PARAMS)
 
     def test_peak_memory_is_one_capture_above_the_input(self):
         """The smoothed power track (half a complex capture) and one block of its convolution.
@@ -182,7 +189,7 @@ class TestDetectBursts:
         track = np.full(len(rec), np.nan)
         rois, peak = traced_peak(detect_bursts, rec, PARAMS, track)
         assert rois == detect_bursts(rec, PARAMS)
-        assert track.tobytes() == _power_track(rec.samples, PARAMS.window).tobytes()
+        assert track.tobytes() == power_track(rec.samples, PARAMS.window).tobytes()
         assert peak <= 0.15 * rec.samples.nbytes
 
     @pytest.mark.parametrize("track", [np.empty(1023), np.empty(1024, dtype=np.float32), np.empty((1024, 1)),
@@ -217,6 +224,47 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def silent_floor() -> IqRecording:
+    """Over half the capture exactly silent: detection's floor == 0 path."""
+    x = np.zeros(4096, dtype=complex)
+    x[500:800] = 3.0
+    x[2000:2300] = 0.5
+    return IqRecording(x, FS)
+
+
+class TestDetectPower:
+    @pytest.mark.parametrize("capture, params", [
+        (thirteen_bursts, PARAMS),
+        (lambda: synth_session([0.002, 0.02, 0.04], snr_db=15.0, seed=5)[0], PARAMS),
+        (silent_floor, DetectorParams(window=16)),
+    ])
+    @pytest.mark.parametrize("where", ["in place", "into a track", "into a new track"])
+    def test_gives_detect_bursts_rois_from_the_power(self, capture, params, where):
+        """detect_power over |z|^2 gives detect_bursts' ROIs, with the power track written in place, into a
+        separate track (power left as it was) or into a new array."""
+        rec = capture()
+        want = detect_bursts(rec, params)
+        assert want
+        power = np.square(np.abs(rec.samples))
+        before = power.copy()
+        track = {"in place": power, "into a track": np.full(power.size, np.nan), "into a new track": None}[where]
+        assert detect_power(power, params, track) == want
+        if track is not None:
+            assert track.tobytes() == power_track(rec.samples, params.window).tobytes()
+        if track is not power:
+            assert power.tobytes() == before.tobytes()
+
+    def test_the_silent_floor_is_zero(self):
+        strong, weak = detect_power(np.square(np.abs(silent_floor().samples)), DetectorParams(window=16))
+        assert strong.noise_floor == weak.noise_floor == np.finfo(np.float64).tiny
+
+    def test_a_short_power_or_a_wrong_track_is_refused(self):
+        with pytest.raises(SizeError):
+            detect_power(np.zeros(32), PARAMS)
+        with pytest.raises(ParameterError, match="track must be a writable float64 array of shape \\(1024,\\)"):
+            detect_power(np.zeros(1024), PARAMS, np.empty(1023))
 
 
 B = BLOCK_SAMPLES
@@ -277,8 +325,9 @@ def test_power_track_blocks_give_the_bits_of_one_whole_convolution(n, window):
     """Each block's dot products are the whole "same" convolution's, at the block edges and the array ends."""
     rng = np.random.default_rng(n + window)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = np.convolve(np.abs(x) ** 2, np.full(window, 1.0 / window), mode="same")
-    assert _power_track(x, window).tobytes() == want.tobytes()
+    track = np.empty(n)
+    detect_bursts(IqRecording(x, FS), DetectorParams(window=window), track)
+    assert track.tobytes() == power_track(x, window).tobytes()
 
 
 def test_run_starts_across_block_edges():

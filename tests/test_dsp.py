@@ -291,9 +291,9 @@ class TestFirFilter:
         """The bound is tight enough to see a misplaced frame or an input read after its output was written."""
 
         def local_fir_apply(old, new):
-            """fir_apply compiled from its source and _write_in_blocks', with old replaced once by new."""
+            """fir_apply compiled from its source, fir_blocks' and write_in_blocks', with old replaced once by new."""
             namespace = dict(vars(dsp))
-            sources = [inspect.getsource(f) for f in (dsp._write_in_blocks, dsp.fir_apply)]
+            sources = [inspect.getsource(f) for f in (dsp.write_in_blocks, dsp.fir_blocks, dsp.fir_apply)]
             assert sum(source.count(old) for source in sources) == 1
             for source in sources:
                 exec(source.replace(old, new), namespace)
@@ -458,7 +458,8 @@ def test_runs_mean_power_over_the_union_and_its_complement_is_the_masked_mean(sp
 @example(block=128, cuts=[7, 7, 9, 9, 135, 1023, 1030, 4097], narrow=True, seed=1)
 def test_runs_mean_power_is_the_masked_mean_across_blocks(block, cuts, narrow, seed):
     """Pieces of at most BLOCK_SAMPLES values, runs across block edges, empty runs, and cf32_le samples:
-    np.mean(np.abs(as_complex_array(z)[mask]) ** 2) within the float contract, 1e-12 relative."""
+    np.mean(np.abs(as_complex_array(z)[mask]) ** 2) within the float contract, 1e-12 relative, and from the
+    samples' float64 |z|^2 the same bits as from the samples."""
     rng = np.random.default_rng(seed)
     n = 5000
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-4, 4, n)  # order matters
@@ -470,6 +471,8 @@ def test_runs_mean_power_is_the_masked_mean_across_blocks(block, cuts, narrow, s
         mask[start:stop] = True
     with mock.patch.object(dsp, "BLOCK_SAMPLES", block):
         got = runs_mean_power(z, runs)
+        from_power = runs_mean_power(np.square(np.abs(as_complex_array(z))), runs)
+    assert np.float64(from_power).tobytes() == np.float64(got).tobytes()
     if not mask.any():
         assert np.isnan(got)
         return

@@ -280,6 +280,25 @@ class TestRenderSession:
         with pytest.raises(ParameterError):
             TransmissionSchedule((("a", -0.1, (1,)),), 0.01)
 
+    @pytest.mark.parametrize("bits, bad", [((1, 1.9), "payload_bits\\[1\\]"), (("0",), "payload_bits\\[0\\]"),
+                                           ((1, 0, True), "payload_bits\\[2\\]"),
+                                           ((np.float64(1.0),), "payload_bits\\[0\\]")])
+    def test_a_bit_that_is_not_an_integer_is_named(self, bits, bad):
+        """Each bit was passed through int(): (1.9, "0", True) was stored as (1, 0, 1)."""
+        with pytest.raises(ParameterError, match=f"entries\\[1\\]\\.{bad} must be an integer"):
+            TransmissionSchedule((("a", 0.0, (1,)), ("a", 0.001, bits)), 0.01)
+
+    @pytest.mark.parametrize("start, what", [("0.001", "a real number"), (True, "a real number"), (np.nan, ">= 0")])
+    def test_a_start_that_is_not_a_real_number_at_or_after_0_is_named(self, start, what):
+        """A str start raised a bare TypeError from start < 0, and a nan start a bare ValueError in render_buffer."""
+        with pytest.raises(ParameterError, match=f"entries\\[1\\]\\.start_time_s must be {what}"):
+            TransmissionSchedule((("a", 0.0, (1,)), ("a", start, (1,))), 0.01)
+
+    def test_numpy_bits_and_starts_are_stored_as_python_numbers(self):
+        (entry,) = TransmissionSchedule((("a", np.float32(0.5), np.array([1, 0, 1])),), 1.0).entries
+        assert entry == ("a", 0.5, (1, 0, 1))
+        assert type(entry.start_time_s) is float and all(type(b) is int for b in entry.payload_bits)
+
     @pytest.mark.parametrize("duration", [np.inf, np.nan, 0.0])
     def test_schedule_refuses_a_duration_that_is_not_finite_and_positive(self, duration):
         """An infinite session_duration_s was accepted, and render_buffer then raised a bare OverflowError."""

@@ -22,6 +22,7 @@ from radiofp.errors import (
 )
 from radiofp.features import (
     ExtractionConfig,
+    FeatureSelection,
     Moments,
     catalog_names,
     catalog_version,
@@ -56,6 +57,18 @@ def outside_tolerance(names, got, want):
     """Mask of the values of `got` farther from `want` than the README's tolerance."""
     floor = np.array([1.0 if name in NEAR_ZERO else 0.0 for name in names])
     return np.abs(got - want) > 1e-12 * np.maximum(np.abs(want), floor)
+
+
+class TestFeatureSelection:
+    @pytest.mark.parametrize("kept, j", [((0.7, 2), 0), ((0, "2"), 1), ((0, True), 1)])
+    def test_an_index_that_is_not_an_integer_is_named(self, kept, j):
+        """Each index was passed through int(): (0.7, "2") was stored as (0, 2), selecting a feature not asked for."""
+        with pytest.raises(ParameterError, match=f"kept_indices\\[{j}\\] must be an integer"):
+            FeatureSelection(kept, np.zeros(3))
+
+    def test_numpy_indices_are_stored_as_python_ints(self):
+        selection = FeatureSelection((np.int64(0), np.uint8(2)), np.zeros(3))
+        assert selection.kept_indices == (0, 2) and all(type(i) is int for i in selection.kept_indices)
 
 
 class TestMoments:

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiofp.config import RECEIVER, record
-from radiofp.dsp import BLOCK_SAMPLES, IqRecording, design_lowpass, fir_apply
+from radiofp.dsp import BLOCK_SAMPLES, FFT_FRAMES, FFT_LENGTH, IqRecording, design_lowpass, fir_apply
 from radiofp.errors import ParameterError
 from radiofp.receiver import (
     NUM_FILTER_TAPS,
     ReceiverConfig,
     _adc,
+    _railed,
     acquire,
+    acquire_in_place,
+    acquire_power,
     add_frontend_noise,
-    clipping_ratio,
     quantization_step,
 )
 
@@ -31,6 +33,18 @@ def transparent_config(**kwargs):
                     full_scale=1.0, frontend_noise_power=0.0)
     defaults.update(kwargs)
     return ReceiverConfig(**defaults)
+
+
+def clipping_ratio(samples, full_scale):
+    """The fraction of samples _railed counts, 0.0 for none: the clipping ratio acquire_power returns."""
+    x = np.asarray(samples, dtype=np.complex128)
+    return _railed(x, full_scale) / x.size if x.size else 0.0
+
+
+def rail_mean(samples, full_scale):
+    """The rail rule written out: the mean of |I| or |Q| >= full_scale - full_scale * 1e-9."""
+    limit = full_scale - full_scale * 1e-9
+    return float(np.mean((np.abs(samples.real) >= limit) | (np.abs(samples.imag) >= limit)))
 
 
 def copying_acquire(x, config, seed):
@@ -172,7 +186,7 @@ class TestAcquire:
     def test_heavy_gain_clips(self):
         config = transparent_config(gain_db=40.0)
         out = acquire(rec(np.full(1000, 0.5 + 0.0j)), config, seed=0)
-        assert clipping_ratio(out, 1.0) > 0.9
+        assert clipping_ratio(out.samples, 1.0) > 0.9
 
     def test_output_always_within_full_scale(self):
         rng = np.random.default_rng(3)
@@ -268,26 +282,88 @@ class TestAcquire:
 
 class TestClippingRatio:
     def test_all_zero(self):
-        assert clipping_ratio(rec(np.zeros(10, dtype=complex)), 1.0) == 0.0
+        assert clipping_ratio(np.zeros(10, dtype=complex), 1.0) == 0.0
 
     def test_all_at_rail(self):
-        assert clipping_ratio(rec(np.full(10, 1.0 + 0j)), 1.0) == 1.0
+        assert clipping_ratio(np.full(10, 1.0 + 0j), 1.0) == 1.0
 
     def test_half_at_rail(self):
         x = np.concatenate([np.full(5, 1.0 + 0j), np.zeros(5, dtype=complex)])
-        assert clipping_ratio(rec(x), 1.0) == 0.5
+        assert clipping_ratio(x, 1.0) == 0.5
 
     def test_quadrature_rail_counts(self):
-        assert clipping_ratio(rec(np.full(4, 0.0 + 1.0j)), 1.0) == 1.0
+        assert clipping_ratio(np.full(4, 0.0 + 1.0j), 1.0) == 1.0
 
     def test_empty_recording(self):
-        assert clipping_ratio(rec(np.zeros(0, dtype=complex)), 1.0) == 0.0
+        assert acquire_power(np.zeros(0, dtype=complex), FS, transparent_config(), np.empty(0)) == 0.0
 
     def test_blocks_give_the_whole_array_mean(self):
+        """acquire_power counts the rails a FIR block at a time: the whole output's mean."""
         n = 2 * BLOCK_SAMPLES + 7
         rng = np.random.default_rng(8)
-        x = np.clip(1.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), -1.0, 1.0)
-        limit = 1.0 - 1e-9
-        want = float(np.mean((np.abs(x.real) >= limit) | (np.abs(x.imag) >= limit)))
+        x = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        config = transparent_config(gain_db=6.0, filter_bw_hz=0.4 * FS)
+        want = rail_mean(acquire(rec(x), config, seed=0).samples, 1.0)
         assert 0.0 < want < 1.0
-        assert clipping_ratio(rec(x), 1.0) == want
+        assert acquire_power(x, FS, config, np.empty(n)) == want
+
+
+# A capture over three FIR blocks and part of a fourth, with silence (where the ADC leaves signed zeros) and peaks
+# that clip.
+STREAMED_N = 3 * FFT_FRAMES * (FFT_LENGTH - NUM_FILTER_TAPS + 1) + 1000
+STREAMED = 0.4 * np.random.default_rng(31).standard_normal((STREAMED_N, 2)).view(np.complex128).ravel()
+STREAMED[6000:9000] = 0.0
+STREAMED.setflags(write=False)
+
+
+class TestStreamedChain:
+    configs = st.builds(lambda gain_db, bw, adc_bits, full_scale: transparent_config(
+        gain_db=gain_db, filter_bw_hz=bw * FS, adc_bits=adc_bits, full_scale=full_scale),
+        st.floats(-40.0, 40.0), st.floats(0.01, 0.99), st.integers(2, 16), st.floats(0.05, 4.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=configs)
+    def test_power_and_clip_are_the_acquired_captures(self, config):
+        """acquire_power writes the bits of acquire's |z|^2 and returns the rail rule's mean of its output."""
+        acquired = acquire(rec(STREAMED), config, seed=0).samples
+        power = np.full(STREAMED_N, np.nan)
+        clip = acquire_power(STREAMED, FS, config, power)
+        assert power.tobytes() == np.square(np.abs(acquired)).tobytes()
+        assert clip == rail_mean(acquired, config.full_scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=configs, noise_power=st.sampled_from([0.0, 1e-4]))
+    def test_in_place_chain_is_the_whole_array_chain(self, config, noise_power):
+        """Gain, FIR and ADC fused per block give the bits of the whole-array stages, one after the other."""
+        config = replace(config, frontend_noise_power=noise_power)
+        want = add_frontend_noise(STREAMED.copy(), noise_power, 3)
+        want *= 10.0 ** (config.gain_db / 20.0)
+        fir_apply(want, design_lowpass(config.filter_bw_hz / (2.0 * FS), NUM_FILTER_TAPS), out=want)
+        _adc(want, quantization_step(config.adc_bits, config.full_scale), config.full_scale)
+        x = STREAMED.copy()
+        assert acquire_in_place(x, FS, config, 3) is x
+        assert x.tobytes() == want.tobytes()
+
+    def test_reads_its_input_and_holds_a_few_blocks_beyond_its_output(self):
+        n = 2 ** 21
+        rng = np.random.default_rng(6)
+        x = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        x.setflags(write=False)
+        power = np.empty(n)
+        config = transparent_config(gain_db=3.0, filter_bw_hz=0.4 * FS)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            acquire_power(x, FS, config, power)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * x.nbytes
+
+    def test_noise_power_or_a_wrong_power_array_is_refused(self):
+        with pytest.raises(ParameterError, match="frontend_noise_power must be 0"):
+            acquire_power(STREAMED, FS, transparent_config(frontend_noise_power=1e-6), np.empty(STREAMED_N))
+        with pytest.raises(ParameterError, match="power must be a writable float64 array"):
+            acquire_power(STREAMED, FS, transparent_config(), np.empty(STREAMED_N, dtype=np.float32))
+        with pytest.raises(ParameterError, match="sample rate"):
+            acquire_power(STREAMED, FS, transparent_config(filter_bw_hz=FS), np.empty(STREAMED_N))

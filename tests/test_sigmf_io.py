@@ -19,7 +19,7 @@ from radiofp.errors import (
     ValidationError,
 )
 from radiofp.features import extract, instantaneous_stats, spectral_features, transient_features, wpd_energies
-from radiofp.receiver import ReceiverConfig, acquire, clipping_ratio
+from radiofp.receiver import ReceiverConfig, acquire, acquire_power
 from radiofp.sigmf_io import (
     AnnotationSpan,
     CaptureInfo,
@@ -32,7 +32,6 @@ from radiofp.sigmf_io import (
     schedule_to_doc,
     write_recording,
 )
-from radiofp.tuning import acquisition_metrics
 
 FS = 1.0e5
 
@@ -265,10 +264,14 @@ class TestNarrowRead:
                 if isinstance(got, dict):
                     got, want = list(got.values()), list(want.values())
                 assert np.concatenate(got, axis=None).tobytes() == np.concatenate(want, axis=None).tobytes()
-        assert clipping_ratio(narrow, 1.0) == clipping_ratio(wide, 1.0) > 0
-        assert clipping_ratio(narrow, 0.7) == clipping_ratio(wide, 0.7)
-        assert np.array(acquisition_metrics(narrow, rois, 1.0)).tobytes() == \
-               np.array(acquisition_metrics(wide, rois, 1.0)).tobytes()
+        clips = {}
+        for full_scale in (1.0, 0.7):
+            quiet = ReceiverConfig(filter_bw_hz=0.4 * FS, gain_db=6.0, adc_bits=10, full_scale=full_scale)
+            narrow_power, wide_power = np.empty(len(wide)), np.empty(len(wide))
+            clips[full_scale] = acquire_power(narrow.samples, FS, quiet, narrow_power)
+            assert clips[full_scale] == acquire_power(wide.samples, FS, quiet, wide_power)
+            assert narrow_power.tobytes() == wide_power.tobytes()
+        assert clips[1.0] > 0
         rx = ReceiverConfig(filter_bw_hz=0.4 * FS, gain_db=2.0, adc_bits=10, frontend_noise_power=1e-6)
         channel = ChannelSpec(snr_db=20.0, multipath_taps=((0, 1 + 0j), (7, 0.1j)), path_loss_db=1.0)
         for stage in (lambda rec: acquire(rec, rx, seed=4), lambda rec: propagate(rec, truth, channel, seed=5),

@@ -25,6 +25,17 @@ def mean_power(x):
     return float(np.mean(np.abs(x) ** 2))
 
 
+def power_of(samples):
+    """The float64 |z|^2 of samples, as receiver.acquire_power writes a capture's."""
+    return np.square(np.abs(samples))
+
+
+def clip_of(samples, full_scale):
+    """The reference clipping ratio: the mean of |I| or |Q| >= full_scale - full_scale * 1e-9."""
+    limit = full_scale - full_scale * 1e-9
+    return float(np.mean((np.abs(samples.real) >= limit) | (np.abs(samples.imag) >= limit)))
+
+
 def estimate_snr_db(signal_region, noise_region):
     """The reference SNR of two regions of at least SNR_MIN_SAMPLES: snr_db_from_powers of their mean_power."""
     assert len(signal_region) >= SNR_MIN_SAMPLES and len(noise_region) >= SNR_MIN_SAMPLES
@@ -72,45 +83,49 @@ BWS7 = tuple(float(b) for b in range(10_000, 45_000, 5_000))
 
 class TestObjective:
     def test_no_roi_penalty(self):
-        rec = IqRecording(np.zeros(1000, dtype=complex), FS)
-        assert objective(rec, [], ReceiverConfig(filter_bw_hz=1.0))[0] == -100.0
+        assert objective(np.zeros(1000), [], 0.0)[0] == -100.0
 
     def test_snr_only_without_clipping(self):
         # full_scale far above every sample: the clip term is exactly zero.
         rec, rois = recording_with_roi(20.0)
-        assert objective(rec, rois, ReceiverConfig(filter_bw_hz=1.0, full_scale=1e6))[0] == pytest.approx(20.0, abs=1e-9)
+        clip = clip_of(rec.samples, 1e6)
+        assert clip == 0.0
+        assert objective(power_of(rec.samples), rois, clip)[0] == pytest.approx(20.0, abs=1e-9)
 
     def test_full_clipping_costs_whole_penalty(self):
         # full_scale at the noise amplitude puts every sample at the rails.
         rec, rois = recording_with_roi(20.0)
-        rx, params = ReceiverConfig(filter_bw_hz=1.0, full_scale=1.0), ObjectiveParams(clip_weight=0.5)
-        assert objective(rec, rois, rx, params)[0] == pytest.approx(20.0 - 0.5 * 100.0, abs=1e-9)
+        clip = clip_of(rec.samples, 1.0)
+        assert clip == 1.0
+        params = ObjectiveParams(clip_weight=0.5)
+        assert objective(power_of(rec.samples), rois, clip, params)[0] == pytest.approx(20.0 - 0.5 * 100.0, abs=1e-9)
 
     def test_formula_composition(self):
-        # Independent measurement of both terms through the public helpers
+        # Independent measurement of both terms through the reference helpers
         # must reproduce the objective (arithmetic: 25 dB, clip 0.25 -> 12.5).
-        from radiofp.receiver import clipping_ratio
         rec, rois = recording_with_roi(25.0)
         full_scale = 2.0  # rails only the ROI samples (amplitude ~17.8)
-        clip = clipping_ratio(rec, full_scale)
+        clip = clip_of(rec.samples, full_scale)
         assert clip == 0.25  # the ROI occupies a quarter of the recording
         mask = np.ones(len(rec), dtype=bool)
         mask[rois[0].start_sample:rois[0].end_sample] = False
         snr = estimate_snr_db(rois[0].slice_of(rec), rec.samples[mask])
-        rx, params = ReceiverConfig(filter_bw_hz=1.0, full_scale=full_scale), ObjectiveParams(clip_weight=0.5)
-        assert objective(rec, rois, rx, params)[0] == pytest.approx(snr - 0.5 * 100.0 * clip, abs=1e-9)
-        assert objective(rec, rois, rx, params)[0] == pytest.approx(25.0 - 12.5, abs=1e-9)
+        params = ObjectiveParams(clip_weight=0.5)
+        assert objective(power_of(rec.samples), rois, clip, params)[0] == pytest.approx(snr - 0.5 * 100.0 * clip,
+                                                                                     abs=1e-9)
+        assert objective(power_of(rec.samples), rois, clip, params)[0] == pytest.approx(25.0 - 12.5, abs=1e-9)
 
     def test_trace_objective_uses_the_receivers_full_scale(self):
-        """A plant on a receiver of full scale 2.0 and the default ObjectiveParams: each trace row's
-        objective comes from its own snr_est_db and clip_ratio, or is the flat penalty when the SNR is nan."""
+        """A plant on a receiver of full scale 2.0, clipping measured against it, and the default ObjectiveParams:
+        each trace row's objective comes from its own snr_est_db and clip_ratio, or is the flat penalty when the
+        SNR is nan."""
         rec, rois = recording_with_roi(25.0)
         params = ObjectiveParams()
 
         def plant(config):
-            scaled = rec.replace_samples(rec.samples * 10.0 ** (config.gain_db / 20.0))
+            scaled = rec.samples * 10.0 ** (config.gain_db / 20.0)
             found = rois if config.filter_bw_hz > 1.0 else []
-            return objective(scaled, found, config)
+            return objective(power_of(scaled), found, clip_of(scaled, config.full_scale))
 
         template = ReceiverConfig(filter_bw_hz=1.0, full_scale=2.0)
         trace = tune(plant, TuningGrid((-30.0, -20.0, 0.0), (1.0, 2.0)), config_template=template)
@@ -153,9 +168,9 @@ class TestAcquisitionMetrics:
             mask[roi.start_sample:roi.end_sample] = False
         complement = rec.samples[mask]
         expected = float(np.mean([estimate_snr_db(roi.slice_of(rec), complement) for roi in rois]))
-        snr, clip = acquisition_metrics(rec, rois, full_scale=1.0)
+        snr, clip = acquisition_metrics(power_of(rec.samples), rois, 0.125)
         assert snr == expected
-        assert clip == 0.0
+        assert clip == 0.125
 
     def test_gaps_give_the_masked_complement_bits(self):
         """Unsorted, overlapping and end-touching ROIs: the SNR bits of estimate_snr_db against the masked complement."""
@@ -171,22 +186,24 @@ class TestAcquisitionMetrics:
         for roi in rois:
             mask[roi.start_sample:roi.end_sample] = False
         expected = float(np.mean([estimate_snr_db(roi.slice_of(rec), x[mask]) for roi in rois]))
-        assert acquisition_metrics(rec, rois, full_scale=1.0)[0] == expected
+        assert acquisition_metrics(power_of(x), rois, 0.0)[0] == expected
 
     def test_peak_memory_is_the_complement_power_alone(self):
-        """One float per complement sample: a quarter of the capture here."""
+        """The ROIs and their complement reduced from the |z|^2 one block of floats at a time: 0.02x the complex
+        capture here, which a gathered complement's |z|^2 would have held a quarter of."""
         n = 2 ** 21
         x = np.full(n, 0.01 + 0.01j)
         rois = [RegionOfInterest(start, 4096, 10.0, 1e-3) for start in range(0, n, 8192)]
         rec = IqRecording(x, FS)
+        power = power_of(rec.samples)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            acquisition_metrics(rec, rois, full_scale=1.0)
+            acquisition_metrics(power, rois, 0.0)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 0.27 * rec.samples.nbytes
+        assert peak <= 0.05 * rec.samples.nbytes
 
     def test_noise_power_holds_one_block(self):
         """runs_mean_power over the gaps, 16 blocks of them: one block of float |z|^2, never the complement's,
@@ -195,10 +212,11 @@ class TestAcquisitionMetrics:
         rng = np.random.default_rng(9)
         rec = IqRecording(0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), FS)
         rois = [RegionOfInterest(start, 4096, 10.0, 1e-3) for start in range(0, n, 8192)]
+        power = power_of(rec.samples)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            p_noise = _noise_power(rec, rois)
+            p_noise = _noise_power(power, rois)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -212,13 +230,17 @@ class TestAcquisitionMetrics:
     def test_short_roi_raises_size_error(self):
         rec, rois = self.recording_with_rois([300, 5, 700])
         with pytest.raises(SizeError):
-            acquisition_metrics(rec, rois, full_scale=1.0)
+            acquisition_metrics(power_of(rec.samples), rois, 0.0)
+
+    def test_a_roi_past_the_end_is_refused(self):
+        rec, rois = self.recording_with_rois([300, 700])
+        with pytest.raises(ParameterError, match="past the end"):
+            acquisition_metrics(power_of(rec.samples[:rois[-1].end_sample - 1]), rois, 0.0)
 
     def test_silent_complement_is_nan(self):
         x = np.zeros(1000, dtype=complex)
         x[100:400] = 0.5
-        rec = IqRecording(x, FS)
-        snr, _clip = acquisition_metrics(rec, [RegionOfInterest(100, 300, 10.0, 1e-3)], 1.0)
+        snr, _clip = acquisition_metrics(power_of(x), [RegionOfInterest(100, 300, 10.0, 1e-3)], 0.0)
         assert np.isnan(snr)
 
     def test_underflowing_complement_is_nan(self):
@@ -226,8 +248,7 @@ class TestAcquisitionMetrics:
         not a DegenerateInputError from the SNR of a zero noise power."""
         x = np.full(1000, 1e-170, dtype=complex)
         x[100:400] = 0.5
-        rec = IqRecording(x, FS)
-        snr, clip = acquisition_metrics(rec, [RegionOfInterest(100, 300, 10.0, 1e-3)], 1.0)
+        snr, clip = acquisition_metrics(power_of(x), [RegionOfInterest(100, 300, 10.0, 1e-3)], 0.0)
         assert np.isnan(snr) and clip == 0.0
 
 
